@@ -71,6 +71,7 @@ from .tomography import (
     locate_marginal_atoms,
     marginal_direction_battery,
     reconstruct_conic,
+    reconstruct_from_marginals,
     reconstruct_plane_measure,
 )
 from .blowup import (

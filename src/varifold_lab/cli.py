@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,7 +27,7 @@ from .blowup import (
     projection_growth_table,
     tangent_estimate,
 )
-from .core import ConicVarifold, DiscreteVarifold, as_vector
+from .core import DiscreteVarifold, as_vector, unit
 from .fixtures import balanced_y_cone, full_line, y_junction
 from .io import (
     SchemaError,
@@ -52,9 +51,7 @@ from .tomography import (
     LineMeasure,
     default_normals,
     reconstruct_conic,
-    reconstruct_plane_measure,
-    hyperplane_of,
-    lift_to_sphere,
+    reconstruct_from_marginals,
 )
 from .variation import DegenerateGeometryError, vertex_residuals
 
@@ -90,18 +87,6 @@ class RunManifest:
             "tool_version": self.tool_version,
         }
         Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-
-
-def worker_count() -> int:
-    """Worker cap from VARIFOLD_LAB_THREADS; 0 or unset means automatic."""
-    raw = os.environ.get("VARIFOLD_LAB_THREADS", "0")
-    try:
-        k = int(raw)
-    except ValueError:
-        return 1
-    if k <= 0:
-        return min(4, os.cpu_count() or 1)
-    return k
 
 
 def _parse_point(text: str, dim: int) -> np.ndarray:
@@ -192,9 +177,7 @@ def _reconstruct_from_cone(args, manifest: RunManifest) -> int:
     n = cone.ambient_dim
     normals = default_normals(n, extra=args.normals)
     oracle = BandOracle(cone)
-    recon = reconstruct_conic(
-        oracle, n, normals=normals, workers=worker_count()
-    )
+    recon = reconstruct_conic(oracle, n, normals=normals)
     rows = []
     for i in range(cone.n_atoms):
         z = cone.atom_directions[i]
@@ -251,10 +234,10 @@ def _reconstruct_from_measurements(args, manifest: RunManifest) -> int:
         g = groups.setdefault(key, {"v": v, "xi": xi, "bands": []})
         g["bands"].append((s, t, m))
     # group rows into per-normal marginals; band midpoints carry the mass
-    per_normal: dict[bytes, dict] = {}
+    per_normal: dict[bytes, tuple[np.ndarray, list[LineMeasure]]] = {}
     for g in groups.values():
         v = g["v"]
-        entry = per_normal.setdefault(v.tobytes(), {"v": v, "marginals": []})
+        _, marginals = per_normal.setdefault(v.tobytes(), (unit(v), []))
         coords, masses = [], []
         for s, t, m in g["bands"]:
             if m <= 0.0:
@@ -262,18 +245,8 @@ def _reconstruct_from_measurements(args, manifest: RunManifest) -> int:
             lam = 0.5 * (s + t)
             coords.append(lam)
             masses.append(m / (1.0 + lam**2))
-        entry["marginals"].append(LineMeasure(g["xi"], np.array(coords), np.array(masses)))
-    atoms = []
-    for entry in per_normal.values():
-        v = entry["v"]
-        plane = hyperplane_of(v)
-        gamma = reconstruct_plane_measure(plane, entry["marginals"])
-        cone_v = lift_to_sphere(gamma, v)
-        for i in range(cone_v.n_atoms):
-            atoms.append((cone_v.atom_directions[i], float(cone_v.atom_masses[i])))
-    from .core import conic_atoms
-
-    recon = conic_atoms(n, atoms) if atoms else ConicVarifold(n)
+        marginals.append(LineMeasure(g["xi"], np.array(coords), np.array(masses)))
+    recon = reconstruct_from_marginals(n, list(per_normal.values()))
     out = args.out or (path.stem + ".reconstructed.json")
     save_varifold(out, conic=recon)
     manifest.inputs.append(str(path))

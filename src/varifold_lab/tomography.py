@@ -15,12 +15,10 @@ small direction battery pins the atoms: that is the reconstruction run here.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .core import ConicVarifold, Subspace, as_vector, conic_atoms, unit
 
@@ -265,16 +263,29 @@ class BandOracle:
 
     Calling oracle(v, xi, bands) returns the forward band masses of the
     weighted projection onto span(v, xi) for every (s, t) row of bands.
-    Projections are cached per (v, xi) pair.
+    Each of v and xi is either one vector, shared by every row, or an
+    (m, n) array holding the row's own normal or direction: the row shape
+    of the `reconstruct --from-measurements` CSV.  Other shapes raise
+    ValueError.  query_count counts band rows.
+
+    Slopes and weights are computed once per (v, xi) pair and cached, so a
+    row of a multi-pair call sees exactly the floats of a one-pair call.
+    A one-pair call sums each band with `inband @ weight`; a multi-pair
+    call sums row by row, which may differ in the last bits.  Rows of one
+    pair should be consecutive: each run of equal pairs is one table row.
     """
 
     def __init__(self, cone: ConicVarifold):
         self._dirs, self._masses = _cone_rows(cone)
         self.ambient_dim = cone.ambient_dim
-        self._cache: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+        self._cache: dict[bytes, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._tables: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
         self.query_count = 0
 
-    def _slopes(self, v: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _slopes(
+        self, v: np.ndarray, xi: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(front mask, slopes, weights) of the atoms in front of v."""
         key = v.tobytes() + xi.tobytes()
         hit = self._cache.get(key)
         if hit is not None:
@@ -284,17 +295,57 @@ class BandOracle:
         front = z1 > 0.0
         lam = z2[front] / z1[front]
         weight = self._masses[front] * (z1[front] ** 2 + z2[front] ** 2) / z1[front]
-        self._cache[key] = (lam, weight)
+        self._cache[key] = (front, lam, weight)
+        return self._cache[key]
+
+    def _table(self, vs: np.ndarray, xis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(pairs x atoms) slopes and weights; atoms behind a chart get a NaN
+        slope and weight 0.  Cached per sequence of pairs."""
+        key = vs.tobytes() + xis.tobytes()
+        hit = self._tables.get(key)
+        if hit is not None:
+            return hit
+        shape = (vs.shape[0], self._dirs.shape[0])
+        lam, weight = np.full(shape, np.nan), np.zeros(shape)
+        for i in range(shape[0]):
+            front, lam_i, weight_i = self._slopes(as_vector(vs[i]), as_vector(xis[i]))
+            lam[i, front] = lam_i
+            weight[i, front] = weight_i
+        self._tables[key] = (lam, weight)
         return lam, weight
 
+    def _rows(self, x, m: int) -> np.ndarray:
+        a = np.asarray(x, dtype=float)
+        n = self.ambient_dim
+        if a.shape == (n,):
+            return np.broadcast_to(a, (m, n))
+        if a.shape != (m, n):
+            raise ValueError(
+                f"expected a vector of length {n} or an ({m}, {n}) array, got shape {a.shape}"
+            )
+        return a
+
     def __call__(self, v, xi, bands) -> np.ndarray:
-        v = as_vector(v, dim=self.ambient_dim)
-        xi = as_vector(xi, dim=self.ambient_dim)
         arr = _bands_array(bands)
-        lam, weight = self._slopes(v, xi)
-        self.query_count += len(arr)
+        if np.ndim(v) == 1 and np.ndim(xi) == 1:
+            _, lam, weight = self._slopes(
+                as_vector(v, dim=self.ambient_dim), as_vector(xi, dim=self.ambient_dim)
+            )
+            self.query_count += len(arr)
+            inband = (lam >= arr[:, :1]) & (lam <= arr[:, 1:2])
+            return inband @ weight
+        m = len(arr)
+        vs, xis = self._rows(v, m), self._rows(xi, m)
+        self.query_count += m
+        if m == 0:
+            return np.zeros(0)
+        starts = np.ones(m, dtype=bool)
+        starts[1:] = np.any(vs[1:] != vs[:-1], axis=1) | np.any(xis[1:] != xis[:-1], axis=1)
+        lam, weight = self._table(vs[starts], xis[starts])
+        pair = np.cumsum(starts) - 1
+        lam, weight = lam[pair], weight[pair]
         inband = (lam >= arr[:, :1]) & (lam <= arr[:, 1:2])
-        return inband @ weight
+        return np.where(inband, weight, 0.0).sum(axis=1)
 
 
 def band_masses(c: ConicVarifold, v, xi, bands) -> np.ndarray:
@@ -417,39 +468,74 @@ def locate_marginal_atoms(
     below mass_tol, until active bands are narrower than width_target (or
     than the local floating-point resolution).  Adjacent survivors are
     merged and re-measured once, and each located band mass is divided by
-    (1 + lambda^2) at the band midpoint.
+    (1 + lambda^2) at the band midpoint.  As in reconstruct_conic, the
+    bisection calls the oracle with one (v, xi) row per band and the
+    re-measure with the vectors v and xi.
     """
-    intervals = [(-lam_max, lam_max)]
+    (located,) = _locate_atoms(
+        oracle, [(v, xi)], lam_max, width_target, mass_tol, max_depth
+    )
+    return located
+
+
+def _locate_atoms(
+    oracle: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    pairs: Sequence[tuple[np.ndarray, np.ndarray]],
+    lam_max: float,
+    width_target: float = 1e-10,
+    mass_tol: float = 1e-9,
+    max_depth: int = 80,
+) -> list[LineMeasure]:
+    """locate_marginal_atoms for every (v, xi) pair at once.
+
+    Each bisection level is one oracle call whose rows carry their own
+    (v, xi) and stay sorted by pair.  The final re-measure of each pair's
+    merged bands is a one-pair call, so the located masses are those of
+    the one-pair oracle arithmetic.
+    """
+    vs = np.array([v for v, _ in pairs], dtype=float)
+    xis = np.array([xi for _, xi in pairs], dtype=float)
+    owner = np.arange(len(pairs))
+    bands = np.tile([-lam_max, lam_max], (len(pairs), 1))
+    done = []
     for _ in range(max_depth):
-        pending = []
-        done = []
-        for a, b in intervals:
-            if (b - a) <= max(width_target, 4e-16 * max(abs(a), abs(b))):
-                done.append((a, b))
-            else:
-                m = 0.5 * (a + b)
-                pending.append((a, m))
-                pending.append((m, b))
-        if not pending:
+        width = bands[:, 1] - bands[:, 0]
+        narrow = width <= np.maximum(width_target, 4e-16 * np.abs(bands).max(axis=1))
+        done.append((owner[narrow], bands[narrow]))
+        owner, bands = owner[~narrow], bands[~narrow]
+        if not owner.size:
             break
-        masses = oracle(v, xi, np.array(pending))
-        intervals = done + [iv for iv, m in zip(pending, masses) if m > mass_tol]
-        if not intervals:
-            return LineMeasure(xi, np.zeros(0), np.zeros(0))
-    intervals.sort()
-    merged: list[list[float]] = []
-    for a, b in intervals:
-        gap = 2.0 * max(width_target, 4e-16 * max(abs(a), abs(b)))
-        if merged and a - merged[-1][1] <= gap:
-            merged[-1][1] = b
-        else:
-            merged.append([a, b])
-    bands = np.array(merged)
-    totals = oracle(v, xi, bands)
-    keep = totals > mass_tol
-    mids = 0.5 * (bands[:, 0] + bands[:, 1])[keep]
-    gamma = totals[keep] / (1.0 + mids**2)
-    return LineMeasure(xi, mids, gamma)
+        mid = 0.5 * (bands[:, 0] + bands[:, 1])
+        owner = np.repeat(owner, 2)
+        bands = np.repeat(bands, 2, axis=0)
+        bands[0::2, 1] = mid
+        bands[1::2, 0] = mid
+        alive = oracle(vs[owner], xis[owner], bands) > mass_tol
+        owner, bands = owner[alive], bands[alive]
+    done.append((owner, bands))
+    owner = np.concatenate([o for o, _ in done])
+    bands = np.concatenate([iv for _, iv in done])
+
+    located = []
+    for i, (v, xi) in enumerate(pairs):
+        intervals = sorted(map(tuple, bands[owner == i].tolist()))
+        merged: list[list[float]] = []
+        for lo, hi in intervals:
+            gap = 2.0 * max(width_target, 4e-16 * max(abs(lo), abs(hi)))
+            if merged and lo - merged[-1][1] <= gap:
+                merged[-1][1] = hi
+            else:
+                merged.append([lo, hi])
+        if not merged:
+            located.append(LineMeasure(xi, np.zeros(0), np.zeros(0)))
+            continue
+        merged_bands = np.array(merged)
+        totals = oracle(v, xi, merged_bands)
+        keep = totals > mass_tol
+        mids = 0.5 * (merged_bands[:, 0] + merged_bands[:, 1])[keep]
+        gamma = totals[keep] / (1.0 + mids**2)
+        located.append(LineMeasure(xi, mids, gamma))
+    return located
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +572,8 @@ def reconstruct_plane_measure(
     solution.  Raises AmbiguousReconstruction when the system is
     rank-deficient, inconsistent, or fails the held-out check.
     """
+    from scipy.optimize import nnls  # deferred: `import varifold_lab` stays numpy-only
+
     d = plane.dim
     if len(marginals) < d:
         raise ValueError(f"need at least {d} marginal directions")
@@ -600,17 +688,20 @@ def reconstruct_conic(
     keep_fraction: float = 0.2,
     coverage_tol: float = 1e-8,
     mass_tol: float = 1e-9,
-    workers: int = 1,
 ) -> ConicVarifold:
     """Recover an atomic conic varifold from band-mass measurements.
 
     For every supplied normal the positive hemisphere is charted
-    gnomonically, the marginal atoms of a direction battery are located by
-    dyadic band refinement, the plane measure is solved from the incidence
-    system and lifted back to the sphere.  Hemisphere results are merged,
-    keeping well-conditioned recoveries (pole component above
-    keep_fraction); an atom recovered twice is identified when directions
-    agree within 1e-6 radians and masses within 1e-8.
+    gnomonically and the marginal atoms of a direction battery are located
+    by dyadic band refinement; then reconstruct_from_marginals solves,
+    lifts and merges the charts.
+
+    oracle(v, xi, bands) returns the band masses of the (s, t) rows of
+    bands, where each of v and xi is one vector or an (m, n) array with
+    one row per band (see BandOracle).  Every bisection level of all
+    marginals of all normals is one call with per-row (v, xi), rows sorted
+    by marginal; each marginal's merged bands are then re-measured in one
+    call with vector v and xi.
 
     Raises AmbiguousReconstruction from the plane solve and CoverageGap when
     located marginal mass is not explained by the merged reconstruction.
@@ -618,29 +709,45 @@ def reconstruct_conic(
     if normals is None:
         normals = default_normals(ambient_dim)
     normals = [unit(as_vector(nv, dim=ambient_dim)) for nv in normals]
+    batteries = [marginal_direction_battery(hyperplane_of(v)) for v in normals]
+    located = iter(_locate_atoms(
+        oracle,
+        [(v, xi) for v, battery in zip(normals, batteries) for xi in battery],
+        2.0 / cutoff,
+        mass_tol=mass_tol,
+    ))
+    charts = [(v, [next(located) for _ in battery]) for v, battery in zip(normals, batteries)]
+    return reconstruct_from_marginals(
+        ambient_dim, charts, k_max=k_max, keep_fraction=keep_fraction,
+        coverage_tol=coverage_tol,
+    )
+
+
+def reconstruct_from_marginals(
+    ambient_dim: int,
+    charts: Sequence[tuple[np.ndarray, Sequence[LineMeasure]]],
+    k_max: int = 32,
+    keep_fraction: float = 0.2,
+    coverage_tol: float = 1e-8,
+) -> ConicVarifold:
+    """Merge the hemisphere reconstructions of (unit normal, marginals) charts.
+
+    Each chart with located mass is solved on the hyperplane v-perp and
+    lifted back to the sphere.  Hemisphere results are merged, keeping
+    well-conditioned recoveries (pole component above keep_fraction); an
+    atom recovered twice is identified when directions agree within 1e-6
+    radians and masses within 1e-8.
+
+    Raises AmbiguousReconstruction from the plane solve or on conflicting
+    masses, and CoverageGap when marginal mass is not explained by the
+    merged reconstruction.
+    """
     keep_cut = min(keep_fraction, 0.9 / math.sqrt(ambient_dim))
-    lam_max = 2.0 / cutoff
-
-    def chart(v: np.ndarray):
-        plane = hyperplane_of(v)
-        battery = marginal_direction_battery(plane)
-        marginals = [
-            locate_marginal_atoms(oracle, v, xi, lam_max, mass_tol=mass_tol)
-            for xi in battery
-        ]
-        return v, plane, marginals
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            charts = list(pool.map(chart, normals))
-    else:
-        charts = [chart(v) for v in normals]
-
     kept: list[tuple[np.ndarray, float, float]] = []  # (direction, mass, pole dot)
-    for v, plane, marginals in charts:
+    for v, marginals in charts:
         if all(m.n_atoms == 0 for m in marginals):
             continue
-        gamma = reconstruct_plane_measure(plane, marginals, k_max=k_max)
+        gamma = reconstruct_plane_measure(hyperplane_of(v), marginals, k_max=k_max)
         cone_v = lift_to_sphere(gamma, v)
         for i in range(cone_v.n_atoms):
             z = cone_v.atom_directions[i]
@@ -670,7 +777,7 @@ def reconstruct_conic(
     # attest that every located marginal atom is explained by the result:
     # the full hemisphere mass of the reconstruction bounds what any one
     # marginal window can see, so located mass above it is unaccounted for
-    for v, plane, marginals in charts:
+    for v, marginals in charts:
         explained = 0.0
         for i in range(result.n_atoms):
             h = float(np.dot(result.atom_directions[i], v))

@@ -17,7 +17,7 @@ from varifold_lab import (
     load_varifold,
     save_varifold,
 )
-from varifold_lab.cli import run, worker_count
+from varifold_lab.cli import run
 from varifold_lab.fixtures import random_varifold, y_junction
 from varifold_lab.io import SchemaError, format_float, save_subspace
 
@@ -205,6 +205,30 @@ def test_reconstruct_from_measurements(tmp_path, monkeypatch):
         assert d.min() < 1e-6
 
 
+def test_reconstruct_from_measurements_merges_normals(tmp_path, monkeypatch):
+    # one atom seen from two normals is one atom, not the sum of two
+    monkeypatch.chdir(tmp_path)
+    from varifold_lab import BandOracle, conic_atoms, hyperplane_of, marginal_direction_battery
+    from varifold_lab.io import write_csv
+
+    z = np.array([1.0, 0.4, 1.2]) / np.linalg.norm([1.0, 0.4, 1.2])
+    oracle = BandOracle(conic_atoms(3, [(z, 1.5)]))
+    rows = []
+    for v in (np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])):
+        for xi in marginal_direction_battery(hyperplane_of(v)):
+            lam = float(z @ xi / (z @ v))
+            band = (lam - 1e-9, lam + 1e-9)
+            rows.append(tuple(v) + tuple(xi) + band + (oracle(v, xi, [band])[0],))
+    write_csv("bands.csv", ["v1", "v2", "v3", "xi1", "xi2", "xi3", "s", "t", "band_mass"], rows)
+    status, _ = run(["reconstruct", "--from-measurements", "bands.csv",
+                     "--ambient-dim", "3", "--out", "got.json"])
+    assert status == 0
+    got = load_varifold("got.json").require_conic()
+    assert got.n_atoms == 1
+    assert np.linalg.norm(got.atom_directions[0] - z) < 1e-8
+    assert got.atom_masses[0] == pytest.approx(1.5, abs=1e-8)
+
+
 def test_blowup_cli(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     save_varifold("y.json", discrete=y_junction())
@@ -244,13 +268,6 @@ def test_missing_input_is_io_error(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     status, _ = run(["check-stationary", "nope.json"])
     assert status == 2
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("VARIFOLD_LAB_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("VARIFOLD_LAB_THREADS", "0")
-    assert worker_count() >= 1
 
 
 def test_csv_outputs_are_byte_identical(tmp_path, monkeypatch):

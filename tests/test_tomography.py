@@ -353,3 +353,108 @@ def test_coverage_gap_raised_for_sparse_normals():
 
     with pytest.raises(CoverageGap):
         reconstruct_conic(BandOracle(c), 3, normals=[np.array([0.0, 0.0, 1.0])])
+
+
+# ---------------------------------------------------------------------------
+# the per-row oracle contract and batched atom location
+# ---------------------------------------------------------------------------
+
+def _default_pairs(n):
+    return [(v, xi) for v in default_normals(n)
+            for xi in marginal_direction_battery(hyperplane_of(v))]
+
+
+def test_per_row_oracle_matches_per_pair_calls():
+    rng = np.random.default_rng(53)
+    c = random_conic(rng, 3, n_atoms=6)
+    pairs = _default_pairs(3)[::5]
+    edges = np.linspace(-3.0, 3.0, 13)
+    bands = np.column_stack([edges[:-1], edges[1:]])
+    rows_v = np.repeat([v for v, _ in pairs], len(bands), axis=0)
+    rows_xi = np.repeat([xi for _, xi in pairs], len(bands), axis=0)
+    rows_bands = np.tile(bands, (len(pairs), 1))
+    expect = np.concatenate([BandOracle(c)(v, xi, bands) for v, xi in pairs])
+    assert np.count_nonzero(expect) > 0
+    for order in (np.arange(len(expect)), rng.permutation(len(expect))):
+        oracle = BandOracle(c)
+        got = oracle(rows_v[order], rows_xi[order], rows_bands[order])
+        assert np.array_equal(got > 0.0, expect[order] > 0.0)
+        assert np.allclose(got, expect[order], rtol=1e-12, atol=0.0)
+        assert oracle.query_count == len(expect)
+    # one shared vector broadcasts against per-row arrays
+    v, xi = pairs[0]
+    got = BandOracle(c)(v, np.tile(xi, (len(bands), 1)), bands)
+    assert np.allclose(got, BandOracle(c)(v, xi, bands), rtol=1e-12, atol=0.0)
+
+
+def test_oracle_rejects_mismatched_shapes():
+    oracle = BandOracle(balanced_y_cone())
+    v, xi = np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])
+    bands = np.array([[-1.0, 0.0], [0.0, 1.0]])
+    bad = [
+        (np.tile(v, (3, 1)), xi, bands),          # v rows != band rows
+        (v, np.tile(xi, (1, 1)), bands),          # xi rows != band rows
+        (np.tile(v[:2], (2, 1)), xi, bands),      # wrong row length
+        (v, np.tile(xi, (2, 1))[..., None], bands),  # three axes
+        (v[:2], np.tile(xi, (2, 1)), bands),      # shared vector of wrong length
+        (v[:2], xi[:2], bands),
+        (v, xi, np.zeros((2, 3))),
+    ]
+    for args in bad:
+        with pytest.raises(ValueError):
+            oracle(*args)
+
+
+def _reference_locate(oracle, v, xi, lam_max, width_target=1e-10, mass_tol=1e-9,
+                      max_depth=80):
+    """One marginal at a time, one-pair oracle calls: the bisection loop that
+    the batched location replaced."""
+    intervals = [(-lam_max, lam_max)]
+    for _ in range(max_depth):
+        pending = []
+        done = []
+        for a, b in intervals:
+            if (b - a) <= max(width_target, 4e-16 * max(abs(a), abs(b))):
+                done.append((a, b))
+            else:
+                m = 0.5 * (a + b)
+                pending.append((a, m))
+                pending.append((m, b))
+        if not pending:
+            break
+        masses = oracle(v, xi, np.array(pending))
+        intervals = done + [iv for iv, m in zip(pending, masses) if m > mass_tol]
+        if not intervals:
+            return LineMeasure(xi, np.zeros(0), np.zeros(0))
+    intervals.sort()
+    merged = []
+    for a, b in intervals:
+        gap = 2.0 * max(width_target, 4e-16 * max(abs(a), abs(b)))
+        if merged and a - merged[-1][1] <= gap:
+            merged[-1][1] = b
+        else:
+            merged.append([a, b])
+    bands = np.array(merged)
+    totals = oracle(v, xi, bands)
+    keep = totals > mass_tol
+    mids = 0.5 * (bands[:, 0] + bands[:, 1])[keep]
+    return LineMeasure(xi, mids, totals[keep] / (1.0 + mids**2))
+
+
+def test_batched_location_is_bitwise_the_per_marginal_loop():
+    # the criterion-7 cones; cone 73 (10 atoms) loses an atom when per-row
+    # slopes are not the exact floats of a one-pair call
+    from varifold_lab.tomography import _locate_atoms
+
+    pairs = _default_pairs(3)
+    lam_max = 2.0 / 1e-6
+    rng = np.random.default_rng(7077)
+    for i in range(100):
+        k = int(rng.integers(1, 11))
+        cone = random_conic(rng, 3, n_atoms=k, min_separation=1e-3, mass_range=(0.1, 2.0))
+        batched = _locate_atoms(BandOracle(cone), pairs, lam_max)
+        oracle = BandOracle(cone)
+        for (v, xi), got in zip(pairs, batched):
+            want = _reference_locate(oracle, v, xi, lam_max)
+            assert got.coordinates.tobytes() == want.coordinates.tobytes(), i
+            assert got.masses.tobytes() == want.masses.tobytes(), i

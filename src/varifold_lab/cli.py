@@ -225,9 +225,19 @@ def _reconstruct_from_measurements(args, manifest: RunManifest) -> int:
     if header != expected:
         raise SchemaError(f"expected CSV columns {expected}, got {header}")
     groups: dict[bytes, dict] = {}
-    for line in lines[1:]:
-        vals = [float(t) for t in line.split(",")]
+    for lineno, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        if len(cells) != len(expected):
+            raise SchemaError(f"line {lineno}: expected {len(expected)} cells, got {len(cells)}")
+        try:
+            vals = [float(t) for t in cells]
+        except ValueError as exc:
+            raise SchemaError(f"line {lineno}: {exc}") from exc
+        if not np.all(np.isfinite(vals)):
+            raise SchemaError(f"line {lineno}: values must be finite")
         v = as_vector(vals[:n])
+        if not np.any(v):
+            raise SchemaError(f"line {lineno}: the normal v is the zero vector")
         xi = as_vector(vals[n : 2 * n])
         s, t, m = vals[2 * n :]
         key = v.tobytes() + xi.tobytes()

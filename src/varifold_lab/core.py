@@ -108,10 +108,11 @@ class SegmentPiece:
         object.__setattr__(self, "a", as_vector(self.a))
         object.__setattr__(self, "b", as_vector(self.b, dim=self.a.shape[0]))
         object.__setattr__(self, "weight", float(self.weight))
-        if self.weight <= 0.0:
-            raise ValueError("segment weight must be positive")
-        if self.length == 0.0:
-            raise ValueError("segment endpoints must be distinct")
+        if not 0.0 < self.weight < math.inf:
+            raise ValueError("segment weight must be positive and finite")
+        # a NaN or infinite endpoint makes the length NaN or infinite
+        if not 0.0 < self.length < math.inf:
+            raise ValueError("segment endpoints must be finite and distinct")
 
     @property
     def length(self) -> float:
@@ -137,9 +138,12 @@ class RayPiece:
             self, "direction", as_vector(self.direction, dim=self.origin.shape[0])
         )
         object.__setattr__(self, "weight", float(self.weight))
-        if self.weight <= 0.0:
-            raise ValueError("ray weight must be positive")
-        if abs(float(np.dot(self.direction, self.direction)) - 1.0) > 1e-10:
+        if not 0.0 < self.weight < math.inf:
+            raise ValueError("ray weight must be positive and finite")
+        if not np.isfinite(self.origin).all():
+            raise ValueError("ray origin must be finite")
+        # written so that a NaN direction fails too
+        if not abs(float(np.dot(self.direction, self.direction)) - 1.0) <= 1e-10:
             raise ValueError("ray direction must be a unit vector")
 
 
@@ -626,32 +630,85 @@ def split_at_point(v: DiscreteVarifold, x) -> DiscreteVarifold:
     return DiscreteVarifold(v.ambient_dim, tuple(segs), tuple(rays))
 
 
-def incident_rays(v: DiscreteVarifold, x) -> list[tuple[np.ndarray, float]]:
-    """(away-direction, weight) for every piece end lying at x.
+def piece_ends(v: DiscreteVarifold) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The vertex index of v: one row per piece end, as (points, away, weights).
 
-    Both endpoints of a segment can be at distinct vertices; only the ends
-    within the vertex tolerance of x contribute here.
+    Rows run a, b for each segment in order, then one row per ray origin.
+    away[i] is the unit vector from end i into its piece: unit(b - a) at a,
+    its negation at b (the same bits as unit(a - b)), the direction at a ray
+    origin.
     """
-    p = as_vector(x, dim=v.ambient_dim)
-    out: list[tuple[np.ndarray, float]] = []
-    for s in v.segments:
-        if np.linalg.norm(s.a - p) <= VERTEX_TOL:
-            out.append((unit(s.b - s.a), s.weight))
-        if np.linalg.norm(s.b - p) <= VERTEX_TOL:
-            out.append((unit(s.a - s.b), s.weight))
-    for r in v.rays:
-        if np.linalg.norm(r.origin - p) <= VERTEX_TOL:
-            out.append((r.direction, r.weight))
+    n = v.ambient_dim
+    ns, nr = len(v.segments), len(v.rays)
+    points = np.empty((2 * ns + nr, n))
+    away = np.empty((2 * ns + nr, n))
+    weights = np.empty(2 * ns + nr)
+    if ns:
+        u = np.array([s.direction for s in v.segments])
+        w = [s.weight for s in v.segments]
+        points[0 : 2 * ns : 2] = [s.a for s in v.segments]
+        points[1 : 2 * ns : 2] = [s.b for s in v.segments]
+        away[0 : 2 * ns : 2] = u
+        away[1 : 2 * ns : 2] = -u
+        weights[0 : 2 * ns : 2] = w
+        weights[1 : 2 * ns : 2] = w
+    if nr:
+        points[2 * ns :] = [r.origin for r in v.rays]
+        away[2 * ns :] = [r.direction for r in v.rays]
+        weights[2 * ns :] = [r.weight for r in v.rays]
+    return points, away, weights
+
+
+def group_ends(points: np.ndarray) -> np.ndarray:
+    """Vertex label of every point: the lowest index in its group.
+
+    Points form one group when a chain of steps of length at most VERTEX_TOL
+    joins them (the transitive closure of |p - q| <= VERTEX_TOL), so every
+    point belongs to exactly one group.  Points are sorted by their
+    projection on a fixed generic axis and split wherever consecutive keys
+    differ by more than the tolerance, which no step inside a group can
+    straddle.  A window whose points all lie within the tolerance of its
+    lowest-index point is one group; any other window is resolved exactly
+    by propagating labels over its pairwise distance matrix.
+    """
+    m, n = points.shape
+    if m == 0:
+        return np.zeros(0, dtype=np.intp)
+    key = points @ unit(np.cos(np.arange(1.0, n + 1.0)))
+    order = np.argsort(key, kind="stable")
+    ks = key[order]
+    # rounding may stretch a step of VERTEX_TOL slightly in the keys; the
+    # slack keeps such a step inside one window
+    slack = 8.0 * n * np.finfo(float).eps * float(np.max(np.abs(ks)))
+    gap = VERTEX_TOL * (1.0 + 1e-9) + slack
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(ks) > gap) + 1))
+    sizes = np.diff(np.append(starts, m))
+    window = np.repeat(np.arange(len(starts)), sizes)
+    labels = np.minimum.reduceat(order, starts)[window]
+    far = np.linalg.norm(points[order] - points[labels], axis=1) > VERTEX_TOL
+    for w in np.flatnonzero(np.logical_or.reduceat(far, starts)):
+        lo, hi = starts[w], starts[w] + sizes[w]
+        idx = order[lo:hi]
+        p = points[idx]
+        near = np.linalg.norm(p[:, None, :] - p[None, :, :], axis=2) <= VERTEX_TOL
+        lab = idx
+        while True:
+            nxt = np.where(near, lab[None, :], m).min(axis=1)
+            if np.array_equal(nxt, lab):
+                break
+            lab = nxt
+        labels[lo:hi] = lab
+    out = np.empty(m, dtype=np.intp)
+    out[order] = labels
     return out
 
 
-def cluster_points(points: Sequence[np.ndarray], tol: float = VERTEX_TOL) -> list[np.ndarray]:
-    """Greedy clustering of near-coincident points; returns representatives."""
-    reps: list[np.ndarray] = []
-    for q in points:
-        for rep in reps:
-            if np.linalg.norm(rep - q) <= tol:
-                break
-        else:
-            reps.append(q)
-    return reps
+def incident_rays(v: DiscreteVarifold, x) -> list[tuple[np.ndarray, float]]:
+    """(away-direction, weight) for every piece end within VERTEX_TOL of x.
+
+    The rows of piece_ends(v) at x, in their order.
+    """
+    p = as_vector(x, dim=v.ambient_dim)
+    points, away, weights = piece_ends(v)
+    hit = np.flatnonzero(np.linalg.norm(points - p, axis=1) <= VERTEX_TOL)
+    return [(away[i], float(weights[i])) for i in hit]

@@ -16,14 +16,13 @@ from typing import Callable
 import numpy as np
 
 from .core import (
-    VERTEX_TOL,
     DiscreteVarifold,
     RayPiece,
     SegmentPiece,
     as_vector,
     ball_interval,
-    cluster_points,
-    incident_rays,
+    group_ends,
+    piece_ends,
     unit,
 )
 
@@ -323,28 +322,32 @@ def first_variation_quadrature(v: DiscreteVarifold, g: TestField,
 def vertex_residuals(v: DiscreteVarifold, tol: float = 1e-12) -> list[VariationAtom]:
     """Atomic representation of delta V for a piecewise-linear varifold.
 
-    Piece ends are clustered by location; at each vertex the residual is the
-    weighted sum of away-pointing unit vectors.  The reported omega is the
-    flipped residual direction so that
+    Piece ends form one vertex when a chain of steps of length at most
+    VERTEX_TOL joins them (core.group_ends), so each end counts at exactly
+    one vertex, located at the vertex's first end in piece order.  At each
+    vertex the residual is the weighted sum of away-pointing unit vectors,
+    summed in piece order; a vertex whose residual norm exceeds tol becomes
+    an atom.  The reported omega is the flipped residual direction so that
 
         first_variation(v, g) == sum over atoms of mass * <g(location), omega>
 
-    holds verbatim for every admissible test field.
+    holds verbatim for every admissible test field.  Atoms come in the order
+    of their vertices' first ends.
     """
-    ends: list[np.ndarray] = []
-    for s in v.segments:
-        ends.append(s.a)
-        ends.append(s.b)
-    for r in v.rays:
-        ends.append(r.origin)
+    points, away, weights = piece_ends(v)
+    labels = group_ends(points)
+    # labels already name each vertex by its first end; np.unique would
+    # also import numpy.ma on first use
+    is_first = labels == np.arange(len(labels))
+    first = np.flatnonzero(is_first)
+    vertex = (np.cumsum(is_first) - 1)[labels]
+    residual = np.zeros((len(first), v.ambient_dim))
+    np.add.at(residual, vertex, weights[:, None] * away)
     atoms: list[VariationAtom] = []
-    for x in cluster_points(ends, tol=VERTEX_TOL):
-        residual = np.zeros(v.ambient_dim)
-        for away, w in incident_rays(v, x):
-            residual = residual + w * away
-        m = float(np.linalg.norm(residual))
+    for x, r in zip(points[first], residual):
+        m = float(np.linalg.norm(r))
         if m > tol:
-            atoms.append(VariationAtom(x, -residual / m, m))
+            atoms.append(VariationAtom(x, -r / m, m))
     return atoms
 
 

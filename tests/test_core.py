@@ -59,6 +59,20 @@ def test_piece_validation():
         ray([0, 0], [2, 0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_pieces_rejected(bad):
+    for make in (
+        lambda: segment([bad, 0], [1, 0]),
+        lambda: segment([0, 0], [1, bad]),
+        lambda: segment([0, 0], [1, 0], w=bad),
+        lambda: ray([bad, 0], [1, 0]),
+        lambda: ray([0, 0], [bad, 0]),
+        lambda: ray([0, 0], [1, 0], w=bad),
+    ):
+        with pytest.raises(ValueError):
+            make()
+
+
 def test_conic_atoms_must_be_distinct():
     with pytest.raises(ValueError):
         ConicVarifold(2, np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([1.0, 1.0]))

@@ -264,6 +264,34 @@ def test_fixture_cli(tmp_path, monkeypatch):
         assert Path(out).exists()
 
 
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("field", ["a", "weight"])
+def test_check_stationary_non_finite_input_exits_2(tmp_path, monkeypatch, capsys, bad, field):
+    monkeypatch.chdir(tmp_path)
+    seg = {"a": [0.0, 0.0], "b": [1.0, 0.0], "weight": 1.0}
+    seg[field] = [bad, 0.0] if field == "a" else bad
+    text = json.dumps({"ambient_dim": 2, "segments": [seg], "rays": []})
+    Path("v.json").write_text(text.replace(f'"{bad}"', bad))
+    status, _ = run(["check-stationary", "v.json"])
+    assert status == 2
+    assert "max residual mass" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("row", [
+    "0,0,0,1,0,0,0.1,0.2,1.0",      # zero normal
+    "0,0,1,1,0,0,abc,0.2,1.0",      # non-numeric cell
+    "0,0,1,1,0,0,0.1,0.2",          # missing cell
+    "0,0,1,1,0,0,0.1,0.2,nan",      # non-finite cell
+])
+def test_reconstruct_from_measurements_bad_row_exits_2(tmp_path, monkeypatch, capsys, row):
+    monkeypatch.chdir(tmp_path)
+    Path("bands.csv").write_text("v1,v2,v3,xi1,xi2,xi3,s,t,band_mass\n0,0,1,1,0,0,0.1,0.2,1.0\n"
+                                 + row + "\n")
+    status, _ = run(["reconstruct", "--from-measurements", "bands.csv", "--ambient-dim", "3"])
+    assert status == 2
+    assert "line 3" in capsys.readouterr().err
+
+
 def test_missing_input_is_io_error(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     status, _ = run(["check-stationary", "nope.json"])

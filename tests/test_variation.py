@@ -1,7 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varifold_lab import (
     DegenerateGeometryError,
@@ -17,8 +20,15 @@ from varifold_lab import (
     linear_field,
     plateau_field,
     vertex_residuals,
+    weighted_projection,
 )
-from varifold_lab.fixtures import full_line, random_stationary_network, y_junction
+from varifold_lab.core import VERTEX_TOL, group_ends, unit
+from varifold_lab.fixtures import (
+    full_line,
+    random_stationary_network,
+    random_subspace,
+    y_junction,
+)
 from varifold_lab.variation import rotation_field
 
 
@@ -194,6 +204,112 @@ def test_stationarity_dilation_invariant():
         for lam in (0.5, 2.0):
             x = rng.uniform(-1, 1, 3)
             assert is_stationary(dilate(v, x, lam), 1e-10)[0]
+
+
+# ---------------------------------------------------------------------------
+# the vertex index
+# ---------------------------------------------------------------------------
+
+def _reference_residuals(v, tol):
+    """Greedy first-representative grouping with one scan of every piece per
+    vertex: the loop the vertex index replaced, kept as its reference."""
+    ends = [e for s in v.segments for e in (s.a, s.b)] + [r.origin for r in v.rays]
+    reps = []
+    for q in ends:
+        if all(np.linalg.norm(rep - q) > VERTEX_TOL for rep in reps):
+            reps.append(q)
+    atoms = []
+    for x in reps:
+        residual = np.zeros(v.ambient_dim)
+        for s in v.segments:
+            if np.linalg.norm(s.a - x) <= VERTEX_TOL:
+                residual = residual + s.weight * unit(s.b - s.a)
+            if np.linalg.norm(s.b - x) <= VERTEX_TOL:
+                residual = residual + s.weight * unit(s.a - s.b)
+        for r in v.rays:
+            if np.linalg.norm(r.origin - x) <= VERTEX_TOL:
+                residual = residual + r.weight * r.direction
+        m = float(np.linalg.norm(residual))
+        if m > tol:
+            atoms.append((x, -residual / m, m))
+    return atoms
+
+
+def _atom_bytes(atoms):
+    rows = sorted(tuple(x) + (m,) + tuple(omega) for x, omega, m in atoms)
+    return np.array(rows).tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3, 4]),
+       n_vertices=st.integers(2, 80))
+def test_vertex_index_matches_greedy_reference_bitwise(seed, n, n_vertices):
+    rng = np.random.default_rng(seed)
+    v = random_stationary_network(rng, n, n_vertices=n_vertices)
+    control = DiscreteVarifold(n, v.segments, v.rays[:-1] + (
+        RayPiece(v.rays[-1].origin, v.rays[-1].direction, v.rays[-1].weight * 1.001),))
+    projected = weighted_projection(v, random_subspace(rng, n, int(rng.integers(1, n))))
+    for w in (v, control, projected):
+        got = [(a.location, a.omega, a.mass) for a in vertex_residuals(w, tol=0.0)]
+        ref = _reference_residuals(w, 0.0)
+        assert _atom_bytes(got) == _atom_bytes(ref)
+        worst = max((m for _, _, m in ref), default=0.0)
+        assert is_stationary(w, 1e-10) == (worst <= 1e-10, worst)
+
+
+def test_chained_ends_form_one_vertex_at_the_first_end():
+    # 0.6e-9 steps: the first and last ends are 1.2e-9 apart, still one vertex
+    v = DiscreteVarifold(2, (), (
+        ray([0.0, 0.0], [1.0, 0.0]),
+        ray([0.6e-9, 0.0], [0.0, 1.0]),
+        ray([1.2e-9, 0.0], [-1.0, 0.0], 2.0),
+    ))
+    atoms = vertex_residuals(v)
+    assert len(atoms) == 1
+    assert np.array_equal(atoms[0].location, [0.0, 0.0])
+    assert atoms[0].mass == math.sqrt(2.0)
+    # listed out of order the group still takes its lowest index
+    pts = np.array([[1.2e-9, 0.0], [0.0, 0.0], [0.6e-9, 0.0], [5.0, 5.0]])
+    assert group_ends(pts).tolist() == [0, 0, 0, 3]
+
+
+def test_ends_beyond_tolerance_form_two_vertices():
+    v = DiscreteVarifold(2, (), (ray([0.0, 0.0], [1.0, 0.0]), ray([2e-9, 0.0], [0.0, 1.0])))
+    atoms = vertex_residuals(v)
+    assert [a.location.tolist() for a in atoms] == [[0.0, 0.0], [2e-9, 0.0]]
+    assert [a.mass for a in atoms] == [1.0, 1.0]
+
+
+def test_coincident_ends_form_one_vertex():
+    v = DiscreteVarifold(2, (segment([0, 0], [1, 0]), segment([1, 0], [1, 1])), ())
+    atoms = vertex_residuals(v)
+    corner = [a for a in atoms if np.array_equal(a.location, [1.0, 0.0])]
+    assert len(atoms) == 3 and len(corner) == 1
+    assert corner[0].mass == math.sqrt(2.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3]),
+       count=st.integers(1, 60))
+def test_group_ends_is_the_transitive_closure(seed, n, count):
+    # points on a lattice of spacing near the tolerance, so groups chain and
+    # windows need the exact pass
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(0, 6, size=(count, n)) * 0.7e-9 + rng.uniform(0, 1e-10, (count, n))
+    near = np.linalg.norm(pts[:, None] - pts[None], axis=2) <= VERTEX_TOL
+    expected = np.arange(count)
+    for _ in range(count):
+        expected = np.where(near, expected[None, :], count).min(axis=1)
+    assert np.array_equal(group_ends(pts), expected)
+
+
+def test_is_stationary_budget_at_2000_pieces():
+    v = random_stationary_network(np.random.default_rng(1), 3, n_vertices=670)
+    assert 1900 <= len(v.segments) + len(v.rays) <= 2100
+    t0 = time.perf_counter()
+    ok, _ = is_stationary(v, 1e-10)
+    assert time.perf_counter() - t0 < 0.5
+    assert ok
 
 
 # ---------------------------------------------------------------------------

@@ -62,12 +62,55 @@ class BatteryFunction:
 
 
 @dataclass(frozen=True)
+class BatteryTable:
+    """Products of radial lumps with squared direction moments.
+
+    Function (j, k) is f(x, s) = amps[j] * plateau(|x| / radii[j]) *
+    <s, axes[k]>^2, listed j-major.  Pairing from the table evaluates each
+    lump once per piece instead of once per function, with the same floats
+    as the derived functions give.
+    """
+
+    radii: np.ndarray
+    amps: np.ndarray
+    axes: np.ndarray
+
+    def __post_init__(self):
+        for name in ("radii", "amps", "axes"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    def functions(self) -> tuple[BatteryFunction, ...]:
+        """The table's functions as opaque BatteryFunctions, j-major."""
+        return tuple(
+            BatteryFunction(f"lump{j}-axis{k}", _lump_moment(float(rj), float(amp), u))
+            for j, (rj, amp) in enumerate(zip(self.radii, self.amps))
+            for k, u in enumerate(self.axes)
+        )
+
+    def contributions(
+        self, points: np.ndarray, u: np.ndarray, lens: np.ndarray, w: float
+    ) -> list[float]:
+        """One piece's weighted quadrature sum for every function, j-major."""
+        rad = np.linalg.norm(points, axis=1)
+        lumps = self.amps[:, None] * _plateau(rad / self.radii[:, None])
+        moments = [float(np.dot(u, axis)) ** 2 for axis in self.axes]
+        return [w * float(np.dot(lens, lump * d)) for lump in lumps for d in moments]
+
+
+@dataclass(frozen=True)
 class TestBattery:
-    """Lipschitz test functions supported in the ball of a common radius."""
+    """Lipschitz test functions supported in the ball of a common radius.
+
+    When table is given, functions must be table.functions(); pairings are
+    then evaluated from the table.
+    """
 
     ambient_dim: int
     radius: float
     functions: tuple[BatteryFunction, ...]
+    table: BatteryTable | None = None
 
     def validate(self, rng: np.random.Generator, samples: int = 64) -> None:
         """Sampled checks: support vanishing and Lipschitz constant <= 1 (5%)."""
@@ -96,12 +139,15 @@ _PLATEAU_SLOPE = float(
 )
 
 
-def _direction_moment(u: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    def moment(points: np.ndarray, s: np.ndarray) -> np.ndarray:
+def _lump_moment(
+    rj: float, amp: float, u: np.ndarray
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    def value(points: np.ndarray, s: np.ndarray) -> np.ndarray:
+        rad = np.linalg.norm(points, axis=1)
         d = float(np.dot(s, u)) ** 2
-        return np.full(points.shape[0], d)
+        return amp * _plateau(rad / rj) * np.full(points.shape[0], d)
 
-    return moment
+    return value
 
 
 def default_battery(
@@ -115,23 +161,16 @@ def default_battery(
     moments for n_directions quasi-random axes; normalized to Lipschitz 1.
 
     Squaring the direction moment makes every function even in s, as
-    unoriented pieces require.
+    unoriented pieces require.  The battery is stored as a BatteryTable of
+    radii, amplitudes and axes; its functions are derived from the table, so
+    validate and pair_with see them as ordinary BatteryFunctions.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     axes = [unit(rng.normal(size=ambient_dim)) for _ in range(n_directions)]
-    fns = []
-    for j in range(n_scales):
-        rj = radius * (j + 1) / n_scales
-        amp = 1.0 / (_PLATEAU_SLOPE / rj + 2.0)
-        for k, u in enumerate(axes):
-            moment = _direction_moment(u)
-
-            def value(points, s, rj=rj, amp=amp, moment=moment):
-                rad = np.linalg.norm(points, axis=1)
-                return amp * _plateau(rad / rj) * moment(points, s)
-
-            fns.append(BatteryFunction(f"lump{j}-axis{k}", value))
-    return TestBattery(ambient_dim, radius, tuple(fns))
+    radii = [radius * (j + 1) / n_scales for j in range(n_scales)]
+    amps = [1.0 / (_PLATEAU_SLOPE / rj + 2.0) for rj in radii]
+    table = BatteryTable(np.array(radii), np.array(amps), np.array(axes).reshape(-1, ambient_dim))
+    return TestBattery(ambient_dim, radius, table.functions(), table)
 
 
 def cutoff_constant(radius: float) -> BatteryFunction:
@@ -177,6 +216,29 @@ def _piece_samples(
     return out
 
 
+def _pair_all(samples, battery: TestBattery) -> np.ndarray:
+    """Pairing of every battery function with the sampled pieces.
+
+    Piece p's contributions fill row p of a (pieces, functions) matrix; each
+    column is then summed in sorted order, so equal piece multisets pair
+    identically.  A battery with a table fills a row from one lump
+    evaluation; any other calls each function's value.
+    """
+    table = battery.table
+    contribs = np.empty((len(samples), len(battery.functions)))
+    for row, (points, u, lens, w) in zip(contribs, samples):
+        if table is not None:
+            row[:] = table.contributions(points, u, lens, w)
+        else:
+            row[:] = [w * float(np.dot(lens, f.value(points, u))) for f in battery.functions]
+    contribs.sort(axis=0)
+    return np.sum(np.ascontiguousarray(contribs.T), axis=1)
+
+
+def _pairings(v: DiscreteVarifold, battery: TestBattery, cells: int) -> np.ndarray:
+    return _pair_all(_piece_samples(v, battery.radius, cells), battery)
+
+
 def pair_with(
     v: DiscreteVarifold,
     f: BatteryFunction,
@@ -188,22 +250,7 @@ def pair_with(
     Midpoint quadrature on the canonical cell grid; per-piece contributions
     are summed in sorted order so equal piece multisets pair identically.
     """
-    contribs = [
-        w * float(np.dot(lens, f.value(points, u)))
-        for points, u, lens, w in _piece_samples(v, radius, cells)
-    ]
-    return float(np.sum(np.sort(np.array(contribs)))) if contribs else 0.0
-
-
-def _pair_all(samples, battery: TestBattery) -> np.ndarray:
-    vals = np.empty(len(battery.functions))
-    for i, f in enumerate(battery.functions):
-        contribs = [
-            w * float(np.dot(lens, f.value(points, u)))
-            for points, u, lens, w in samples
-        ]
-        vals[i] = float(np.sum(np.sort(np.array(contribs)))) if contribs else 0.0
-    return vals
+    return float(_pairings(v, TestBattery(v.ambient_dim, radius, (f,)), cells)[0])
 
 
 def weak_star_distance(
@@ -215,9 +262,7 @@ def weak_star_distance(
     """Max pairing difference over the battery; zero for equal piece multisets."""
     if v1.ambient_dim != v2.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    s1 = _piece_samples(v1, battery.radius, cells)
-    s2 = _piece_samples(v2, battery.radius, cells)
-    return float(np.max(np.abs(_pair_all(s1, battery) - _pair_all(s2, battery))))
+    return float(np.max(np.abs(_pairings(v1, battery, cells) - _pairings(v2, battery, cells))))
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +289,19 @@ class TangentDiagnostics:
         return idx
 
 
+def dilation_factors(lambdas: Sequence[float]) -> list[float]:
+    """The factors as floats; ValueError unless finite, positive and
+    strictly decreasing."""
+    lams = [float(l) for l in lambdas]
+    if not all(math.isfinite(l) for l in lams):
+        raise ValueError("dilation factors must be finite")
+    if any(l <= 0.0 for l in lams):
+        raise ValueError("dilation factors must be positive")
+    if any(b >= a for a, b in zip(lams, lams[1:])):
+        raise ValueError("dilation factors must be strictly decreasing")
+    return lams
+
+
 def tangent_estimate(
     v: DiscreteVarifold,
     x,
@@ -257,23 +315,23 @@ def tangent_estimate(
     factor beats the distance to every non-incident piece).  Diagnostics
     report the battery distance between each dilation and the cone; with
     power-of-two dilation factors the sequence hits exactly 0 at the
-    stabilization scale.  Raises ZeroDensityError off the support.
+    stabilization scale.  The cone is sampled and paired with the battery
+    once; each dilation's pairing vector is compared against it, with the
+    same floats weak_star_distance gives.  Raises ValueError unless the
+    factors are finite, positive and strictly decreasing, and
+    ZeroDensityError off the support.
     """
-    lams = [float(l) for l in lambdas]
-    if any(l <= 0.0 for l in lams):
-        raise ValueError("dilation factors must be positive")
-    if any(b >= a for a, b in zip(lams, lams[1:])):
-        raise ValueError("dilation factors must be strictly decreasing")
+    lams = dilation_factors(lambdas)
     p = as_vector(x, dim=v.ambient_dim)
     if density(v, p).value == 0.0:
         raise ZeroDensityError("point carries no density; every blow-up is empty")
     vs = split_at_point(v, p)
     cone = conic_atoms(v.ambient_dim, incident_rays(vs, p))
-    cone_discrete = conic_to_discrete(cone)
     if battery is None:
         battery = default_battery(v.ambient_dim)
+    cone_pairings = _pairings(conic_to_discrete(cone), battery, cells)
     dists = tuple(
-        weak_star_distance(dilate(vs, p, l), cone_discrete, battery, cells=cells)
+        float(np.max(np.abs(_pairings(dilate(vs, p, l), battery, cells) - cone_pairings)))
         for l in lams
     )
     return cone, TangentDiagnostics(tuple(lams), dists)
@@ -307,7 +365,7 @@ def _projected_localized_density(
     endpoints enter the arithmetic.  A chord contributes its image weight
     when the target point is interior, half at an image endpoint.
     """
-    dirs, masses = _sphere_ball_masses_rows(c)
+    dirs, masses = c.mass_rows()
     q = p.project(y)
     total = 0.0
     for z, m in zip(dirs, masses):
@@ -336,21 +394,9 @@ def _projected_localized_density(
     return total
 
 
-def _sphere_ball_masses_rows(c: ConicVarifold) -> tuple[np.ndarray, np.ndarray]:
-    dirs = [c.atom_directions]
-    masses = [c.atom_masses]
-    if c.density is not None:
-        g = c.density.grid
-        node_masses = g.weights * c.density.values
-        keep = node_masses > 0.0
-        dirs.append(g.nodes[keep])
-        masses.append(node_masses[keep])
-    return np.vstack(dirs), np.concatenate(masses)
-
-
 def _sphere_ball_masses(c: ConicVarifold, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distances from y and masses of every spherical atom / density node."""
-    dirs, masses = _sphere_ball_masses_rows(c)
+    dirs, masses = c.mass_rows()
     return np.linalg.norm(dirs - y, axis=1), masses
 
 

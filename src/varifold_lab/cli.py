@@ -5,13 +5,14 @@ counterexample, blowup, fixture.  Every run that writes files also writes a
 `<output>.manifest.json` recording the command, inputs, parameters, and
 outputs.  Exit codes: 0 success, 1 domain error (degenerate geometry,
 ambiguous reconstruction, coverage gap, zero density, violated bound),
-2 input/output or schema errors and unknown commands.
+2 input/output, schema or argument errors and unknown commands.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,6 +25,7 @@ from .blowup import (
     PreconditionViolated,
     DensityBoundViolation,
     dense_lines_fixture,
+    dilation_factors,
     projection_growth_table,
     tangent_estimate,
 )
@@ -89,9 +91,22 @@ class RunManifest:
         Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _parse_point(text: str, dim: int) -> np.ndarray:
+def _parse_floats(text: str, what: str) -> list[float]:
     cleaned = text.strip().strip("[]()")
-    return as_vector([float(t) for t in cleaned.split(",")], dim=dim)
+    try:
+        vals = [float(t) for t in cleaned.split(",")]
+    except ValueError as exc:
+        raise SchemaError(f"{what}: {exc}") from exc
+    if not all(math.isfinite(t) for t in vals):
+        raise SchemaError(f"{what}: values must be finite")
+    return vals
+
+
+def _parse_point(text: str, dim: int, what: str) -> np.ndarray:
+    vals = _parse_floats(text, what)
+    if len(vals) != dim:
+        raise SchemaError(f"{what}: expected {dim} coordinates, got {len(vals)}")
+    return as_vector(vals)
 
 
 def _residual_rows(v: DiscreteVarifold, tol: float):
@@ -139,7 +154,9 @@ def _cmd_project(args, manifest: RunManifest) -> int:
 def _cmd_surgery(args, manifest: RunManifest) -> int:
     doc = load_varifold(args.input)
     v = doc.require_discrete()
-    center = _parse_point(args.center, v.ambient_dim)
+    center = _parse_point(args.center, v.ambient_dim, "--center")
+    if not (math.isfinite(args.radius) and args.radius > 0.0):
+        raise SchemaError("--radius must be positive and finite")
     result = cut_and_paste(v, center, args.radius)
     prefix = args.out or (Path(args.input).stem + ".surgery")
     out_json = f"{prefix}.json"
@@ -279,8 +296,12 @@ def _cmd_reconstruct(args, manifest: RunManifest) -> int:
 def _cmd_blowup(args, manifest: RunManifest) -> int:
     doc = load_varifold(args.input)
     v = doc.require_discrete()
-    point = _parse_point(args.point, v.ambient_dim)
-    lambdas = [float(t) for t in args.lambdas.split(",")]
+    point = _parse_point(args.point, v.ambient_dim, "--point")
+    lambdas = _parse_floats(args.lambdas, "--lambdas")
+    try:
+        dilation_factors(lambdas)
+    except ValueError as exc:
+        raise SchemaError(f"--lambdas: {exc}") from exc
     cone, diag = tangent_estimate(v, point, lambdas)
     prefix = args.out or (Path(args.input).stem + ".blowup")
     out_json = f"{prefix}.cone.json"

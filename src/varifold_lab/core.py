@@ -272,6 +272,8 @@ class SampledDensity:
         v = np.array(self.values, dtype=float)
         if v.shape != (self.grid.size,):
             raise ValueError("values must match the grid size")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("density values must be finite")
         if np.any(v < 0.0):
             raise ValueError("density values must be nonnegative")
         v.setflags(write=False)
@@ -305,6 +307,8 @@ class ConicVarifold:
             raise ValueError("atom_directions must have shape (k, ambient_dim)")
         if masses.shape != (dirs.shape[0],):
             raise ValueError("atom_masses must match atom_directions")
+        if not (np.all(np.isfinite(dirs)) and np.all(np.isfinite(masses))):
+            raise ValueError("atom directions and masses must be finite")
         if np.any(masses <= 0.0):
             raise ValueError("atom masses must be positive")
         norms = np.linalg.norm(dirs, axis=1)
@@ -330,6 +334,19 @@ class ConicVarifold:
     @property
     def is_empty(self) -> bool:
         return self.n_atoms == 0 and self.density is None
+
+    def mass_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(directions, masses) of every atom, then of every density node
+        with positive mass (quadrature weight times value)."""
+        dirs = [self.atom_directions]
+        masses = [self.atom_masses]
+        if self.density is not None:
+            g = self.density.grid
+            node_masses = g.weights * self.density.values
+            keep = node_masses > 0.0
+            dirs.append(g.nodes[keep])
+            masses.append(node_masses[keep])
+        return np.vstack(dirs), np.concatenate(masses)
 
     @property
     def total_mass(self) -> float:

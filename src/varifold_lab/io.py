@@ -155,9 +155,18 @@ def save_varifold(
     Path(path).write_text(json.dumps(document_to_dict(discrete, conic), indent=2) + "\n")
 
 
+def _reject_constant(name: str):
+    raise SchemaError(f"non-finite number {name} is not allowed")
+
+
+def _loads(text: str):
+    """json.loads that rejects the NaN, Infinity and -Infinity extensions."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def load_varifold(path: str | Path) -> VarifoldDocument:
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = _loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -167,10 +176,12 @@ def load_varifold(path: str | Path) -> VarifoldDocument:
 
 def load_subspace(path: str | Path) -> Subspace:
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = _loads(Path(path).read_text())
         basis = np.array(raw["basis"], dtype=float)
         n = int(raw.get("ambient_dim", basis.shape[1]))
         return Subspace(n, basis)
+    except SchemaError:
+        raise
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
     except (KeyError, TypeError, ValueError, IndexError) as exc:

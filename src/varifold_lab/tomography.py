@@ -245,19 +245,6 @@ def default_normals(ambient_dim: int, extra: int = 1) -> list[np.ndarray]:
 # Forward operator
 # ---------------------------------------------------------------------------
 
-def _cone_rows(c: ConicVarifold) -> tuple[np.ndarray, np.ndarray]:
-    """All (direction, mass) rows of a conic varifold, density nodes included."""
-    dirs = [c.atom_directions]
-    masses = [c.atom_masses]
-    if c.density is not None:
-        g = c.density.grid
-        node_masses = g.weights * c.density.values
-        keep = node_masses > 0.0
-        dirs.append(g.nodes[keep])
-        masses.append(node_masses[keep])
-    return np.vstack(dirs), np.concatenate(masses)
-
-
 class BandOracle:
     """Batched band-mass measurements of a fixed conic varifold.
 
@@ -276,7 +263,7 @@ class BandOracle:
     """
 
     def __init__(self, cone: ConicVarifold):
-        self._dirs, self._masses = _cone_rows(cone)
+        self._dirs, self._masses = cone.mass_rows()
         self.ambient_dim = cone.ambient_dim
         self._cache: dict[bytes, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._tables: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
@@ -367,7 +354,7 @@ def band_marginal(c: ConicVarifold, v, xi, bands, cutoff: float = 1e-6) -> LineM
         raise ValueError("xi must be orthogonal to v")
     xi = unit(xi)
     arr = _bands_array(bands)
-    dirs, masses = _cone_rows(c)
+    dirs, masses = c.mass_rows()
     z1 = dirs @ v
     z2 = dirs @ xi
     front = z1 > cutoff
@@ -420,7 +407,7 @@ def gnomonic_pushforward(c: ConicVarifold, v, cutoff: float = 1e-6) -> GnomonicR
     """
     v = unit(as_vector(v, dim=c.ambient_dim))
     plane = hyperplane_of(v)
-    dirs, masses = _cone_rows(c)
+    dirs, masses = c.mass_rows()
     points: list[np.ndarray] = []
     out_masses: list[float] = []
     excluded: list[tuple[np.ndarray, float]] = []

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varifold_lab import (
     DiscreteVarifold,
@@ -28,8 +30,19 @@ from varifold_lab import (
     weighted_projection,
     weighted_projection_conic,
 )
-from varifold_lab.blowup import cutoff_constant
+from varifold_lab import blowup
+from varifold_lab.blowup import (
+    _PLATEAU_SLOPE,
+    BatteryFunction,
+    TestBattery,
+    _pair_all,
+    _piece_samples,
+    cutoff_constant,
+)
+from varifold_lab.core import RayPiece, as_vector, incident_rays, split_at_point
+from varifold_lab.core import unit as core_unit
 from varifold_lab.fixtures import full_line, random_subspace, y_junction
+from varifold_lab.variation import _plateau
 
 
 def unit(v):
@@ -109,6 +122,200 @@ def test_cone_dilates_pair_identically():
 
 
 # ---------------------------------------------------------------------------
+# factored battery against the per-function reference
+# ---------------------------------------------------------------------------
+
+def _reference_battery(ambient_dim, radius=1.0, n_scales=8, n_directions=8, seed=7):
+    """The default battery as 64 independent closures (the unfactored form)."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    axes = [core_unit(rng.normal(size=ambient_dim)) for _ in range(n_directions)]
+    fns = []
+    for j in range(n_scales):
+        rj = radius * (j + 1) / n_scales
+        amp = 1.0 / (_PLATEAU_SLOPE / rj + 2.0)
+        for k, u in enumerate(axes):
+            def value(points, s, rj=rj, amp=amp, u=u):
+                rad = np.linalg.norm(points, axis=1)
+                d = float(np.dot(s, u)) ** 2
+                return amp * _plateau(rad / rj) * np.full(points.shape[0], d)
+
+            fns.append(BatteryFunction(f"lump{j}-axis{k}", value))
+    return TestBattery(ambient_dim, radius, tuple(fns))
+
+
+def _reference_pair_all(samples, battery):
+    """One sorted sum per function, each function evaluated per piece."""
+    vals = np.empty(len(battery.functions))
+    for i, f in enumerate(battery.functions):
+        contribs = [
+            w * float(np.dot(lens, f.value(points, u)))
+            for points, u, lens, w in samples
+        ]
+        vals[i] = float(np.sum(np.sort(np.array(contribs)))) if contribs else 0.0
+    return vals
+
+
+def _reference_distance(v1, v2, battery, cells=256):
+    s1 = _piece_samples(v1, battery.radius, cells)
+    s2 = _piece_samples(v2, battery.radius, cells)
+    return float(np.max(np.abs(_reference_pair_all(s1, battery)
+                               - _reference_pair_all(s2, battery))))
+
+
+def _reference_tangent(v, x, lambdas):
+    """Cone and distances, pairing the cone again for every dilation."""
+    p = as_vector(x, dim=v.ambient_dim)
+    vs = split_at_point(v, p)
+    cone = conic_atoms(v.ambient_dim, incident_rays(vs, p))
+    cd = conic_to_discrete(cone)
+    battery = _reference_battery(v.ambient_dim)
+    return cone, tuple(_reference_distance(dilate(vs, p, l), cd, battery) for l in lambdas)
+
+
+def _opaque(battery):
+    """The battery's functions re-wrapped as closures, without its table."""
+    def wrap(f):
+        return BatteryFunction(f.label, lambda points, s: f.value(points, s))
+
+    return TestBattery(battery.ambient_dim, battery.radius,
+                       tuple(wrap(f) for f in battery.functions))
+
+
+def _catalogue_cases():
+    rng = np.random.default_rng(9001)
+    cases = []
+    for n in (2, 3):
+        x = rng.uniform(-1.0, 1.0, n)
+        cases.append((f"line-R{n}", full_line(x, rng.normal(size=n)), x))
+        cases.append((f"y-rays-R{n}", y_junction(n), np.zeros(n)))
+        cases.append((f"y-segments-R{n}",
+                      y_junction(n, arm_length=float(rng.uniform(0.5, 2.0))), np.zeros(n)))
+        for k in (4, 12, 24, 48):
+            v = dense_lines_fixture(k, seed=int(rng.integers(1 << 16)), ambient_dim=n)
+            cases.append((f"dense-R{n}-k{k}", v, v.rays[2 * int(rng.integers(k))].origin))
+    return cases
+
+
+CATALOGUE = _catalogue_cases()
+REFERENCE_LAMBDAS = tuple(2.0 ** -k for k in (0, 1, 2, 3, 4, 6, 9, 14, 21))
+
+
+def test_default_battery_functions_match_reference_closures():
+    rng = np.random.default_rng(5)
+    for n in (2, 3):
+        battery = default_battery(n)
+        ref = _reference_battery(n)
+        assert [f.label for f in battery.functions] == [f.label for f in ref.functions]
+        points = rng.normal(size=(50, n)) * 0.6
+        s = core_unit(rng.normal(size=n))
+        for f, g in zip(battery.functions, ref.functions):
+            assert f.value(points, s).tobytes() == g.value(points, s).tobytes()
+
+
+@pytest.mark.parametrize("label,v,x", CATALOGUE, ids=[c[0] for c in CATALOGUE])
+def test_tangent_distances_bitwise_equal_reference(label, v, x):
+    cone, diag = tangent_estimate(v, x, REFERENCE_LAMBDAS)
+    ref_cone, ref_dists = _reference_tangent(v, x, REFERENCE_LAMBDAS)
+    assert cone.atom_directions.tobytes() == ref_cone.atom_directions.tobytes()
+    assert cone.atom_masses.tobytes() == ref_cone.atom_masses.tobytes()
+    assert np.array(diag.distances).tobytes() == np.array(ref_dists).tobytes()
+    assert diag.distances[-1] == 0.0
+
+
+def test_catalogue_reference_has_nonzero_distances():
+    # the bitwise comparison above is only informative where distances move
+    nonzero = 0
+    for _, v, x in CATALOGUE:
+        _, diag = tangent_estimate(v, x, REFERENCE_LAMBDAS)
+        nonzero += sum(d != 0.0 for d in diag.distances)
+    assert nonzero >= 20
+
+
+def _random_segments(rng, n, count):
+    segs = []
+    for _ in range(count):
+        a = rng.uniform(-0.6, 0.6, n)
+        segs.append(SegmentPiece(a, a + rng.normal(size=n) * 0.7, float(rng.uniform(0.2, 2.0))))
+    return DiscreteVarifold(n, tuple(segs), ())
+
+
+def test_random_segment_pairs_bitwise_equal_reference():
+    rng = np.random.default_rng(60)
+    for trial in range(24):
+        n = 2 + trial % 2
+        v1 = _random_segments(rng, n, int(rng.integers(1, 6)))
+        v2 = _random_segments(rng, n, int(rng.integers(1, 6)))
+        battery = default_battery(n)
+        got = weak_star_distance(v1, v2, battery)
+        assert got > 0.0
+        assert got == _reference_distance(v1, v2, _reference_battery(n))
+        assert got == weak_star_distance(v1, v2, _opaque(battery))
+
+
+@pytest.mark.parametrize("label,v,x", CATALOGUE[::3], ids=[c[0] for c in CATALOGUE[::3]])
+def test_opaque_battery_pairs_bitwise_equal_table(label, v, x):
+    battery = default_battery(v.ambient_dim)
+    _, fast = tangent_estimate(v, x, REFERENCE_LAMBDAS, battery=battery)
+    _, generic = tangent_estimate(v, x, REFERENCE_LAMBDAS, battery=_opaque(battery))
+    assert np.array(fast.distances).tobytes() == np.array(generic.distances).tobytes()
+    samples = _piece_samples(dilate(v, x, 0.5), 1.0, 256)
+    assert _pair_all(samples, battery).tobytes() == _pair_all(samples, _opaque(battery)).tobytes()
+
+
+def test_pair_with_matches_one_function_battery():
+    v = _random_segments(np.random.default_rng(8), 3, 7)
+    f = default_battery(3).functions[13]
+    samples = _piece_samples(v, 1.0, 256)
+    assert pair_with(v, f, 1.0) == _reference_pair_all(samples, TestBattery(3, 1.0, (f,)))[0]
+
+
+_coord = st.floats(-1.5, 1.5, allow_nan=False)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.sampled_from([2, 3]),
+    raw=st.lists(st.tuples(st.lists(_coord, min_size=6, max_size=6), st.booleans(),
+                           st.floats(0.1, 3.0)), min_size=1, max_size=8),
+    data=st.data(),
+)
+def test_weak_star_distance_ignores_piece_order(n, raw, data):
+    segs, rays = [], []
+    for coords, is_ray, w in raw:
+        a, b = np.array(coords[:n]), np.array(coords[3:3 + n])
+        if np.linalg.norm(b - a) < 1e-3:
+            continue
+        if is_ray:
+            rays.append(RayPiece(a, core_unit(b - a), w))
+        else:
+            segs.append(SegmentPiece(a, b, w))
+    v = DiscreteVarifold(n, tuple(segs), tuple(rays))
+    permuted = DiscreteVarifold(n, tuple(data.draw(st.permutations(segs))),
+                                tuple(data.draw(st.permutations(rays))))
+    assert weak_star_distance(v, permuted, default_battery(n)) == 0.0
+
+
+def test_default_battery_evaluates_lumps_once_per_piece(monkeypatch):
+    # one _plateau call per sampled piece, not one per battery function
+    calls = []
+
+    def counting_plateau(t, *args):
+        calls.append(np.shape(t))
+        return _plateau(t, *args)
+
+    monkeypatch.setattr(blowup, "_plateau", counting_plateau)
+    v1 = dense_lines_fixture(8, seed=2, ambient_dim=3)
+    v1 = dilate(v1, v1.rays[0].origin, 0.25)
+    v2 = y_junction(3)
+    battery = default_battery(3)
+    pieces = len(_piece_samples(v1, 1.0, 256)) + len(_piece_samples(v2, 1.0, 256))
+    assert pieces > 3
+    weak_star_distance(v1, v2, battery)
+    assert len(calls) == pieces
+    assert all(shape[0] == 8 for shape in calls)
+
+
+# ---------------------------------------------------------------------------
 # tangent estimation
 # ---------------------------------------------------------------------------
 
@@ -142,6 +349,12 @@ def test_tangent_requires_positive_density():
     v = full_line([0.0, 0.0], [1.0, 0.0])
     with pytest.raises(ZeroDensityError):
         tangent_estimate(v, [0.0, 5.0], [0.5, 0.25])
+
+
+@pytest.mark.parametrize("lambdas", [[1.0, math.nan], [math.inf, 0.5], [0.5, 0.25, -math.inf]])
+def test_tangent_rejects_non_finite_factors(lambdas):
+    with pytest.raises(ValueError, match="finite"):
+        tangent_estimate(y_junction(), [0.0, 0.0], lambdas)
 
 
 def test_tangent_on_dense_lines_fixture():

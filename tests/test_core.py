@@ -73,6 +73,25 @@ def test_non_finite_pieces_rejected(bad):
             make()
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_cones_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        ConicVarifold(2, np.array([[1.0, 0.0]]), np.array([bad]))
+    with pytest.raises(ValueError, match="finite"):
+        ConicVarifold(2, np.array([[bad, 0.0]]), np.array([1.0]))
+    with pytest.raises(ValueError, match="finite"):
+        SampledDensity(circle_grid(4), np.array([1.0, bad, 0.0, 0.0]))
+
+
+def test_mass_rows_lists_atoms_then_positive_density_nodes():
+    grid = circle_grid(4)
+    c = ConicVarifold(2, np.array([[0.6, 0.8]]), np.array([1.5]),
+                      SampledDensity(grid, np.array([1.0, 0.0, 2.0, 0.0])))
+    dirs, masses = c.mass_rows()
+    assert np.array_equal(dirs, np.vstack([[[0.6, 0.8]], grid.nodes[[0, 2]]]))
+    assert np.array_equal(masses, [1.5, grid.weights[0] * 1.0, grid.weights[2] * 2.0])
+
+
 def test_conic_atoms_must_be_distinct():
     with pytest.raises(ValueError):
         ConicVarifold(2, np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([1.0, 1.0]))

@@ -19,7 +19,7 @@ from varifold_lab import (
 )
 from varifold_lab.cli import run
 from varifold_lab.fixtures import random_varifold, y_junction
-from varifold_lab.io import SchemaError, format_float, save_subspace
+from varifold_lab.io import SchemaError, format_float, load_subspace, save_subspace
 
 
 def test_round_trip_bit_exact(tmp_path):
@@ -290,6 +290,73 @@ def test_reconstruct_from_measurements_bad_row_exits_2(tmp_path, monkeypatch, ca
     status, _ = run(["reconstruct", "--from-measurements", "bands.csv", "--ambient-dim", "3"])
     assert status == 2
     assert "line 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_json_non_finite_constants_are_schema_errors(tmp_path, bad):
+    path = tmp_path / "v.json"
+    path.write_text('{"ambient_dim": 2, "segments": [{"a": [0, 0], "b": [1, 0], "weight": %s}]}'
+                    % bad)
+    with pytest.raises(SchemaError, match=bad):
+        load_varifold(path)
+    path.write_text('{"ambient_dim": 2, "basis": [[1.0, %s]]}' % bad)
+    with pytest.raises(SchemaError, match=bad):
+        load_subspace(path)
+
+
+# NaN and Infinity stop at the JSON parser; 1e400 parses to inf and stops
+# at the cone's own finiteness checks
+@pytest.mark.parametrize("conic", [
+    '{"atoms": [{"dir": [1.0, 0.0], "mass": NaN}]}',
+    '{"atoms": [{"dir": [1.0, 0.0], "mass": Infinity}]}',
+    '{"atoms": [{"dir": [-Infinity, 0.0], "mass": 1.0}]}',
+    '{"atoms": [{"dir": [1.0, 0.0], "mass": 1e400}]}',
+    '{"atoms": [{"dir": [1e400, 0.0], "mass": 1.0}]}',
+    '{"atoms": [], "density": {"grid": "s1:4", "values": [1e400, 0, 0, 0]}}',
+])
+def test_reconstruct_non_finite_cone_exits_2(tmp_path, monkeypatch, capsys, conic):
+    monkeypatch.chdir(tmp_path)
+    Path("c.json").write_text('{"ambient_dim": 2, "conic": %s}' % conic)
+    status, _ = run(["reconstruct", "c.json"])
+    assert status == 2
+    assert "max mass error" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args", [
+    ["--point", "0,x", "--lambdas", "0.5,0.25"],          # non-numeric point
+    ["--point", "0,0,0", "--lambdas", "0.5,0.25"],        # 3-vector in R^2
+    ["--point", "nan,0", "--lambdas", "0.5,0.25"],        # non-finite point
+    ["--point", "0,0", "--lambdas", "1,2"],               # increasing
+    ["--point", "0,0", "--lambdas", "1,inf"],             # infinite
+    ["--point", "0,0", "--lambdas", "1,0.5,nan"],         # NaN after a valid prefix
+    ["--point", "0,0", "--lambdas", "0.5,-0.25"],         # negative
+    ["--point", "0,0", "--lambdas", "0.5,abc"],           # non-numeric
+])
+def test_blowup_bad_arguments_exit_2(tmp_path, monkeypatch, capsys, args):
+    monkeypatch.chdir(tmp_path)
+    save_varifold("y.json", discrete=y_junction())
+    status, _ = run(["blowup", "y.json"] + args)
+    assert status == 2
+    err = capsys.readouterr().err
+    assert err.startswith("SchemaError: --")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [
+    ["--center", "0,y", "--radius", "0.5"],
+    ["--center", "0,0,0", "--radius", "0.5"],
+    ["--center", "0,inf", "--radius", "0.5"],
+    ["--center", "0.05,0", "--radius", "-0.5"],
+    ["--center", "0.05,0", "--radius", "0"],
+    ["--center", "0.05,0", "--radius", "nan"],
+])
+def test_surgery_bad_arguments_exit_2(tmp_path, monkeypatch, capsys, args):
+    monkeypatch.chdir(tmp_path)
+    save_varifold("y.json", discrete=y_junction())
+    status, _ = run(["surgery", "y.json"] + args)
+    assert status == 2
+    assert capsys.readouterr().err.startswith("SchemaError: --")
+    assert not Path("y.surgery.json").exists()
 
 
 def test_missing_input_is_io_error(tmp_path, monkeypatch):

@@ -26,7 +26,6 @@ from .core import (
     mass,
     restrict,
     sphere_grid,
-    sphere_total_mass,
 )
 from .variation import (
     DegenerateGeometryError,
@@ -42,10 +41,8 @@ from .variation import (
     vertex_residuals,
 )
 from .projection import (
-    HalfLineProfile,
     counterexample_pair,
     halfline_multiplicity,
-    halfline_profile,
     mapping_projection,
     weighted_projection,
     weighted_projection_conic,
@@ -56,7 +53,6 @@ from .tomography import (
     BandOracle,
     BandSpec,
     CoverageGap,
-    FourierSample,
     GnomonicResult,
     LineMeasure,
     PlaneMeasure,
@@ -64,7 +60,6 @@ from .tomography import (
     band_masses,
     default_normals,
     fourier_of_marginal,
-    fourier_of_plane_measure,
     gnomonic_pushforward,
     hyperplane_of,
     lift_to_sphere,

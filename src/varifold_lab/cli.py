@@ -29,7 +29,7 @@ from .blowup import (
     projection_growth_table,
     tangent_estimate,
 )
-from .core import DiscreteVarifold, as_vector, unit
+from .core import as_vector, unit
 from .fixtures import balanced_y_cone, full_line, y_junction
 from .io import (
     SchemaError,
@@ -109,21 +109,21 @@ def _parse_point(text: str, dim: int, what: str) -> np.ndarray:
     return as_vector(vals)
 
 
-def _residual_rows(v: DiscreteVarifold, tol: float):
-    atoms = vertex_residuals(v, tol=tol)
-    rows = []
-    for a in atoms:
-        rows.append(tuple(a.location) + tuple(a.omega) + (a.mass,))
-    rows.sort()
-    n = v.ambient_dim
+def _atom_table(atoms, n: int) -> tuple[list[str], list[tuple]]:
+    """(header, sorted rows) of a CSV table of variation atoms in R^n."""
     header = [f"x{i + 1}" for i in range(n)] + [f"omega{i + 1}" for i in range(n)] + ["mass"]
-    return header, rows, max((a.mass for a in atoms), default=0.0)
+    rows = sorted(tuple(a.location) + tuple(a.omega) + (a.mass,) for a in atoms)
+    return header, rows
 
 
 def _cmd_check_stationary(args, manifest: RunManifest) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise SchemaError("--tol must be nonnegative and finite")
     doc = load_varifold(args.input)
     v = doc.require_discrete()
-    header, rows, worst = _residual_rows(v, args.tol)
+    atoms = vertex_residuals(v, tol=args.tol)
+    header, rows = _atom_table(atoms, v.ambient_dim)
+    worst = max((a.mass for a in atoms), default=0.0)
     manifest.inputs.append(args.input)
     manifest.parameters["tol"] = args.tol
     print(f"max residual mass: {format_float(worst)}")
@@ -162,11 +162,7 @@ def _cmd_surgery(args, manifest: RunManifest) -> int:
     out_json = f"{prefix}.json"
     out_csv = f"{prefix}.boundary.csv"
     save_varifold(out_json, discrete=result.combined)
-    n = v.ambient_dim
-    header = [f"x{i + 1}" for i in range(n)] + [f"omega{i + 1}" for i in range(n)] + ["mass"]
-    rows = sorted(
-        tuple(a.location) + tuple(a.omega) + (a.mass,) for a in result.boundary_atoms
-    )
+    header, rows = _atom_table(result.boundary_atoms, v.ambient_dim)
     write_csv(out_csv, header, rows)
     manifest.inputs.append(args.input)
     manifest.parameters.update(center=list(map(float, center)), radius=args.radius)
@@ -176,6 +172,8 @@ def _cmd_surgery(args, manifest: RunManifest) -> int:
 
 
 def _cmd_counterexample(args, manifest: RunManifest) -> int:
+    if args.directions < 1:
+        raise SchemaError("--directions must be positive")
     v1, v2 = counterexample_pair()
     table = halfline_difference_table(v1, v2, n_directions=args.directions)
     out = args.out or "counterexample.csv"
@@ -321,6 +319,8 @@ def _cmd_blowup(args, manifest: RunManifest) -> int:
 def _cmd_fixture(args, manifest: RunManifest) -> int:
     name = args.name
     if name == "dense-lines":
+        if args.k < 1:
+            raise SchemaError("--k must be positive")
         v = dense_lines_fixture(args.k, seed=args.seed)
         prefix = args.out or f"dense_lines_k{args.k}"
         out_json = f"{prefix}.json"

@@ -91,10 +91,6 @@ class Subspace:
         x = np.asarray(x, dtype=float)
         return (x @ self.basis.T) @ self.basis
 
-    def coordinates(self, x: np.ndarray) -> np.ndarray:
-        """Coefficients of pi(x) in the basis."""
-        return np.asarray(x, dtype=float) @ self.basis.T
-
 
 @dataclass(frozen=True)
 class SegmentPiece:
@@ -535,17 +531,11 @@ def conic_to_discrete(c: ConicVarifold, r_max: float = 1.0) -> DiscreteVarifold:
         raise ValueError("r_max must be positive")
     if c.is_empty:
         raise ValueError("conic varifold has neither atoms nor density")
-    rays = [
-        RayPiece(np.zeros(c.ambient_dim), c.atom_directions[i], c.atom_masses[i])
-        for i in range(c.n_atoms)
-    ]
-    if c.density is not None:
-        g = c.density.grid
-        for i in range(g.size):
-            w = g.weights[i] * c.density.values[i]
-            if w > 0.0:
-                rays.append(RayPiece(np.zeros(c.ambient_dim), g.nodes[i], w))
-    return DiscreteVarifold(c.ambient_dim, (), tuple(rays))
+    dirs, masses = c.mass_rows()
+    rays = tuple(
+        RayPiece(np.zeros(c.ambient_dim), z, m) for z, m in zip(dirs, masses)
+    )
+    return DiscreteVarifold(c.ambient_dim, (), rays)
 
 
 # ---------------------------------------------------------------------------
@@ -593,11 +583,6 @@ def circle_arc_mass(c: ConicVarifold, lo: float, hi: float) -> float:
         kernel[1:] = (np.exp(1j * kk * hi) - np.exp(1j * kk * lo)) / (1j * kk)
         total += _integrate_modes(coeffs, kernel, n)
     return total
-
-
-def sphere_total_mass(c: ConicVarifold) -> float:
-    """mu(S^{n-1}): atom masses plus the quadrature mass of the density."""
-    return c.total_mass
 
 
 # ---------------------------------------------------------------------------

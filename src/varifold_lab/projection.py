@@ -10,7 +10,6 @@ one-dimensional varifolds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,20 +31,6 @@ from .core import (
 # Image pieces with direction contraction at or below this are dropped: their
 # weighted image weight is negligible and the mapped piece has zero length.
 DROP_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class HalfLineProfile:
-    """Constant multiplicity of a projected half line in a 1-subspace."""
-
-    direction: np.ndarray
-    multiplicity: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "direction", as_vector(self.direction))
-        object.__setattr__(self, "multiplicity", float(self.multiplicity))
-        if self.multiplicity < 0.0:
-            raise ValueError("multiplicity must be nonnegative")
 
 
 def _project_pieces(v: DiscreteVarifold, p: Subspace, weighted: bool) -> DiscreteVarifold:
@@ -120,10 +105,10 @@ def _density_halfline_mass(density: SampledDensity, u: np.ndarray) -> float:
     return _integrate_modes(coeffs, kernel, density.grid.size)
 
 
-def halfline_profile(c: ConicVarifold, u) -> HalfLineProfile:
-    """The (+u) half-line image profile of a planar conic varifold."""
+def halfline_multiplicity(c: ConicVarifold, u) -> float:
+    """Multiplicity of the +u half line of the weighted projection onto span(u)."""
     if c.ambient_dim != 2:
-        raise ValueError("half-line profiles are defined in the plane only")
+        raise ValueError("half-line multiplicities are defined in the plane only")
     u = unit(as_vector(u, dim=2))
     m = 0.0
     if c.n_atoms:
@@ -132,12 +117,9 @@ def halfline_profile(c: ConicVarifold, u) -> HalfLineProfile:
         m += float(np.dot(c.atom_masses[pos], dots[pos]))
     if c.density is not None:
         m += _density_halfline_mass(c.density, u)
-    return HalfLineProfile(u, m)
-
-
-def halfline_multiplicity(c: ConicVarifold, u) -> float:
-    """Multiplicity of the +u half line of the weighted projection onto span(u)."""
-    return halfline_profile(c, u).multiplicity
+    if m < 0.0:
+        raise ValueError("multiplicity must be nonnegative")
+    return float(m)
 
 
 def weighted_projection_conic(c: ConicVarifold, p: Subspace) -> ConicVarifold:
@@ -151,31 +133,22 @@ def weighted_projection_conic(c: ConicVarifold, p: Subspace) -> ConicVarifold:
     """
     if p.ambient_dim != c.ambient_dim:
         raise ValueError("subspace lives in a different ambient space")
+    # circle to line: the density's two half-line masses are taken mode-exactly
+    halfline = c.density is not None and c.ambient_dim == 2 and p.dim == 1
+    dirs, masses = (c.atom_directions, c.atom_masses) if halfline else c.mass_rows()
     images: list[tuple[np.ndarray, float]] = []
-    for i in range(c.n_atoms):
-        img = p.project(c.atom_directions[i])
+    for z, m in zip(dirs, masses):
+        img = p.project(z)
         contraction = float(np.linalg.norm(img))
         if contraction <= DROP_TOL:
             continue
-        images.append((unit(img), float(c.atom_masses[i]) * contraction))
-    if c.density is not None:
-        if c.ambient_dim == 2 and p.dim == 1:
-            u = unit(p.basis[0])
-            for sign in (1.0, -1.0):
-                m = _density_halfline_mass(c.density, sign * u)
-                if m > DROP_TOL:
-                    images.append((sign * u, m))
-        else:
-            g = c.density.grid
-            node_masses = g.weights * c.density.values
-            for i in range(g.size):
-                if node_masses[i] <= 0.0:
-                    continue
-                img = p.project(g.nodes[i])
-                contraction = float(np.linalg.norm(img))
-                if contraction <= DROP_TOL:
-                    continue
-                images.append((unit(img), float(node_masses[i]) * contraction))
+        images.append((unit(img), float(m) * contraction))
+    if halfline:
+        u = unit(p.basis[0])
+        for sign in (1.0, -1.0):
+            m = _density_halfline_mass(c.density, sign * u)
+            if m > DROP_TOL:
+                images.append((sign * u, m))
     return conic_atoms(c.ambient_dim, images)
 
 

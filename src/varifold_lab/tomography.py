@@ -36,41 +36,12 @@ class CoverageGap(ValueError):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PlaneGridDensity:
-    """A gridded nonnegative density on a box in plane coordinates."""
-
-    box_min: np.ndarray
-    box_max: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        lo = np.array(self.box_min, dtype=float)
-        hi = np.array(self.box_max, dtype=float)
-        vals = np.array(self.values, dtype=float)
-        if lo.shape != hi.shape or vals.ndim != lo.shape[0]:
-            raise ValueError("box and value grid dimensions disagree")
-        if np.any(hi <= lo) or np.any(vals < 0.0):
-            raise ValueError("need box_min < box_max and nonnegative values")
-        for a in (lo, hi, vals):
-            a.setflags(write=False)
-        object.__setattr__(self, "box_min", lo)
-        object.__setattr__(self, "box_max", hi)
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def total_mass(self) -> float:
-        cell = np.prod((self.box_max - self.box_min) / np.array(self.values.shape))
-        return float(np.sum(self.values) * cell)
-
-
-@dataclass(frozen=True)
 class PlaneMeasure:
-    """Atoms (plus an optional gridded density) on a hyperplane of R^n."""
+    """Atoms on a hyperplane of R^n."""
 
     plane: Subspace
     points: np.ndarray
     masses: np.ndarray
-    grid_density: PlaneGridDensity | None = None
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float)
@@ -99,24 +70,19 @@ class PlaneMeasure:
 
     @property
     def total_mass(self) -> float:
-        m = float(np.sum(self.masses))
-        if self.grid_density is not None:
-            m += self.grid_density.total_mass
-        return m
+        return float(np.sum(self.masses))
 
 
 @dataclass(frozen=True)
 class LineMeasure:
-    """Atoms plus a piecewise-constant density on an oriented line.
+    """Atoms on an oriented line.
 
-    Atom positions are scalar coordinates along the unit direction; density
-    pieces are disjoint sorted intervals with constant nonnegative values.
+    Atom positions are scalar coordinates along the unit direction.
     """
 
     direction: np.ndarray
     coordinates: np.ndarray
     masses: np.ndarray
-    pieces: tuple[tuple[tuple[float, float], float], ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "direction", unit(as_vector(self.direction)))
@@ -126,11 +92,6 @@ class LineMeasure:
             raise ValueError("coordinates and masses must be matching vectors")
         if np.any(ms < 0.0):
             raise ValueError("atom masses must be nonnegative")
-        prev_end = -math.inf
-        for (a, b), val in self.pieces:
-            if b <= a or val < 0.0 or a < prev_end:
-                raise ValueError("density pieces must be sorted, disjoint, nonnegative")
-            prev_end = b
         cs.setflags(write=False)
         ms.setflags(write=False)
         object.__setattr__(self, "coordinates", cs)
@@ -142,17 +103,12 @@ class LineMeasure:
 
     @property
     def total_mass(self) -> float:
-        return float(np.sum(self.masses)) + sum(
-            (b - a) * val for (a, b), val in self.pieces
-        )
+        return float(np.sum(self.masses))
 
     def band_mass(self, s: float, t: float) -> float:
         """Plain measure of the closed coordinate band [s, t]."""
         inside = (self.coordinates >= s) & (self.coordinates <= t)
-        m = float(np.sum(self.masses[inside]))
-        for (a, b), val in self.pieces:
-            m += val * max(0.0, min(b, t) - max(a, s))
-        return m
+        return float(np.sum(self.masses[inside]))
 
 
 @dataclass(frozen=True)
@@ -165,19 +121,6 @@ class BandSpec:
     def __post_init__(self):
         if not self.s < self.t:
             raise ValueError("need s < t")
-
-
-@dataclass(frozen=True)
-class FourierSample:
-    """One sample of the Fourier transform of a plane measure."""
-
-    frequency: np.ndarray
-    value: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "frequency", as_vector(self.frequency))
-        if not (math.isfinite(self.value.real) and math.isfinite(self.value.imag)):
-            raise ValueError("Fourier value must be finite")
 
 
 def _bands_array(bands) -> np.ndarray:
@@ -368,21 +311,8 @@ def band_marginal(c: ConicVarifold, v, xi, bands, cutoff: float = 1e-6) -> LineM
 
 
 def fourier_of_marginal(m: LineMeasure, freq: float) -> complex:
-    """sum of mass * exp(-i coord freq) plus the exact piecewise integral."""
-    total = complex(np.sum(m.masses * np.exp(-1j * m.coordinates * freq)))
-    for (a, b), val in m.pieces:
-        if freq == 0.0:
-            total += val * (b - a)
-        else:
-            total += val * (np.exp(-1j * a * freq) - np.exp(-1j * b * freq)) / (1j * freq)
-    return total
-
-
-def fourier_of_plane_measure(gamma: PlaneMeasure, frequency) -> FourierSample:
-    """gamma-hat(xi) = sum of mass * exp(-i <x, xi>) over the atoms."""
-    f = as_vector(frequency, dim=gamma.plane.ambient_dim)
-    val = complex(np.sum(gamma.masses * np.exp(-1j * (gamma.points @ f))))
-    return FourierSample(f, val)
+    """Fourier transform of the marginal's atoms: sum of mass * exp(-i coord freq)."""
+    return complex(np.sum(m.masses * np.exp(-1j * m.coordinates * freq)))
 
 
 # ---------------------------------------------------------------------------

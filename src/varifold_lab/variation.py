@@ -17,8 +17,7 @@ import numpy as np
 
 from .core import (
     DiscreteVarifold,
-    RayPiece,
-    SegmentPiece,
+    _piece_frame,
     as_vector,
     ball_interval,
     group_ends,
@@ -55,15 +54,15 @@ class TestField:
 
     evaluate(x) -> vector and jacobian(x) -> (n, n) matrix; both must accept
     single points.  The field vanishes outside the open support ball.
-    divergence_batch, when present, evaluates s . (Dg(x) s) for a whole
-    (m, n) block of points at once; the built-in fields provide it.
+    divergence_batch(points, s) evaluates the tangential divergence
+    s . (Dg(x) s) for a whole (m, n) block of points and a unit s at once.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray]
     support_center: np.ndarray
     support_radius: float
-    divergence_batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    divergence_batch: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def __post_init__(self):
         object.__setattr__(self, "support_center", as_vector(self.support_center))
@@ -74,10 +73,6 @@ class TestField:
     @property
     def ambient_dim(self) -> int:
         return self.support_center.shape[0]
-
-    def tangential_divergence(self, x: np.ndarray, s: np.ndarray) -> float:
-        """div_S g at (x, span(s)) = s . (Dg(x) s) for unit s."""
-        return float(s @ (self.jacobian(x) @ s))
 
     def validate(self, rng: np.random.Generator, samples: int = 32) -> None:
         """Spot-check support vanishing and jacobian-vs-finite-differences."""
@@ -243,13 +238,6 @@ def linear_field(center, radius: float, matrix, plateau: float = 0.5) -> TestFie
     )
 
 
-def coordinate_field(center, radius: float, i: int, j: int, n: int) -> TestField:
-    """Bump times the coordinate field x_j e_i (relative to the center)."""
-    A = np.zeros((n, n))
-    A[i, j] = 1.0
-    return linear_field(center, radius, A)
-
-
 def rotation_field(center, radius: float, i: int, j: int, n: int) -> TestField:
     """Bump times the rotation field in the (i, j) plane."""
     A = np.zeros((n, n))
@@ -261,14 +249,6 @@ def rotation_field(center, radius: float, i: int, j: int, n: int) -> TestField:
 # ---------------------------------------------------------------------------
 # First variation
 # ---------------------------------------------------------------------------
-
-def _ray_exit_parameter(ray: RayPiece, g: TestField) -> float:
-    """Parameter past which the ray stays outside the field's support."""
-    iv = ball_interval(ray.origin, ray.direction, g.support_center, g.support_radius)
-    if iv is None:
-        return 0.0
-    return max(iv[1], 0.0)
-
 
 def first_variation(v: DiscreteVarifold, g: TestField) -> float:
     """delta V (g): the derivative of mass along the flow of g.
@@ -299,18 +279,15 @@ def first_variation_quadrature(v: DiscreteVarifold, g: TestField,
         nodes += 1
     total = 0.0
     for piece in v.pieces():
-        if isinstance(piece, SegmentPiece):
-            base, u, hi = piece.a, piece.direction, piece.length
-        else:
-            base, u = piece.origin, piece.direction
-            hi = _ray_exit_parameter(piece, g)
+        base, u, hi = _piece_frame(piece)
+        if math.isinf(hi):
+            # a ray is integrated up to its exit from the support ball
+            iv = ball_interval(base, u, g.support_center, g.support_radius)
+            hi = 0.0 if iv is None else max(iv[1], 0.0)
         if hi <= 0.0:
             continue
         t = np.linspace(0.0, hi, nodes)
-        if g.divergence_batch is not None:
-            vals = g.divergence_batch(base + t[:, None] * u, u)
-        else:
-            vals = np.array([g.tangential_divergence(base + ti * u, u) for ti in t])
+        vals = g.divergence_batch(base + t[:, None] * u, u)
         w = np.ones(nodes)
         w[1:-1:2] = 4.0
         w[2:-1:2] = 2.0
@@ -332,8 +309,11 @@ def vertex_residuals(v: DiscreteVarifold, tol: float = 1e-12) -> list[VariationA
         first_variation(v, g) == sum over atoms of mass * <g(location), omega>
 
     holds verbatim for every admissible test field.  Atoms come in the order
-    of their vertices' first ends.
+    of their vertices' first ends.  Raises ValueError for a NaN or negative
+    tol.
     """
+    if not tol >= 0.0:
+        raise ValueError("tolerance must be nonnegative")
     points, away, weights = piece_ends(v)
     labels = group_ends(points)
     # labels already name each vertex by its first end; np.unique would
@@ -353,8 +333,8 @@ def vertex_residuals(v: DiscreteVarifold, tol: float = 1e-12) -> list[VariationA
 
 def is_stationary(v: DiscreteVarifold, tol: float) -> tuple[bool, float]:
     """Whether every vertex balances at tolerance tol; also the max residual."""
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tolerance must be positive and finite")
     atoms = vertex_residuals(v, tol=0.0)
     worst = max((a.mass for a in atoms), default=0.0)
     return worst <= tol, worst
@@ -375,12 +355,8 @@ def boundary_variation(v: DiscreteVarifold, y, r: float,
     c = as_vector(y, dim=v.ambient_dim)
     atoms: list[VariationAtom] = []
     for piece in v.pieces():
-        if isinstance(piece, SegmentPiece):
-            base, u, hi = piece.a, piece.direction, piece.length
-            endpoints = (piece.a, piece.b)
-        else:
-            base, u, hi = piece.origin, piece.direction, math.inf
-            endpoints = (piece.origin,)
+        base, u, hi = _piece_frame(piece)
+        endpoints = (base,) if math.isinf(hi) else (base, piece.b)
         for e in endpoints:
             if abs(float(np.linalg.norm(e - c)) - r) <= tangency_tol:
                 raise DegenerateGeometryError(

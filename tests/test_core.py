@@ -292,6 +292,34 @@ def test_conic_to_discrete_rejects_empty():
         conic_to_discrete(ConicVarifold(2))
 
 
+def _reference_conic_rays(c):
+    """Atom rays, then one ray per density node of positive quadrature mass,
+    node by node: the loop that mass_rows replaced, kept as its reference."""
+    rays = [
+        RayPiece(np.zeros(c.ambient_dim), c.atom_directions[i], c.atom_masses[i])
+        for i in range(c.n_atoms)
+    ]
+    if c.density is not None:
+        g = c.density.grid
+        for i in range(g.size):
+            w = g.weights[i] * c.density.values[i]
+            if w > 0.0:
+                rays.append(RayPiece(np.zeros(c.ambient_dim), g.nodes[i], w))
+    return rays
+
+
+def _rays_bytes(rays):
+    return [(r.origin.tobytes(), r.direction.tobytes(), np.float64(r.weight).tobytes())
+            for r in rays]
+
+
+def test_conic_to_discrete_matches_node_loop_bitwise(mixed_cones):
+    for c in mixed_cones:
+        d = conic_to_discrete(c)
+        assert d.segments == ()
+        assert _rays_bytes(d.rays) == _rays_bytes(_reference_conic_rays(c))
+
+
 def test_uniform_density_quadrature_mass():
     n = 720
     grid = circle_grid(n)

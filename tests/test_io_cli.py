@@ -382,9 +382,38 @@ def test_manifest_outputs_exist(tmp_path, monkeypatch):
         assert Path(out).exists()
 
 
-def test_plane_grid_density_total_mass():
-    from varifold_lab.tomography import PlaneGridDensity
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_check_stationary_bad_tol_exits_2(tmp_path, monkeypatch, capsys, tol):
+    # an unbalanced segment (nan used to hide both residuals) and a balanced
+    # line (-1 used to divide its zero residual by itself)
+    monkeypatch.chdir(tmp_path)
+    save_varifold("seg.json", discrete=DiscreteVarifold(2, (SegmentPiece([0, 0], [1, 0], 1.0),)))
+    assert run(["fixture", "line"])[0] == 0
+    for path in ("seg.json", "line.json"):
+        status, _ = run(["check-stationary", path, "--tol", tol])
+        assert status == 2
+        err = capsys.readouterr().err
+        assert err.startswith("SchemaError: --tol")
+        assert "Traceback" not in err
 
-    g = PlaneGridDensity(np.array([0.0, 0.0]), np.array([2.0, 1.0]),
-                         np.full((4, 5), 0.5))
-    assert g.total_mass == pytest.approx(1.0)
+
+def test_check_stationary_accepts_zero_tol(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(["fixture", "line"])[0] == 0
+    assert run(["check-stationary", "line.json", "--tol", "0"])[0] == 0
+    assert "max residual mass: 0\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["counterexample", "--directions", "0"],
+    ["counterexample", "--directions", "-3"],
+    ["fixture", "dense-lines", "--k", "0"],
+])
+def test_non_positive_counts_exit_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    status, _ = run(argv + ["--out", "out"])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert err.startswith("SchemaError: --")
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())

@@ -21,12 +21,14 @@ from varifold_lab import (
     weighted_projection,
     weighted_projection_conic,
 )
+from varifold_lab.core import unit
 from varifold_lab.fixtures import (
     full_line,
     random_stationary_network,
     random_subspace,
     random_varifold,
 )
+from varifold_lab.projection import DROP_TOL, _density_halfline_mass
 
 
 def pieces_key(v: DiscreteVarifold):
@@ -187,6 +189,51 @@ def test_conic_image_merging():
     image = weighted_projection_conic(c, p)
     assert image.n_atoms == 1
     assert image.atom_masses[0] == pytest.approx(0.6 * 3.0, abs=1e-14)
+
+
+def _reference_projection_conic(c, p):
+    """Atoms, then density nodes one by one (or the two mode-exact half-line
+    masses from the circle to a line): the loop that mass_rows replaced,
+    kept as its reference."""
+    images = []
+    for i in range(c.n_atoms):
+        img = p.project(c.atom_directions[i])
+        contraction = float(np.linalg.norm(img))
+        if contraction <= DROP_TOL:
+            continue
+        images.append((unit(img), float(c.atom_masses[i]) * contraction))
+    if c.density is not None:
+        if c.ambient_dim == 2 and p.dim == 1:
+            u = unit(p.basis[0])
+            for sign in (1.0, -1.0):
+                m = _density_halfline_mass(c.density, sign * u)
+                if m > DROP_TOL:
+                    images.append((sign * u, m))
+        else:
+            g = c.density.grid
+            node_masses = g.weights * c.density.values
+            for i in range(g.size):
+                if node_masses[i] <= 0.0:
+                    continue
+                img = p.project(g.nodes[i])
+                contraction = float(np.linalg.norm(img))
+                if contraction <= DROP_TOL:
+                    continue
+                images.append((unit(img), float(node_masses[i]) * contraction))
+    return conic_atoms(c.ambient_dim, images)
+
+
+def test_projection_conic_matches_node_loop_bitwise(mixed_cones):
+    rng = np.random.default_rng(77)
+    for c in mixed_cones:
+        n = c.ambient_dim
+        for k in range(1, n):
+            p = random_subspace(rng, n, k)
+            got = weighted_projection_conic(c, p)
+            want = _reference_projection_conic(c, p)
+            assert got.density is None
+            assert got.atom_directions.tobytes() == want.atom_directions.tobytes()
+            assert got.atom_masses.tobytes() == want.atom_masses.tobytes()
 
 
 # ---------------------------------------------------------------------------

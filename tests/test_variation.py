@@ -22,11 +22,12 @@ from varifold_lab import (
     vertex_residuals,
     weighted_projection,
 )
-from varifold_lab.core import VERTEX_TOL, group_ends, unit
+from varifold_lab.core import VERTEX_TOL, ball_interval, group_ends, unit
 from varifold_lab.fixtures import (
     full_line,
     random_stationary_network,
     random_subspace,
+    random_varifold,
     y_junction,
 )
 from varifold_lab.variation import rotation_field
@@ -117,6 +118,101 @@ def _unit(rng, n):
     return v / np.linalg.norm(v)
 
 
+def _reference_quadrature(v, g, nodes):
+    """Composite Simpson with per-type piece frames: the loop that
+    core._piece_frame replaced, kept as its reference."""
+    if nodes % 2 == 0:
+        nodes += 1
+    total = 0.0
+    for piece in v.pieces():
+        if isinstance(piece, SegmentPiece):
+            base, u, hi = piece.a, piece.direction, piece.length
+        else:
+            base, u = piece.origin, piece.direction
+            iv = ball_interval(piece.origin, piece.direction, g.support_center,
+                               g.support_radius)
+            hi = 0.0 if iv is None else max(iv[1], 0.0)
+        if hi <= 0.0:
+            continue
+        t = np.linspace(0.0, hi, nodes)
+        vals = g.divergence_batch(base + t[:, None] * u, u)
+        w = np.ones(nodes)
+        w[1:-1:2] = 4.0
+        w[2:-1:2] = 2.0
+        h = hi / (nodes - 1)
+        total += piece.weight * float(np.dot(w, vals)) * h / 3.0
+    return total
+
+
+def _reference_boundary(v, y, r, tangency_tol=1e-9):
+    """Sphere crossings with per-type piece frames: the loop that
+    core._piece_frame replaced, kept as its reference."""
+    c = np.asarray(y, dtype=float)
+    atoms = []
+    for piece in v.pieces():
+        if isinstance(piece, SegmentPiece):
+            base, u, hi = piece.a, piece.direction, piece.length
+            endpoints = (piece.a, piece.b)
+        else:
+            base, u, hi = piece.origin, piece.direction, math.inf
+            endpoints = (piece.origin,)
+        for e in endpoints:
+            if abs(float(np.linalg.norm(e - c)) - r) <= tangency_tol:
+                raise DegenerateGeometryError("endpoint")
+        d = base - c
+        bh = float(np.dot(d, u))
+        q = float(np.dot(d, d)) - r * r
+        disc = bh * bh - q
+        foot = -bh
+        near_piece = (-tangency_tol <= foot <= hi + tangency_tol) or (
+            math.isinf(hi) and foot >= -tangency_tol
+        )
+        if abs(disc) <= tangency_tol and near_piece:
+            raise DegenerateGeometryError("tangent")
+        if disc <= 0.0:
+            continue
+        s = math.sqrt(disc)
+        for t, outward in ((-bh - s, -1.0), (-bh + s, +1.0)):
+            if 0.0 < t < hi:
+                atoms.append((base + t * u, outward * u, piece.weight))
+    return atoms
+
+
+def _float_bytes(x):
+    return np.float64(x).tobytes()
+
+
+def test_piece_frames_match_type_branches_bitwise():
+    rng = np.random.default_rng(23)
+    compared = 0
+    for _ in range(30):
+        n = int(rng.integers(2, 5))
+        if rng.random() < 0.5:
+            v = random_varifold(rng, n, n_segments=int(rng.integers(0, 5)),
+                                n_rays=int(rng.integers(1, 4)))
+        else:
+            v = random_stationary_network(rng, n, n_vertices=int(rng.integers(1, 4)))
+        center = rng.uniform(-1, 1, n)
+        radius = float(rng.uniform(0.5, 2.5))
+        for g in (bump_field(center, radius, rng.normal(size=n)),
+                  linear_field(center, radius, rng.normal(size=(n, n)))):
+            got = first_variation_quadrature(v, g, nodes=201)
+            assert _float_bytes(got) == _float_bytes(_reference_quadrature(v, g, 201))
+        y, r = rng.uniform(-1, 1, n), float(rng.uniform(0.3, 2.0))
+        try:
+            want = _reference_boundary(v, y, r)
+        except DegenerateGeometryError:
+            with pytest.raises(DegenerateGeometryError):
+                boundary_variation(v, y, r)
+            continue
+        got = boundary_variation(v, y, r)
+        assert [(a.location.tobytes(), a.omega.tobytes(), _float_bytes(a.mass))
+                for a in got] == [
+            (x.tobytes(), omega.tobytes(), _float_bytes(m)) for x, omega, m in want]
+        compared += len(got)
+    assert compared > 20
+
+
 # ---------------------------------------------------------------------------
 # vertex residuals (atomic representation)
 # ---------------------------------------------------------------------------
@@ -194,6 +290,21 @@ def test_is_stationary():
     ok, worst = is_stationary(v, 1e-10)
     assert not ok
     assert worst == pytest.approx(2.0)
+
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_is_stationary_rejects_bad_tolerance(tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        is_stationary(full_line([0.0, 0.0], [1.0, 0.0]), tol)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, -math.inf])
+def test_vertex_residuals_rejects_nan_or_negative_tolerance(tol):
+    # a balanced vertex has residual 0, which a negative tol would turn
+    # into an atom of mass 0
+    with pytest.raises(ValueError, match="tolerance"):
+        vertex_residuals(full_line([0.0, 0.0], [1.0, 0.0]), tol=tol)
 
 
 def test_stationarity_dilation_invariant():
@@ -383,3 +494,7 @@ def test_boundary_degeneracies_raise():
     v2 = DiscreteVarifold(2, (segment([1, 0], [3, 0]),), ())
     with pytest.raises(DegenerateGeometryError):
         boundary_variation(v2, [0, 0], 1.0)
+    # far endpoint on the sphere
+    v3 = DiscreteVarifold(2, (segment([3, 0], [1, 0]),), ())
+    with pytest.raises(DegenerateGeometryError):
+        boundary_variation(v3, [0, 0], 1.0)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,9 +23,11 @@ from .core import (
     DiscreteVarifold,
     RayPiece,
     Subspace,
+    _ball_chords,
     _piece_frame,
+    _piece_rows,
+    _rowdot,
     as_vector,
-    ball_interval,
     conic_atoms,
     conic_to_discrete,
     density,
@@ -89,14 +91,38 @@ class BatteryTable:
             for k, u in enumerate(self.axes)
         )
 
-    def contributions(
-        self, points: np.ndarray, u: np.ndarray, lens: np.ndarray, w: float
-    ) -> list[float]:
-        """One piece's weighted quadrature sum for every function, j-major."""
-        rad = np.linalg.norm(points, axis=1)
-        lumps = self.amps[:, None] * _plateau(rad / self.radii[:, None])
-        moments = [float(np.dot(u, axis)) ** 2 for axis in self.axes]
-        return [w * float(np.dot(lens, lump * d)) for lump in lumps for d in moments]
+    def contributions(self, samples: "_Samples") -> np.ndarray:
+        """Every sampled piece's weighted quadrature sum for every function,
+        as a (pieces, functions) array, j-major.
+
+        The bits are those of w * np.dot(lens, lump * moment) piece by piece:
+        moments are squared with Python's float pow, lumps are evaluated in
+        chunks of whole pieces of about _LUMP_CHUNK cells, and a piece's
+        pairings are one stacked matmul of vector dots over its C-ordered
+        (lumps, moments, cells) products.
+        """
+        counts = samples.counts
+        out = np.zeros((len(counts), len(self.radii) * len(self.axes)))
+        if not len(counts):
+            return out
+        dots = _rowdot(samples.u[:, None, :], self.axes)
+        moments = np.array([d ** 2 for d in dots.ravel().tolist()]).reshape(dots.shape)
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        cuts = (np.flatnonzero(np.diff(starts // _LUMP_CHUNK)) + 1).tolist()
+        for p0, p1 in zip([0, *cuts], [*cuts, len(counts)]):
+            c0, c1 = starts[p0], ends[p1 - 1]
+            if c1 == c0:
+                continue  # pieces without cells pair to zero
+            rad = np.linalg.norm(samples.points[c0:c1], axis=1)
+            lumps = self.amps[:, None] * _plateau(rad / self.radii[:, None])
+            for p in range(p0, p1):
+                a, b = starts[p], ends[p]
+                # C order: the dot kernel sums a unit-stride row as np.dot does
+                m = np.multiply(lumps[:, None, a - c0 : b - c0], moments[p][None, :, None],
+                                order="C")
+                out[p] = samples.w[p] * (m[:, :, None, :] @ samples.lens[a:b, None]).ravel()
+        return out
 
 
 @dataclass(frozen=True)
@@ -183,54 +209,75 @@ def cutoff_constant(radius: float) -> BatteryFunction:
     return BatteryFunction("cutoff-constant", value)
 
 
-def _piece_samples(
-    v: DiscreteVarifold, radius: float, cells: int
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, float]]:
+# Cells per lump evaluation: bounds the temporaries of a pairing.
+_LUMP_CHUNK = 1024
+
+
+class _Samples(NamedTuple):
+    """Midpoint cells of the sampled pieces, concatenated in piece order.
+
+    Piece p owns counts[p] consecutive rows of points and lens (possibly
+    none), and has unit direction u[p] and weight w[p].
+    """
+
+    points: np.ndarray
+    lens: np.ndarray
+    counts: np.ndarray
+    u: np.ndarray
+    w: np.ndarray
+
+    def pieces(self):
+        """(points, direction, cell lengths, weight) of every piece, in order."""
+        ends = np.cumsum(self.counts).tolist()
+        starts = [0, *ends[:-1]]
+        for a, b, u, w in zip(starts, ends, self.u, self.w.tolist()):
+            yield self.points[a:b], u, self.lens[a:b], w
+
+
+def _piece_samples(v: DiscreteVarifold, radius: float, cells: int) -> _Samples:
     """Midpoint cells of every piece clipped to B(0, radius).
 
     Cells sit on an absolute grid anchored at the piece line's closest
     approach to the origin, so subdividing a piece (or swapping a long
     segment for the ray it stabilizes to) reproduces the same cells bit for
-    bit.
+    bit.  All pieces are cut in one pass: the ragged edge grids are laid end
+    to end, and a cell is kept when both its edges belong to one piece and
+    its length is positive.
     """
     h = radius / cells
-    out = []
-    for piece in v.pieces():
-        base, u, hi = _piece_frame(piece)
-        iv = ball_interval(base, u, np.zeros(v.ambient_dim), radius)
-        if iv is None:
-            continue
-        lo_t = max(iv[0], 0.0)
-        hi_t = min(iv[1], hi)
-        if hi_t <= lo_t:
-            continue
-        foot = -float(np.dot(base, u))
-        k_lo = math.floor((lo_t - foot) / h)
-        k_hi = math.ceil((hi_t - foot) / h)
-        edges = np.clip(foot + np.arange(k_lo, k_hi + 1) * h, lo_t, hi_t)
-        lens = np.diff(edges)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        keep = lens > 0.0
-        points = base + mids[keep, None] * u
-        out.append((points, u, lens[keep], piece.weight))
-    return out
+    base, u, hi, w = _piece_rows(v)
+    lo, up, meets = _ball_chords(base, u, hi, np.zeros(v.ambient_dim), radius)
+    base, u, w, lo, up = base[meets], u[meets], w[meets], lo[meets], up[meets]
+    foot = -_rowdot(base, u)
+    k_lo = np.floor((lo - foot) / h).astype(np.int64)
+    n_edges = np.ceil((up - foot) / h).astype(np.int64) - k_lo + 1
+    piece = np.repeat(np.arange(len(w)), n_edges)
+    first = np.cumsum(n_edges) - n_edges
+    k = k_lo[piece] + (np.arange(len(piece)) - first[piece])
+    edges = np.clip(foot[piece] + k * h, lo[piece], up[piece])
+    lens = np.diff(edges)
+    keep = (piece[:-1] == piece[1:]) & (lens > 0.0)
+    mids = 0.5 * (edges[:-1] + edges[1:])[keep]
+    owner = piece[:-1][keep]
+    points = base[owner] + mids[:, None] * u[owner]
+    return _Samples(points, lens[keep], np.bincount(owner, minlength=len(w)), u, w)
 
 
-def _pair_all(samples, battery: TestBattery) -> np.ndarray:
+def _pair_all(samples: _Samples, battery: TestBattery) -> np.ndarray:
     """Pairing of every battery function with the sampled pieces.
 
     Piece p's contributions fill row p of a (pieces, functions) matrix; each
     column is then summed in sorted order, so equal piece multisets pair
-    identically.  A battery with a table fills a row from one lump
-    evaluation; any other calls each function's value.
+    identically.  A battery with a table fills the matrix from its lumps in
+    one batched pass; any other calls each function's value piece by piece.
     """
-    table = battery.table
-    contribs = np.empty((len(samples), len(battery.functions)))
-    for row, (points, u, lens, w) in zip(contribs, samples):
-        if table is not None:
-            row[:] = table.contributions(points, u, lens, w)
-        else:
-            row[:] = [w * float(np.dot(lens, f.value(points, u))) for f in battery.functions]
+    if battery.table is not None:
+        contribs = battery.table.contributions(samples)
+    else:
+        contribs = np.array([
+            [w * float(np.dot(lens, f.value(points, u))) for f in battery.functions]
+            for points, u, lens, w in samples.pieces()
+        ]).reshape(len(samples.counts), len(battery.functions))
     contribs.sort(axis=0)
     return np.sum(np.ascontiguousarray(contribs.T), axis=1)
 
@@ -471,15 +518,21 @@ _ALPHA = 1.0 / _PLASTIC
 _BETA = 1.0 / _PLASTIC**2
 
 
+def _frac(x: float) -> float:
+    """Fractional part x - floor(x), nonnegative also for negative x (where
+    math.modf's is negative); equal to math.modf(x)[0] bit for bit for x >= 0."""
+    return x - math.floor(x)
+
+
 def _quasi_direction(i: int, seed: int, ambient_dim: int) -> np.ndarray:
-    s1 = math.modf(seed * 0.618033988749895 + 0.1234567)[0]
-    s2 = math.modf(seed * 0.414213562373095 + 0.7654321)[0]
+    s1 = _frac(seed * 0.618033988749895 + 0.1234567)
+    s2 = _frac(seed * 0.414213562373095 + 0.7654321)
     if ambient_dim == 2:
-        ang = 2.0 * math.pi * math.modf(i * _ALPHA + s1)[0]
+        ang = 2.0 * math.pi * _frac(i * _ALPHA + s1)
         return np.array([math.cos(ang), math.sin(ang)])
     if ambient_dim == 3:
-        z = 1.0 - 2.0 * math.modf(i * _ALPHA + s1)[0]
-        ang = 2.0 * math.pi * math.modf(i * _BETA + s2)[0]
+        z = 1.0 - 2.0 * _frac(i * _ALPHA + s1)
+        ang = 2.0 * math.pi * _frac(i * _BETA + s2)
         rho = math.sqrt(max(0.0, 1.0 - z * z))
         return np.array([rho * math.cos(ang), rho * math.sin(ang), z])
     rng = np.random.Generator(np.random.PCG64(hash((seed, i)) & 0x7FFFFFFF))

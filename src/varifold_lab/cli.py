@@ -254,6 +254,8 @@ def _reconstruct_from_measurements(args, manifest: RunManifest) -> int:
         if not np.any(v):
             raise SchemaError(f"line {lineno}: the normal v is the zero vector")
         xi = as_vector(vals[n : 2 * n])
+        if not np.any(xi):
+            raise SchemaError(f"line {lineno}: the direction xi is the zero vector")
         s, t, m = vals[2 * n :]
         key = v.tobytes() + xi.tobytes()
         g = groups.setdefault(key, {"v": v, "xi": xi, "bands": []})

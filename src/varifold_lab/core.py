@@ -146,39 +146,174 @@ class RayPiece:
 Piece = SegmentPiece | RayPiece
 
 
-@dataclass(frozen=True)
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of matching rows (broadcast over leading axes), each with
+    the bits np.dot gives the two rows.
+
+    A stacked (1, n) @ (n, 1) matmul runs numpy's vector dot kernel once per
+    row; einsum, row sums and gemv sum in other orders.  The kernel sums a
+    strided row in another order too, so the operands are made C-ordered,
+    as np.dot's fresh 1-d operands are.
+    """
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _rows(x, n: int) -> np.ndarray:
+    """A read-only C-ordered (k, n) float array."""
+    arr = np.ascontiguousarray(x, dtype=float).reshape(-1, n)
+    arr.setflags(write=False)
+    return arr
+
+
+def _column(x) -> np.ndarray:
+    arr = np.ascontiguousarray(x, dtype=float).reshape(-1)
+    arr.setflags(write=False)
+    return arr
+
+
+def _segment_lengths(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|b - a| per row, with the bits of SegmentPiece.length."""
+    d = b - a
+    length = np.sqrt(_rowdot(d, d))
+    length.setflags(write=False)
+    return length
+
+
+def _check_rows(*checks: tuple[np.ndarray, str]) -> None:
+    """ValueError with the message of the first failing check of the first
+    row that fails any, as checking the rows one by one would raise."""
+    bad = ~np.logical_and.reduce([ok for ok, _ in checks])
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(next(msg for ok, msg in checks if not ok[i]))
+
+
 class DiscreteVarifold:
     """A finite superposition of weighted segments and rays in R^n.
 
     Coincident or overlapping pieces are kept as separate entries; every
     operation sums contributions and never merges geometry.
+
+    The pieces live in read-only, C-ordered float columns, one row per piece
+    in the order given (k segments, m rays):
+
+    - seg_a, seg_b (k, n): segment endpoints; seg_w (k,): their weights;
+    - seg_u (k, n), seg_len (k,): unit direction and length of b - a, with
+      the bits of SegmentPiece.direction and SegmentPiece.length;
+    - ray_o, ray_d (m, n): ray origins and unit directions; ray_w (m,).
+
+    segments and rays are tuples of piece objects, built from the columns
+    on first access.  Values are immutable after construction.
     """
 
-    ambient_dim: int
-    segments: tuple[SegmentPiece, ...] = ()
-    rays: tuple[RayPiece, ...] = ()
+    __slots__ = ("ambient_dim", "seg_a", "seg_b", "seg_w", "seg_u", "seg_len",
+                 "ray_o", "ray_d", "ray_w", "_segments", "_rays")
 
-    def __post_init__(self):
-        object.__setattr__(self, "segments", tuple(self.segments))
-        object.__setattr__(self, "rays", tuple(self.rays))
-        for p in self.pieces():
-            d = p.a.shape[0] if isinstance(p, SegmentPiece) else p.origin.shape[0]
-            if d != self.ambient_dim:
-                raise ValueError("piece dimension does not match ambient_dim")
+    def __init__(self, ambient_dim: int, segments: Iterable[SegmentPiece] = (),
+                 rays: Iterable[RayPiece] = ()):
+        segments, rays = tuple(segments), tuple(rays)
+        if not all(isinstance(s, SegmentPiece) for s in segments):
+            raise TypeError("segments must be SegmentPiece objects")
+        if not all(isinstance(r, RayPiece) for r in rays):
+            raise TypeError("rays must be RayPiece objects")
+        n = ambient_dim
+        if any(s.a.shape[0] != n for s in segments) or any(
+            r.origin.shape[0] != n for r in rays
+        ):
+            raise ValueError("piece dimension does not match ambient_dim")
+        # every piece is validated already; only the columns are built here
+        a = _rows([s.a for s in segments], n)
+        b = _rows([s.b for s in segments], n)
+        self._assemble(
+            n, a, b, _column([s.weight for s in segments]), _segment_lengths(a, b),
+            _rows([r.origin for r in rays], n), _rows([r.direction for r in rays], n),
+            _column([r.weight for r in rays]),
+        )
+        object.__setattr__(self, "_segments", segments)
+        object.__setattr__(self, "_rays", rays)
+
+    def _assemble(self, n, seg_a, seg_b, seg_w, seg_len, ray_o, ray_d, ray_w) -> None:
+        """Store the columns, given as read-only arrays, and derive seg_u."""
+        seg_u = (seg_b - seg_a) / seg_len[:, None]
+        seg_u.setflags(write=False)
+        for name, value in (
+            ("ambient_dim", n), ("seg_a", seg_a), ("seg_b", seg_b), ("seg_w", seg_w),
+            ("seg_u", seg_u), ("seg_len", seg_len), ("ray_o", ray_o), ("ray_d", ray_d),
+            ("ray_w", ray_w), ("_segments", None), ("_rays", None),
+        ):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _from_columns(cls, ambient_dim: int, seg_a, seg_b, seg_w,
+                      ray_o, ray_d, ray_w) -> "DiscreteVarifold":
+        """A varifold from piece columns, with every check of the piece
+        constructors applied row by row (the first failing row reports)."""
+        n = ambient_dim
+        a, b, w = _rows(seg_a, n), _rows(seg_b, n), _column(seg_w)
+        length = _segment_lengths(a, b)
+        _check_rows(
+            ((0.0 < w) & (w < math.inf), "segment weight must be positive and finite"),
+            # a NaN or infinite endpoint makes the length NaN or infinite
+            ((0.0 < length) & (length < math.inf),
+             "segment endpoints must be finite and distinct"),
+        )
+        o, u, rw = _rows(ray_o, n), _rows(ray_d, n), _column(ray_w)
+        _check_rows(
+            ((0.0 < rw) & (rw < math.inf), "ray weight must be positive and finite"),
+            (np.isfinite(o).all(axis=1), "ray origin must be finite"),
+            # written so that a NaN direction fails too
+            (np.abs(_rowdot(u, u) - 1.0) <= 1e-10, "ray direction must be a unit vector"),
+        )
+        v = cls.__new__(cls)
+        v._assemble(n, a, b, w, length, o, u, rw)
+        return v
+
+    def __reduce__(self):
+        return (DiscreteVarifold._from_columns, (
+            self.ambient_dim, self.seg_a, self.seg_b, self.seg_w,
+            self.ray_o, self.ray_d, self.ray_w,
+        ))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DiscreteVarifold is immutable")
+
+    def __repr__(self) -> str:
+        return (f"DiscreteVarifold(ambient_dim={self.ambient_dim}, "
+                f"segments={len(self.seg_w)}, rays={len(self.ray_w)})")
+
+    @property
+    def segments(self) -> tuple[SegmentPiece, ...]:
+        if self._segments is None:
+            object.__setattr__(self, "_segments", tuple(
+                SegmentPiece(a, b, w)
+                for a, b, w in zip(self.seg_a, self.seg_b, self.seg_w.tolist())
+            ))
+        return self._segments
+
+    @property
+    def rays(self) -> tuple[RayPiece, ...]:
+        if self._rays is None:
+            object.__setattr__(self, "_rays", tuple(
+                RayPiece(o, d, w)
+                for o, d, w in zip(self.ray_o, self.ray_d, self.ray_w.tolist())
+            ))
+        return self._rays
 
     def pieces(self) -> tuple[Piece, ...]:
         return self.segments + self.rays
 
     @property
     def is_empty(self) -> bool:
-        return not self.segments and not self.rays
+        return not (len(self.seg_w) or len(self.ray_w))
 
     def __add__(self, other: "DiscreteVarifold") -> "DiscreteVarifold":
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimensions differ")
-        return DiscreteVarifold(
-            self.ambient_dim, self.segments + other.segments, self.rays + other.rays
-        )
+        return DiscreteVarifold._from_columns(self.ambient_dim, *(
+            np.concatenate((getattr(self, name), getattr(other, name)))
+            for name in ("seg_a", "seg_b", "seg_w", "ray_o", "ray_d", "ray_w")
+        ))
 
 
 # ---------------------------------------------------------------------------
@@ -419,22 +554,46 @@ def ball_interval(base: np.ndarray, direction: np.ndarray, center: np.ndarray,
     return (-bh - s, -bh + s)
 
 
+def _piece_rows(v: DiscreteVarifold) -> tuple[np.ndarray, ...]:
+    """(base, unit direction, parameter upper bound, weight) of every piece,
+    segments then rays, as stacked rows: the columnar form of _piece_frame."""
+    return (
+        np.concatenate((v.seg_a, v.ray_o)),
+        np.concatenate((v.seg_u, v.ray_d)),
+        np.concatenate((v.seg_len, np.full(len(v.ray_w), math.inf))),
+        np.concatenate((v.seg_w, v.ray_w)),
+    )
+
+
+def _ball_chords(base: np.ndarray, u: np.ndarray, hi: np.ndarray, center: np.ndarray,
+                 radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row, the parameter interval (lo, up) of base + t*u, 0 <= t <= hi,
+    inside the open ball, and the mask of rows whose interval is nonempty.
+
+    Row by row the bits of ball_interval clamped by max(lo, 0.0) and
+    min(up, hi); lo and up are meaningless where the mask is False.
+    """
+    d = base - center
+    bh = _rowdot(d, u)
+    disc = bh * bh - (_rowdot(d, d) - radius * radius)
+    hit = disc > 0.0
+    s = np.sqrt(np.where(hit, disc, 0.0))
+    lo, up = -bh - s, -bh + s
+    lo = np.where(0.0 > lo, 0.0, lo)
+    up = np.where(hi < up, hi, up)
+    return lo, up, hit & (up > lo)
+
+
 def mass(v: DiscreteVarifold, center, radius: float) -> float:
     """Total weighted length of v inside the open ball B(center, radius)."""
     if radius <= 0.0:
         raise ValueError("radius must be positive")
     c = as_vector(center, dim=v.ambient_dim)
-    total = 0.0
-    for piece in v.pieces():
-        base, u, hi = _piece_frame(piece)
-        iv = ball_interval(base, u, c, radius)
-        if iv is None:
-            continue
-        lo = max(iv[0], 0.0)
-        hi_t = min(iv[1], hi)
-        if hi_t > lo:
-            total += piece.weight * (hi_t - lo)
-    return total
+    base, u, hi, w = _piece_rows(v)
+    lo, up, meets = _ball_chords(base, u, hi, c, radius)
+    parts = w[meets] * (up[meets] - lo[meets])
+    # a running sum in piece order, as a loop of total += part gives
+    return float(np.cumsum(parts)[-1]) if parts.size else 0.0
 
 
 def density(v: DiscreteVarifold, x) -> DensityValue:
@@ -468,13 +627,10 @@ def dilate(v: DiscreteVarifold, x, lam: float) -> DiscreteVarifold:
     if lam <= 0.0:
         raise ValueError("dilation factor must be positive")
     c = as_vector(x, dim=v.ambient_dim)
-    segs = tuple(
-        SegmentPiece((s.a - c) / lam, (s.b - c) / lam, s.weight) for s in v.segments
+    return DiscreteVarifold._from_columns(
+        v.ambient_dim, (v.seg_a - c) / lam, (v.seg_b - c) / lam, v.seg_w,
+        (v.ray_o - c) / lam, v.ray_d, v.ray_w,
     )
-    rays = tuple(
-        RayPiece((r.origin - c) / lam, r.direction, r.weight) for r in v.rays
-    )
-    return DiscreteVarifold(v.ambient_dim, segs, rays)
 
 
 def restrict(v: DiscreteVarifold, center, radius: float,
@@ -484,40 +640,38 @@ def restrict(v: DiscreteVarifold, center, radius: float,
         raise ValueError("radius must be positive")
     if keep not in ("inside", "outside"):
         raise ValueError("keep must be 'inside' or 'outside'")
-    c = as_vector(center, dim=v.ambient_dim)
-    segs: list[SegmentPiece] = []
-    rays: list[RayPiece] = []
-
-    def emit_segment(base, u, lo, hi, w):
-        if hi - lo > SLIVER_TOL:
-            segs.append(SegmentPiece(base + lo * u, base + hi * u, w))
-
-    for piece in v.pieces():
-        base, u, hi = _piece_frame(piece)
-        iv = ball_interval(base, u, c, radius)
-        inside = None
-        if iv is not None:
-            lo_t, hi_t = max(iv[0], 0.0), min(iv[1], hi)
-            if hi_t > lo_t:
-                inside = (lo_t, hi_t)
-        if keep == "inside":
-            if inside is not None:
-                emit_segment(base, u, inside[0], inside[1], piece.weight)
-            continue
-        # complement: the piece minus the inside interval
-        if inside is None:
-            if isinstance(piece, SegmentPiece):
-                segs.append(piece)
-            else:
-                rays.append(piece)
-            continue
-        lo_t, hi_t = inside
-        emit_segment(base, u, 0.0, lo_t, piece.weight)
-        if math.isfinite(hi):
-            emit_segment(base, u, hi_t, hi, piece.weight)
-        elif hi_t < math.inf:
-            rays.append(RayPiece(base + hi_t * u, u, piece.weight))
-    return DiscreteVarifold(v.ambient_dim, tuple(segs), tuple(rays))
+    n = v.ambient_dim
+    c = as_vector(center, dim=n)
+    base, u, hi, w = _piece_rows(v)
+    lo, up, meets = _ball_chords(base, u, hi, c, radius)
+    empty = np.zeros((0, n))
+    if keep == "inside":
+        take = meets & (up - lo > SLIVER_TOL)
+        return DiscreteVarifold._from_columns(
+            n, base[take] + lo[take, None] * u[take], base[take] + up[take, None] * u[take],
+            w[take], empty, empty, (),
+        )
+    # complement: each piece minus its inside interval [lo, up].  A piece the
+    # ball misses stays whole; one it meets leaves the segment [0, lo], for a
+    # segment also [up, hi], and for a ray the ray from up on.  Segments are
+    # emitted in piece order, slot [0, lo] (or the whole piece) before slot
+    # [up, hi].
+    seg = np.arange(len(w)) < len(v.seg_w)
+    whole = seg & ~meets
+    far = np.where(seg, hi, 0.0)  # a ray has no far end
+    starts = np.stack((np.where(whole[:, None], base, base + 0.0 * u),
+                       base + up[:, None] * u), 1)
+    stops = np.stack((np.where(whole[:, None], np.concatenate((v.seg_b, v.ray_o)),
+                               base + lo[:, None] * u),
+                      base + far[:, None] * u), 1)
+    slots = np.stack((whole | (meets & (lo > SLIVER_TOL)),
+                      seg & meets & (far - up > SLIVER_TOL)), 1)
+    tail = ~seg & (~meets | (up < math.inf))
+    ray_o = np.where(meets[:, None], base + up[:, None] * u, base)
+    return DiscreteVarifold._from_columns(
+        n, starts[slots], stops[slots], np.repeat(w, 2)[slots.ravel()],
+        ray_o[tail], u[tail], w[tail],
+    )
 
 
 def conic_to_discrete(c: ConicVarifold, r_max: float = 1.0) -> DiscreteVarifold:
@@ -532,10 +686,10 @@ def conic_to_discrete(c: ConicVarifold, r_max: float = 1.0) -> DiscreteVarifold:
     if c.is_empty:
         raise ValueError("conic varifold has neither atoms nor density")
     dirs, masses = c.mass_rows()
-    rays = tuple(
-        RayPiece(np.zeros(c.ambient_dim), z, m) for z, m in zip(dirs, masses)
+    empty = np.zeros((0, c.ambient_dim))
+    return DiscreteVarifold._from_columns(
+        c.ambient_dim, empty, empty, (), np.zeros(dirs.shape), dirs, masses
     )
-    return DiscreteVarifold(c.ambient_dim, (), rays)
 
 
 # ---------------------------------------------------------------------------
@@ -640,24 +794,11 @@ def piece_ends(v: DiscreteVarifold) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     its negation at b (the same bits as unit(a - b)), the direction at a ray
     origin.
     """
+    ns = len(v.seg_w)
     n = v.ambient_dim
-    ns, nr = len(v.segments), len(v.rays)
-    points = np.empty((2 * ns + nr, n))
-    away = np.empty((2 * ns + nr, n))
-    weights = np.empty(2 * ns + nr)
-    if ns:
-        u = np.array([s.direction for s in v.segments])
-        w = [s.weight for s in v.segments]
-        points[0 : 2 * ns : 2] = [s.a for s in v.segments]
-        points[1 : 2 * ns : 2] = [s.b for s in v.segments]
-        away[0 : 2 * ns : 2] = u
-        away[1 : 2 * ns : 2] = -u
-        weights[0 : 2 * ns : 2] = w
-        weights[1 : 2 * ns : 2] = w
-    if nr:
-        points[2 * ns :] = [r.origin for r in v.rays]
-        away[2 * ns :] = [r.direction for r in v.rays]
-        weights[2 * ns :] = [r.weight for r in v.rays]
+    points = np.concatenate((np.stack((v.seg_a, v.seg_b), 1).reshape(2 * ns, n), v.ray_o))
+    away = np.concatenate((np.stack((v.seg_u, -v.seg_u), 1).reshape(2 * ns, n), v.ray_d))
+    weights = np.concatenate((np.repeat(v.seg_w, 2), v.ray_w))
     return points, away, weights
 
 

@@ -16,12 +16,11 @@ import numpy as np
 from .core import (
     ConicVarifold,
     DiscreteVarifold,
-    RayPiece,
     SampledDensity,
-    SegmentPiece,
     Subspace,
     _circle_modes,
     _integrate_modes,
+    _rowdot,
     as_vector,
     circle_grid,
     conic_atoms,
@@ -33,23 +32,28 @@ from .core import (
 DROP_TOL = 1e-12
 
 
+def _project_rows(x: np.ndarray, p: Subspace) -> np.ndarray:
+    """Subspace.project of every row, with the bits of one call per row.
+
+    Each row goes through its own vector-matrix products; a single matrix
+    product over all rows (gemm) sums in another order.
+    """
+    return ((x[:, None, :] @ p.basis.T) @ p.basis)[:, 0, :]
+
+
 def _project_pieces(v: DiscreteVarifold, p: Subspace, weighted: bool) -> DiscreteVarifold:
-    segs: list[SegmentPiece] = []
-    rays: list[RayPiece] = []
-    for s in v.segments:
-        contraction = float(np.linalg.norm(p.project(s.direction)))
-        if contraction <= DROP_TOL:
-            continue
-        w = s.weight * contraction if weighted else s.weight
-        segs.append(SegmentPiece(p.project(s.a), p.project(s.b), w))
-    for r in v.rays:
-        img = p.project(r.direction)
-        contraction = float(np.linalg.norm(img))
-        if contraction <= DROP_TOL:
-            continue
-        w = r.weight * contraction if weighted else r.weight
-        rays.append(RayPiece(p.project(r.origin), unit(img), w))
-    return DiscreteVarifold(v.ambient_dim, tuple(segs), tuple(rays))
+    seg_img = _project_rows(v.seg_u, p)
+    seg_c = np.sqrt(_rowdot(seg_img, seg_img))
+    ray_img = _project_rows(v.ray_d, p)
+    ray_c = np.sqrt(_rowdot(ray_img, ray_img))
+    # pieces at or below the contraction tolerance are dropped
+    s, r = ~(seg_c <= DROP_TOL), ~(ray_c <= DROP_TOL)
+    seg_w = v.seg_w[s] * seg_c[s] if weighted else v.seg_w[s]
+    ray_w = v.ray_w[r] * ray_c[r] if weighted else v.ray_w[r]
+    return DiscreteVarifold._from_columns(
+        v.ambient_dim, _project_rows(v.seg_a[s], p), _project_rows(v.seg_b[s], p), seg_w,
+        _project_rows(v.ray_o[r], p), ray_img[r] / ray_c[r, None], ray_w,
+    )
 
 
 def mapping_projection(v: DiscreteVarifold, p: Subspace) -> DiscreteVarifold:

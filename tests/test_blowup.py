@@ -30,7 +30,7 @@ from varifold_lab import (
     weighted_projection,
     weighted_projection_conic,
 )
-from varifold_lab import blowup
+from varifold_lab import blowup, fixtures
 from varifold_lab.blowup import (
     _PLATEAU_SLOPE,
     BatteryFunction,
@@ -39,7 +39,14 @@ from varifold_lab.blowup import (
     _piece_samples,
     cutoff_constant,
 )
-from varifold_lab.core import RayPiece, as_vector, incident_rays, split_at_point
+from varifold_lab.core import (
+    RayPiece,
+    _piece_frame,
+    as_vector,
+    ball_interval,
+    incident_rays,
+    split_at_point,
+)
 from varifold_lab.core import unit as core_unit
 from varifold_lab.fixtures import full_line, random_subspace, y_junction
 from varifold_lab.variation import _plateau
@@ -143,6 +150,41 @@ def _reference_battery(ambient_dim, radius=1.0, n_scales=8, n_directions=8, seed
     return TestBattery(ambient_dim, radius, tuple(fns))
 
 
+def _reference_piece_samples(v, radius, cells):
+    """Midpoint cells piece by piece, as (points, u, lens, w) tuples (the
+    per-piece loop the batched _piece_samples replaced)."""
+    h = radius / cells
+    out = []
+    for piece in v.pieces():
+        base, u, hi = _piece_frame(piece)
+        iv = ball_interval(base, u, np.zeros(v.ambient_dim), radius)
+        if iv is None:
+            continue
+        lo_t = max(iv[0], 0.0)
+        hi_t = min(iv[1], hi)
+        if hi_t <= lo_t:
+            continue
+        foot = -float(np.dot(base, u))
+        k_lo = math.floor((lo_t - foot) / h)
+        k_hi = math.ceil((hi_t - foot) / h)
+        edges = np.clip(foot + np.arange(k_lo, k_hi + 1) * h, lo_t, hi_t)
+        lens = np.diff(edges)
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        keep = lens > 0.0
+        points = base + mids[keep, None] * u
+        out.append((points, u, lens[keep], piece.weight))
+    return out
+
+
+def _reference_contributions(table, points, u, lens, w):
+    """One piece's table pairings, one np.dot per function (the per-piece
+    loop BatteryTable.contributions replaced)."""
+    rad = np.linalg.norm(points, axis=1)
+    lumps = table.amps[:, None] * _plateau(rad / table.radii[:, None])
+    moments = [float(np.dot(u, axis)) ** 2 for axis in table.axes]
+    return [w * float(np.dot(lens, lump * d)) for lump in lumps for d in moments]
+
+
 def _reference_pair_all(samples, battery):
     """One sorted sum per function, each function evaluated per piece."""
     vals = np.empty(len(battery.functions))
@@ -156,8 +198,8 @@ def _reference_pair_all(samples, battery):
 
 
 def _reference_distance(v1, v2, battery, cells=256):
-    s1 = _piece_samples(v1, battery.radius, cells)
-    s2 = _piece_samples(v2, battery.radius, cells)
+    s1 = _reference_piece_samples(v1, battery.radius, cells)
+    s2 = _reference_piece_samples(v2, battery.radius, cells)
     return float(np.max(np.abs(_reference_pair_all(s1, battery)
                                - _reference_pair_all(s2, battery))))
 
@@ -265,7 +307,7 @@ def test_opaque_battery_pairs_bitwise_equal_table(label, v, x):
 def test_pair_with_matches_one_function_battery():
     v = _random_segments(np.random.default_rng(8), 3, 7)
     f = default_battery(3).functions[13]
-    samples = _piece_samples(v, 1.0, 256)
+    samples = _reference_piece_samples(v, 1.0, 256)
     assert pair_with(v, f, 1.0) == _reference_pair_all(samples, TestBattery(3, 1.0, (f,)))[0]
 
 
@@ -296,7 +338,8 @@ def test_weak_star_distance_ignores_piece_order(n, raw, data):
 
 
 def test_default_battery_evaluates_lumps_once_per_piece(monkeypatch):
-    # one _plateau call per sampled piece, not one per battery function
+    # every sampled cell is evaluated exactly once, for all 8 radii at once,
+    # in at most one _plateau call per piece (not one per battery function)
     calls = []
 
     def counting_plateau(t, *args):
@@ -304,15 +347,61 @@ def test_default_battery_evaluates_lumps_once_per_piece(monkeypatch):
         return _plateau(t, *args)
 
     monkeypatch.setattr(blowup, "_plateau", counting_plateau)
-    v1 = dense_lines_fixture(8, seed=2, ambient_dim=3)
-    v1 = dilate(v1, v1.rays[0].origin, 0.25)
+    v1 = dense_lines_fixture(24, seed=2, ambient_dim=3)
+    v1 = dilate(v1, v1.rays[0].origin, 2.0)  # 36 pieces, 7,518 cells
     v2 = y_junction(3)
     battery = default_battery(3)
-    pieces = len(_piece_samples(v1, 1.0, 256)) + len(_piece_samples(v2, 1.0, 256))
-    assert pieces > 3
+    samples = _reference_piece_samples(v1, 1.0, 256) + _reference_piece_samples(v2, 1.0, 256)
+    assert len(samples) > 30
     weak_star_distance(v1, v2, battery)
-    assert len(calls) == pieces
+    assert 1 <= len(calls) <= len(samples)
     assert all(shape[0] == 8 for shape in calls)
+    assert sum(shape[1] for shape in calls) == sum(len(lens) for _, _, lens, _ in samples)
+    # chunks of whole pieces of about _LUMP_CHUNK cells; a piece has at most
+    # 2 * 256 + 1 cells in the unit ball
+    assert len(calls) > 7
+    assert all(shape[1] <= blowup._LUMP_CHUNK + 2 * 256 for shape in calls)
+
+
+def _sampling_cases():
+    """Varifolds whose pieces meet the unit ball in every way: random
+    segments and rays, a dense-lines dilation and the catalogue cones."""
+    rng = np.random.default_rng(77)
+    cases = [fixtures.random_varifold(rng, n, n_segments=6, n_rays=4, box=1.2)
+             for n in (2, 3, 4) for _ in range(4)]
+    v = dense_lines_fixture(24, seed=5, ambient_dim=3)
+    cases.append(dilate(v, v.rays[4].origin, 0.125))
+    cases += [conic_to_discrete(conic_atoms(v.ambient_dim, incident_rays(v, x)))
+              for _, v, x in CATALOGUE[::4]]
+    cases.append(DiscreteVarifold(3))
+    return cases
+
+
+def test_piece_samples_match_reference_bitwise():
+    for v in _sampling_cases():
+        for radius, cells in ((1.0, 256), (0.7, 33), (2.5, 1000)):
+            ref = _reference_piece_samples(v, radius, cells)
+            got = list(_piece_samples(v, radius, cells).pieces())
+            assert len(got) == len(ref)
+            for (p1, u1, l1, w1), (p2, u2, l2, w2) in zip(ref, got):
+                assert p1.tobytes() == p2.tobytes()
+                assert u1.tobytes() == u2.tobytes()
+                assert l1.tobytes() == l2.tobytes()
+                assert w1 == w2
+
+
+def test_table_contributions_match_piece_loop_bitwise():
+    # cells=1500 spreads a varifold's pieces over several lump chunks, and
+    # pieces of equal cell count share one stacked matmul
+    for v in _sampling_cases():
+        table = default_battery(v.ambient_dim).table
+        for cells in (256, 1500):
+            samples = _piece_samples(v, 1.0, cells)
+            ref = [_reference_contributions(table, *piece)
+                   for piece in _reference_piece_samples(v, 1.0, cells)]
+            got = table.contributions(samples)
+            assert got.shape == (len(ref), 64)
+            assert got.tobytes() == np.array(ref).reshape(-1, 64).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +563,17 @@ def test_dense_lines_avoid_origin():
 def test_dense_lines_stationary_for_all_k():
     for k in (2, 5, 9):
         assert is_stationary(dense_lines_fixture(k, seed=3), 1e-12)[0]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_dense_lines_negative_seed(n):
+    # math.modf of a negative number is negative; the fractional parts must
+    # stay in [0, 1) so that every direction is a unit vector
+    for i in range(16):
+        u = blowup._quasi_direction(i, -1, n)
+        assert abs(float(np.dot(u, u)) - 1.0) <= 1e-12
+    v = dense_lines_fixture(6, seed=-1, ambient_dim=n)
+    assert is_stationary(v, 1e-12)[0]
 
 
 def test_radial_cap_mass_full_line_is_pi():

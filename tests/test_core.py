@@ -1,8 +1,9 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from varifold_lab import (
@@ -22,7 +23,16 @@ from varifold_lab import (
     restrict,
     sphere_grid,
 )
-from varifold_lab.core import ball_interval, split_at_point
+from varifold_lab.core import (
+    SLIVER_TOL,
+    _piece_frame,
+    _piece_rows,
+    _rowdot,
+    ball_interval,
+    piece_ends,
+    split_at_point,
+)
+from varifold_lab.fixtures import random_varifold
 
 
 def segment(a, b, w=1.0):
@@ -367,3 +377,232 @@ def test_split_at_point_preserves_mass():
     assert len(s.rays) == 1
     for center, radius in [((0, 0), 0.7), ((0.4, 0.1), 1.2)]:
         assert mass(s, center, radius) == pytest.approx(mass(v, center, radius), abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# columnar storage against the per-piece loops it replaced
+# ---------------------------------------------------------------------------
+
+def test_rowdot_matches_np_dot():
+    rng = np.random.default_rng(11)
+    for n in (2, 3, 4, 5):
+        a = rng.normal(size=(4000, n)) * 10.0 ** rng.integers(-3, 4, size=(4000, 1))
+        b = rng.normal(size=(4000, n))
+        want = np.array([np.dot(x, y) for x, y in zip(a, b)])
+        assert _rowdot(a, b).tobytes() == want.tobytes()
+        # strided operands are made C-ordered first
+        assert _rowdot(np.asfortranarray(a), np.asfortranarray(b)).tobytes() == want.tobytes()
+        # leading axes broadcast: every row of a against every row of b[:7]
+        table = _rowdot(a[:, None, :], b[:7])
+        assert table.tobytes() == np.array(
+            [[np.dot(x, y) for y in b[:7]] for x in a]).tobytes()
+
+
+def _column_cases():
+    rng = np.random.default_rng(12)
+    cases = [random_varifold(rng, n, n_segments=int(rng.integers(0, 7)),
+                             n_rays=int(rng.integers(0, 5)), box=1.5)
+             for n in (2, 3, 4) for _ in range(6)]
+    # pieces through, inside, beyond and tangent-free around the unit ball
+    cases.append(DiscreteVarifold(
+        2,
+        (segment([-2, 0], [2, 0], 1.5), segment([-0.2, 0.1], [0.3, -0.2], 0.7),
+         segment([3, 3], [4, 3]), segment([0.5, 0.5], [2, 2], 2.0)),
+        (ray([0, 0], [0, 1], 0.5), ray([-3, 0.5], [1, 0]), ray([0.2, 0.2], [-0.6, 0.8]),
+         ray([5, 5], [1, 0])),
+    ))
+    cases.append(DiscreteVarifold(3))
+    return cases
+
+
+def _piece_bytes(v):
+    segs = [(s.a.tobytes(), s.b.tobytes(), np.float64(s.weight).tobytes()) for s in v.segments]
+    return segs, _rays_bytes(v.rays)
+
+
+def test_columns_carry_piece_bits():
+    for v in _column_cases():
+        assert v.seg_u.tobytes() == np.array(
+            [s.direction for s in v.segments]).reshape(-1, v.ambient_dim).tobytes()
+        assert v.seg_len.tobytes() == np.array([s.length for s in v.segments]).tobytes()
+        for arr in (v.seg_a, v.seg_b, v.seg_w, v.seg_u, v.seg_len, v.ray_o, v.ray_d, v.ray_w):
+            assert arr.flags.c_contiguous and not arr.flags.writeable
+        # built from columns, the pieces come back with the same bits
+        again = DiscreteVarifold._from_columns(
+            v.ambient_dim, v.seg_a, v.seg_b, v.seg_w, v.ray_o, v.ray_d, v.ray_w)
+        assert _piece_bytes(again) == _piece_bytes(v)
+        assert again.seg_u.tobytes() == v.seg_u.tobytes()
+        assert pickle.loads(pickle.dumps(v)).seg_u.tobytes() == v.seg_u.tobytes()
+    with pytest.raises(AttributeError):
+        v.seg_w = np.zeros(0)
+
+
+_SEG_W = "segment weight must be positive and finite"
+_SEG_ENDS = "segment endpoints must be finite and distinct"
+_RAY_W = "ray weight must be positive and finite"
+
+
+@pytest.mark.parametrize("edits,message", [
+    *[([("seg_w", 1, bad)], _SEG_W) for bad in (math.nan, math.inf, 0.0, -1.0)],
+    *[([("seg_a", (0, 0), bad)], _SEG_ENDS) for bad in (math.nan, math.inf, -math.inf)],
+    ([("seg_b", 1, [1.0, 1.0])], _SEG_ENDS),
+    # the first failing row reports, as constructing the pieces in order does
+    ([("seg_b", 0, [0.0, 0.0]), ("seg_w", 1, -1.0)], _SEG_ENDS),
+    ([("seg_w", 0, 0.0), ("seg_b", 1, [1.0, 1.0])], _SEG_W),
+    *[([("ray_w", 1, bad)], _RAY_W) for bad in (math.nan, math.inf, 0.0, -1.0)],
+    *[([("ray_o", (0, 1), bad)], "ray origin must be finite") for bad in (math.nan, math.inf)],
+    *[([("ray_d", 1, bad)], "ray direction must be a unit vector")
+      for bad in ([math.nan, 0.0], [math.inf, 0.0], [2.0, 0.0], [0.6, 0.6])],
+])
+def test_from_columns_applies_piece_checks(edits, message):
+    cols = {
+        "seg_a": np.array([[0.0, 0.0], [1.0, 1.0]]), "seg_b": np.array([[1.0, 0.0], [1.0, 2.0]]),
+        "seg_w": np.array([1.0, 2.0]), "ray_o": np.array([[0.0, 0.0], [1.0, 0.0]]),
+        "ray_d": np.array([[0.0, 1.0], [1.0, 0.0]]), "ray_w": np.array([1.0, 0.5]),
+    }
+    DiscreteVarifold._from_columns(2, *cols.values())
+    for column, index, value in edits:
+        cols[column][index] = value
+    with pytest.raises(ValueError, match=message):
+        DiscreteVarifold._from_columns(2, *cols.values())
+
+
+def _reference_mass(v, center, radius):
+    total = 0.0
+    for piece in v.pieces():
+        base, u, hi = _piece_frame(piece)
+        iv = ball_interval(base, u, np.asarray(center, float), radius)
+        if iv is None:
+            continue
+        lo = max(iv[0], 0.0)
+        hi_t = min(iv[1], hi)
+        if hi_t > lo:
+            total += piece.weight * (hi_t - lo)
+    return total
+
+
+def _reference_restrict(v, center, radius, keep):
+    c = np.asarray(center, float)
+    segs, rays = [], []
+
+    def emit_segment(base, u, lo, hi, w):
+        if hi - lo > SLIVER_TOL:
+            segs.append(SegmentPiece(base + lo * u, base + hi * u, w))
+
+    for piece in v.pieces():
+        base, u, hi = _piece_frame(piece)
+        iv = ball_interval(base, u, c, radius)
+        inside = None
+        if iv is not None:
+            lo_t, hi_t = max(iv[0], 0.0), min(iv[1], hi)
+            if hi_t > lo_t:
+                inside = (lo_t, hi_t)
+        if keep == "inside":
+            if inside is not None:
+                emit_segment(base, u, inside[0], inside[1], piece.weight)
+            continue
+        if inside is None:
+            (segs if isinstance(piece, SegmentPiece) else rays).append(piece)
+            continue
+        lo_t, hi_t = inside
+        emit_segment(base, u, 0.0, lo_t, piece.weight)
+        if math.isfinite(hi):
+            emit_segment(base, u, hi_t, hi, piece.weight)
+        elif hi_t < math.inf:
+            rays.append(RayPiece(base + hi_t * u, u, piece.weight))
+    return DiscreteVarifold(v.ambient_dim, tuple(segs), tuple(rays))
+
+
+def _reference_dilate(v, x, lam):
+    c = np.asarray(x, float)
+    segs = tuple(SegmentPiece((s.a - c) / lam, (s.b - c) / lam, s.weight) for s in v.segments)
+    rays = tuple(RayPiece((r.origin - c) / lam, r.direction, r.weight) for r in v.rays)
+    return DiscreteVarifold(v.ambient_dim, segs, rays)
+
+
+def _reference_piece_ends(v):
+    rows = []
+    for s in v.segments:
+        rows.append((s.a, s.direction, s.weight))
+        rows.append((s.b, -s.direction, s.weight))
+    rows += [(r.origin, r.direction, r.weight) for r in v.rays]
+    n = v.ambient_dim
+    return (np.array([p for p, _, _ in rows]).reshape(-1, n),
+            np.array([a for _, a, _ in rows]).reshape(-1, n),
+            np.array([w for _, _, w in rows]))
+
+
+def test_columnar_core_matches_piece_loops_bitwise():
+    rng = np.random.default_rng(13)
+    for v in _column_cases():
+        n = v.ambient_dim
+        got = piece_ends(v)
+        want = _reference_piece_ends(v)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        for _ in range(8):
+            center = rng.uniform(-1.5, 1.5, n)
+            radius = float(rng.uniform(0.2, 2.5))
+            assert mass(v, center, radius) == _reference_mass(v, center, radius)
+            for keep in ("inside", "outside"):
+                assert _piece_bytes(restrict(v, center, radius, keep)) == _piece_bytes(
+                    _reference_restrict(v, center, radius, keep))
+            lam = float(rng.uniform(0.05, 4.0))
+            assert _piece_bytes(dilate(v, center, lam)) == _piece_bytes(
+                _reference_dilate(v, center, lam))
+
+
+def test_restrict_edge_cases_match_piece_loop_bitwise():
+    # slivers below SLIVER_TOL are dropped, and a clipped piece restarts at
+    # base + 0.0 * u, which turns a -0.0 coordinate into +0.0
+    v = DiscreteVarifold(
+        2,
+        (segment([0.0, 0.0], [1.0 + 4e-15, 0.0]), segment([-1.0 - 4e-15, 0.0], [3.0, 0.0]),
+         segment([-0.0, -2.0], [0.0, 2.0], 1.5), segment([-0.0, -0.5], [-0.0, 0.5])),
+        (ray([1.0 - 4e-15, 0.0], [1.0, 0.0]), ray([-0.0, -2.0], [0.0, 1.0], 0.5),
+         ray([0.0, 0.0], [-1.0, 0.0])),
+    )
+    for keep, counts in (("inside", (6, 0)), ("outside", (4, 3))):
+        got = restrict(v, [0.0, 0.0], 1.0, keep)
+        assert (len(got.segments), len(got.rays)) == counts
+        assert _piece_bytes(got) == _piece_bytes(_reference_restrict(v, [0.0, 0.0], 1.0, keep))
+
+
+_box = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def _varifolds(draw):
+    """Random segments and rays in R^2..R^4 with coordinates in [-1, 1]."""
+    n = draw(st.integers(2, 4))
+    point = st.lists(_box, min_size=n, max_size=n).map(np.array)
+    weight = st.floats(0.1, 3.0)
+    segs = [SegmentPiece(a, b, w) for a, b, w in draw(st.lists(
+        st.tuples(point, point, weight), max_size=4)) if np.linalg.norm(b - a) > 0.1]
+    rays = [RayPiece(o, d / np.linalg.norm(d), w) for o, d, w in draw(st.lists(
+        st.tuples(point, point, weight), max_size=3)) if np.linalg.norm(d) > 0.1]
+    return DiscreteVarifold(n, tuple(segs), tuple(rays))
+
+
+def _clear_of_sphere(v, center, radius, margin):
+    """No piece line is within margin of tangency to the sphere and no piece
+    end is within margin of it: away from these the chord is well posed."""
+    base, u, _, _ = _piece_rows(v)
+    d = base - center
+    perp = np.linalg.norm(d - np.sum(d * u, axis=1)[:, None] * u, axis=1)
+    ends = np.concatenate((v.seg_a, v.seg_b, v.ray_o))
+    gap = np.linalg.norm(ends - center, axis=1)
+    return bool(np.all(np.abs(perp - radius) > margin)
+                and np.all(np.abs(gap - radius) > margin))
+
+
+@settings(max_examples=200, deadline=None)
+@given(v=_varifolds(), data=st.data(), lam=st.floats(0.5, 2.0), r=st.floats(0.5, 1.5))
+def test_dilation_scales_ball_mass(v, data, lam, r):
+    # mass(dilate(v, x, lam), c, r) == mass(v, x + lam c, lam r) / lam
+    n = v.ambient_dim
+    x = np.array(data.draw(st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n)))
+    c = np.array(data.draw(st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n)))
+    assume(_clear_of_sphere(v, x + lam * c, lam * r, 0.05 * lam * r))
+    lhs = mass(dilate(v, x, lam), c, r)
+    rhs = mass(v, x + lam * c, lam * r) / lam
+    assert abs(lhs - rhs) <= 1e-12 * abs(rhs)

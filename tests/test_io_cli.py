@@ -279,6 +279,7 @@ def test_check_stationary_non_finite_input_exits_2(tmp_path, monkeypatch, capsys
 
 @pytest.mark.parametrize("row", [
     "0,0,0,1,0,0,0.1,0.2,1.0",      # zero normal
+    "0,0,1,0,0,0,0.1,0.2,1.0",      # zero direction
     "0,0,1,1,0,0,abc,0.2,1.0",      # non-numeric cell
     "0,0,1,1,0,0,0.1,0.2",          # missing cell
     "0,0,1,1,0,0,0.1,0.2,nan",      # non-finite cell
@@ -402,6 +403,14 @@ def test_check_stationary_accepts_zero_tol(tmp_path, monkeypatch, capsys):
     assert run(["fixture", "line"])[0] == 0
     assert run(["check-stationary", "line.json", "--tol", "0"])[0] == 0
     assert "max residual mass: 0\n" in capsys.readouterr().out
+
+
+def test_fixture_dense_lines_negative_seed(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    status, _ = run(["fixture", "dense-lines", "--k", "3", "--seed", "-1", "--out", "dl"])
+    assert status == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert len(load_varifold("dl.json").require_discrete().rays) == 6
 
 
 @pytest.mark.parametrize("argv", [

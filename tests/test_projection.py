@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varifold_lab import (
     ConicVarifold,
     DiscreteVarifold,
+    RayPiece,
     SampledDensity,
     SegmentPiece,
     Subspace,
@@ -287,4 +290,59 @@ def test_counterexample_pair_properties():
         ang = 2 * np.pi * k / 360
         u = np.array([math.cos(ang), math.sin(ang)])
         worst = max(worst, abs(halfline_multiplicity(v1, u) - halfline_multiplicity(v2, u)))
+    assert worst <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# columnar projection against the per-piece loop it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_project_pieces(v, p, weighted):
+    segs, rays = [], []
+    for s in v.segments:
+        contraction = float(np.linalg.norm(p.project(s.direction)))
+        if contraction <= DROP_TOL:
+            continue
+        w = s.weight * contraction if weighted else s.weight
+        segs.append(SegmentPiece(p.project(s.a), p.project(s.b), w))
+    for r in v.rays:
+        img = p.project(r.direction)
+        contraction = float(np.linalg.norm(img))
+        if contraction <= DROP_TOL:
+            continue
+        w = r.weight * contraction if weighted else r.weight
+        rays.append(RayPiece(p.project(r.origin), unit(img), w))
+    return DiscreteVarifold(v.ambient_dim, tuple(segs), tuple(rays))
+
+
+def _piece_bytes(v):
+    return ([(s.a.tobytes(), s.b.tobytes(), np.float64(s.weight).tobytes()) for s in v.segments],
+            [(r.origin.tobytes(), r.direction.tobytes(), np.float64(r.weight).tobytes())
+             for r in v.rays])
+
+
+def test_projections_match_piece_loop_bitwise():
+    rng = np.random.default_rng(21)
+    for trial in range(40):
+        n = 2 + trial % 4
+        v = random_varifold(rng, n, n_segments=int(rng.integers(0, 8)),
+                            n_rays=int(rng.integers(0, 5)))
+        p = random_subspace(rng, n, int(rng.integers(1, n)))
+        got = (mapping_projection(v, p), weighted_projection(v, p))
+        want = (_reference_project_pieces(v, p, False), _reference_project_pieces(v, p, True))
+        assert [_piece_bytes(x) for x in got] == [_piece_bytes(x) for x in want]
+    # a piece orthogonal to the target is dropped by both
+    v = DiscreteVarifold(3, (SegmentPiece([0, 0, 0], [0, 0, 1.0], 1.0),),
+                         (RayPiece([1.0, 0, 0], [0, 0, -1.0], 2.0),))
+    p = Subspace(3, np.array([[1.0, 0, 0], [0, 1.0, 0]]))
+    assert weighted_projection(v, p).is_empty and mapping_projection(v, p).is_empty
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5), data=st.data())
+def test_weighted_projection_of_stationary_network_is_stationary(seed, n, data):
+    rng = np.random.default_rng(seed)
+    v = random_stationary_network(rng, n, n_vertices=data.draw(st.integers(1, 12)))
+    p = random_subspace(rng, n, data.draw(st.integers(1, n - 1)))
+    worst = max((a.mass for a in vertex_residuals(weighted_projection(v, p))), default=0.0)
     assert worst <= 1e-10

@@ -565,6 +565,16 @@ def _piece_rows(v: DiscreteVarifold) -> tuple[np.ndarray, ...]:
     )
 
 
+def _chord_rows(base: np.ndarray, u: np.ndarray, center: np.ndarray,
+                radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, (bh, disc) of ball_interval: the line base + t*u meets the
+    open ball on (-bh - sqrt(disc), -bh + sqrt(disc)) when disc > 0, and
+    -bh is its closest approach to the center.  The bits of ball_interval."""
+    d = base - center
+    bh = _rowdot(d, u)
+    return bh, bh * bh - (_rowdot(d, d) - radius * radius)
+
+
 def _ball_chords(base: np.ndarray, u: np.ndarray, hi: np.ndarray, center: np.ndarray,
                  radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per row, the parameter interval (lo, up) of base + t*u, 0 <= t <= hi,
@@ -573,9 +583,7 @@ def _ball_chords(base: np.ndarray, u: np.ndarray, hi: np.ndarray, center: np.nda
     Row by row the bits of ball_interval clamped by max(lo, 0.0) and
     min(up, hi); lo and up are meaningless where the mask is False.
     """
-    d = base - center
-    bh = _rowdot(d, u)
-    disc = bh * bh - (_rowdot(d, d) - radius * radius)
+    bh, disc = _chord_rows(base, u, center, radius)
     hit = disc > 0.0
     s = np.sqrt(np.where(hit, disc, 0.0))
     lo, up = -bh - s, -bh + s

@@ -17,13 +17,20 @@ import numpy as np
 
 from .core import (
     DiscreteVarifold,
+    _chord_rows,
     _piece_frame,
+    _piece_rows,
+    _rowdot,
     as_vector,
     ball_interval,
     group_ends,
     piece_ends,
     unit,
 )
+
+
+# smallest normal float: a squared norm below it has lost precision
+_TINY = np.finfo(float).tiny
 
 
 class DegenerateGeometryError(ValueError):
@@ -296,6 +303,39 @@ def first_variation_quadrature(v: DiscreteVarifold, g: TestField,
     return total
 
 
+def _vertex_forces(v: DiscreteVarifold) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(points, residuals, norms): one row per vertex of v, in the order of
+    the vertices' first ends; see vertex_residuals."""
+    points, away, weights = piece_ends(v)
+    labels = group_ends(points)
+    # labels already name each vertex by its first end; np.unique would
+    # also import numpy.ma on first use
+    is_first = labels == np.arange(len(labels))
+    first = np.flatnonzero(is_first)
+    vertex = (np.cumsum(is_first) - 1)[labels]
+    residual = np.zeros((len(first), v.ambient_dim))
+    np.add.at(residual, vertex, weights[:, None] * away)
+    return points[first], residual, _row_norms(residual)
+
+
+def _row_norms(r: np.ndarray) -> np.ndarray:
+    """|r| of every row, with the bits np.linalg.norm gives the row alone.
+
+    A nonzero row whose squared norm is subnormal, zero or infinite is
+    rescaled by its largest entry s first, as s * |r / s|, so the norm of a
+    tiny or huge residual keeps full precision.
+    """
+    with np.errstate(over="ignore"):
+        sq = _rowdot(r, r)
+    norms = np.sqrt(sq)
+    s = np.max(np.abs(r), axis=1)
+    odd = np.flatnonzero(((sq < _TINY) | (sq == math.inf)) & (0.0 < s) & (s < math.inf))
+    if odd.size:
+        scaled = r[odd] / s[odd, None]
+        norms[odd] = s[odd] * np.sqrt(_rowdot(scaled, scaled))
+    return norms
+
+
 def vertex_residuals(v: DiscreteVarifold, tol: float = 1e-12) -> list[VariationAtom]:
     """Atomic representation of delta V for a piecewise-linear varifold.
 
@@ -314,29 +354,24 @@ def vertex_residuals(v: DiscreteVarifold, tol: float = 1e-12) -> list[VariationA
     """
     if not tol >= 0.0:
         raise ValueError("tolerance must be nonnegative")
-    points, away, weights = piece_ends(v)
-    labels = group_ends(points)
-    # labels already name each vertex by its first end; np.unique would
-    # also import numpy.ma on first use
-    is_first = labels == np.arange(len(labels))
-    first = np.flatnonzero(is_first)
-    vertex = (np.cumsum(is_first) - 1)[labels]
-    residual = np.zeros((len(first), v.ambient_dim))
-    np.add.at(residual, vertex, weights[:, None] * away)
-    atoms: list[VariationAtom] = []
-    for x, r in zip(points[first], residual):
-        m = float(np.linalg.norm(r))
-        if m > tol:
-            atoms.append(VariationAtom(x, -r / m, m))
-    return atoms
+    points, residual, norms = _vertex_forces(v)
+    keep = np.flatnonzero(norms > tol)
+    r, m = residual[keep], norms[keep]
+    omega = -r / m[:, None]
+    # a subnormal residual has too few bits to divide by its norm; take its
+    # direction from the row scaled to its largest entry
+    sub = np.flatnonzero(m < _TINY)
+    if sub.size:
+        scaled = r[sub] / np.max(np.abs(r[sub]), axis=1)[:, None]
+        omega[sub] = -scaled / np.sqrt(_rowdot(scaled, scaled))[:, None]
+    return [VariationAtom(x, o, mass) for x, o, mass in zip(points[keep], omega, m.tolist())]
 
 
 def is_stationary(v: DiscreteVarifold, tol: float) -> tuple[bool, float]:
     """Whether every vertex balances at tolerance tol; also the max residual."""
     if not 0.0 < tol < math.inf:
         raise ValueError("tolerance must be positive and finite")
-    atoms = vertex_residuals(v, tol=0.0)
-    worst = max((a.mass for a in atoms), default=0.0)
+    worst = float(_vertex_forces(v)[2].max(initial=0.0))
     return worst <= tol, worst
 
 
@@ -353,32 +388,33 @@ def boundary_variation(v: DiscreteVarifold, y, r: float,
     if r <= 0.0:
         raise ValueError("radius must be positive")
     c = as_vector(y, dim=v.ambient_dim)
-    atoms: list[VariationAtom] = []
-    for piece in v.pieces():
-        base, u, hi = _piece_frame(piece)
-        endpoints = (base,) if math.isinf(hi) else (base, piece.b)
-        for e in endpoints:
-            if abs(float(np.linalg.norm(e - c)) - r) <= tangency_tol:
-                raise DegenerateGeometryError(
-                    "piece endpoint lies on the cutting sphere; perturb the radius"
-                )
-        d = base - c
-        bh = float(np.dot(d, u))
-        q = float(np.dot(d, d)) - r * r
-        disc = bh * bh - q
-        foot = -bh  # closest approach parameter of the supporting line
-        near_piece = (-tangency_tol <= foot <= hi + tangency_tol) or (
-            math.isinf(hi) and foot >= -tangency_tol
-        )
-        if abs(disc) <= tangency_tol and near_piece:
+    base, u, hi, w = _piece_rows(v)
+
+    def ends_on_sphere(p):
+        d = p - c
+        return np.abs(np.sqrt(_rowdot(d, d)) - r) <= tangency_tol
+
+    on_sphere = ends_on_sphere(base)
+    on_sphere[:len(v.seg_w)] |= ends_on_sphere(v.seg_b)
+    bh, disc = _chord_rows(base, u, c, r)
+    foot = -bh  # closest approach parameter of the supporting line
+    tangent = (np.abs(disc) <= tangency_tol) & (-tangency_tol <= foot) & (
+        foot <= hi + tangency_tol)
+    bad = on_sphere | tangent
+    if bad.any():
+        # the first bad piece reports, its endpoints before its tangency
+        if on_sphere[int(np.argmax(bad))]:
             raise DegenerateGeometryError(
-                "piece is tangent to the cutting sphere; perturb the radius"
+                "piece endpoint lies on the cutting sphere; perturb the radius"
             )
-        if disc <= 0.0:
-            continue
-        s = math.sqrt(disc)
-        for t, outward in ((-bh - s, -1.0), (-bh + s, +1.0)):
-            if 0.0 < t < hi:
-                x = base + t * u
-                atoms.append(VariationAtom(x, outward * u, piece.weight))
-    return atoms
+        raise DegenerateGeometryError(
+            "piece is tangent to the cutting sphere; perturb the radius"
+        )
+    hit = disc > 0.0
+    s = np.sqrt(np.where(hit, disc, 0.0))
+    t = np.stack((-bh - s, -bh + s), axis=1)
+    # row-major order: pieces in order, each entry crossing before its exit
+    rows, side = np.nonzero(hit[:, None] & (0.0 < t) & (t < hi[:, None]))
+    x = base[rows] + t[rows, side][:, None] * u[rows]
+    omega = np.where(side == 0, -1.0, 1.0)[:, None] * u[rows]
+    return [VariationAtom(xi, oi, wi) for xi, oi, wi in zip(x, omega, w[rows].tolist())]

@@ -405,6 +405,19 @@ def test_check_stationary_accepts_zero_tol(tmp_path, monkeypatch, capsys):
     assert "max residual mass: 0\n" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("w", [1e-160, 1e200])
+def test_check_stationary_tiny_and_huge_weights(tmp_path, monkeypatch, capsys, w):
+    # the squared residual norm underflows or overflows
+    monkeypatch.chdir(tmp_path)
+    rays = (RayPiece([0, 0], [1, 0], w), RayPiece([0, 0], [0, 1], w))
+    save_varifold("v.json", discrete=DiscreteVarifold(2, (), rays))
+    assert run(["check-stationary", "v.json", "--tol", "0"])[0] == 0
+    out = capsys.readouterr().out.splitlines()
+    worst = float(out[0].removeprefix("max residual mass: "))
+    assert abs(worst - w * math.sqrt(2.0)) <= 1e-15 * w * math.sqrt(2.0)
+    assert len(out) == 3
+
+
 def test_fixture_dense_lines_negative_seed(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     status, _ = run(["fixture", "dense-lines", "--k", "3", "--seed", "-1", "--out", "dl"])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varifold_lab import (
     AmbiguousReconstruction,
@@ -273,6 +275,21 @@ def test_ten_random_atoms_roundtrip():
         j = int(np.argmin(dists))
         assert dists[j] <= 1e-6
         assert abs(recon.atom_masses[j] - c.atom_masses[i]) <= 1e-6
+
+
+@settings(max_examples=25, deadline=2000)
+@given(seed=st.integers(0, 2**32 - 1), n_atoms=st.integers(1, 6))
+def test_separated_atoms_round_trip(seed, n_atoms):
+    # random_conic keeps atoms 1e-3 apart with masses in [0.1, 2]
+    c = random_conic(np.random.default_rng(seed), 3, n_atoms=n_atoms,
+                     min_separation=1e-3, mass_range=(0.1, 2.0))
+    recon = reconstruct_conic(BandOracle(c), 3)
+    assert recon.n_atoms == n_atoms
+    for z, m in zip(c.atom_directions, c.atom_masses):
+        dists = np.linalg.norm(recon.atom_directions - z, axis=1)
+        j = int(np.argmin(dists))
+        assert dists[j] <= 1e-6
+        assert abs(recon.atom_masses[j] - m) <= 1e-6
 
 
 def test_homogeneity_of_the_pipeline():

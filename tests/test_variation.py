@@ -30,7 +30,7 @@ from varifold_lab.fixtures import (
     random_varifold,
     y_junction,
 )
-from varifold_lab.variation import rotation_field
+from varifold_lab.variation import VariationAtom, _row_norms, rotation_field
 
 
 def segment(a, b, w=1.0):
@@ -213,6 +213,42 @@ def test_piece_frames_match_type_branches_bitwise():
     assert compared > 20
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3, 4]),
+       case=st.sampled_from(["generic", "endpoint", "tangent"]))
+def test_boundary_variation_matches_reference_bitwise(seed, n, case):
+    rng = np.random.default_rng(seed)
+    if rng.random() < 0.5:
+        v = random_varifold(rng, n, n_segments=int(rng.integers(0, 6)),
+                            n_rays=int(rng.integers(1, 4)))
+    else:
+        v = random_stationary_network(rng, n, n_vertices=int(rng.integers(1, 6)))
+    y, r = rng.uniform(-1, 1, n), float(rng.uniform(0.3, 2.0))
+    if case == "endpoint":
+        # an end of some piece on the sphere; pieces sharing it come earlier
+        ends = np.concatenate((v.seg_a, v.seg_b, v.ray_o))
+        r = float(np.linalg.norm(ends[rng.integers(len(ends))] - y))
+    elif case == "tangent":
+        # the sphere touches some piece at an interior point
+        piece = v.pieces()[rng.integers(len(v.pieces()))]
+        if isinstance(piece, SegmentPiece):
+            foot = piece.a + rng.uniform(0.0, piece.length) * piece.direction
+        else:
+            foot = piece.origin + rng.uniform(0.0, 2.0) * piece.direction
+        off = rng.normal(size=n)
+        y = foot + r * unit(off - np.dot(off, piece.direction) * piece.direction)
+    try:
+        want = _reference_boundary(v, y, r)
+    except DegenerateGeometryError as exc:
+        with pytest.raises(DegenerateGeometryError, match=str(exc)):
+            boundary_variation(v, y, r)
+        return
+    got = boundary_variation(v, y, r)
+    assert [(a.location.tobytes(), a.omega.tobytes(), _float_bytes(a.mass))
+            for a in got] == [
+        (x.tobytes(), omega.tobytes(), _float_bytes(m)) for x, omega, m in want]
+
+
 # ---------------------------------------------------------------------------
 # vertex residuals (atomic representation)
 # ---------------------------------------------------------------------------
@@ -315,6 +351,57 @@ def test_stationarity_dilation_invariant():
         for lam in (0.5, 2.0):
             x = rng.uniform(-1, 1, 3)
             assert is_stationary(dilate(v, x, lam), 1e-10)[0]
+
+
+def test_row_norms_match_np_linalg_norm():
+    rng = np.random.default_rng(8)
+    for n in (2, 3, 4, 5):
+        r = rng.normal(size=(5000, n)) * 10.0 ** rng.uniform(-8, 8, size=(5000, 1))
+        r[::7] = 0.0
+        want = np.array([np.linalg.norm(row) for row in r])
+        assert _row_norms(r).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("w", [1e-160, 1e200])
+def test_residual_norms_of_tiny_and_huge_weights(w):
+    # the squared norm underflows to a subnormal (1e-160) or overflows (1e200)
+    v = DiscreteVarifold(2, (), (ray([0, 0], [1, 0], w), ray([0, 0], [0, 1], w)))
+    expected = w * math.sqrt(2.0)
+    ok, worst = is_stationary(v, 1e-10)
+    assert ok == (w < 1e-10)
+    assert abs(worst - expected) <= 1e-15 * expected
+    [atom] = vertex_residuals(v, 0.0)
+    assert atom.mass == worst
+    assert abs(float(np.dot(atom.omega, atom.omega)) - 1.0) <= 1e-15
+    assert atom.omega[0] == atom.omega[1] < 0.0
+
+
+def test_subnormal_residual_has_a_unit_direction():
+    v = DiscreteVarifold(2, (), (ray([0, 0], [1, 0], 1e-320), ray([0, 0], [0, 1], 3e-320)))
+    [atom] = vertex_residuals(v, 0.0)
+    assert 0.0 < atom.mass < np.finfo(float).tiny
+    assert abs(float(np.dot(atom.omega, atom.omega)) - 1.0) <= 1e-15
+    assert np.allclose(atom.omega, -unit(np.array([1.0, 3.0])), rtol=0, atol=1e-15)
+
+
+def test_is_stationary_builds_no_atoms(monkeypatch):
+    built = []
+    check = VariationAtom.__post_init__
+
+    def counting(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(VariationAtom, "__post_init__", counting)
+    v = random_stationary_network(np.random.default_rng(4), 3, n_vertices=300)
+    last = v.rays[-1]
+    control = DiscreteVarifold(3, v.segments, v.rays[:-1] + (
+        RayPiece(last.origin, last.direction, 2.0 * last.weight),))
+    assert is_stationary(v, 1e-10)[0]
+    assert not is_stationary(control, 1e-10)[0]
+    assert built == []
+    # the counter sees the atoms that vertex_residuals builds
+    assert len(vertex_residuals(control, 1e-10)) == 1 and len(built) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -485,16 +572,23 @@ def test_boundary_atoms_reproduce_first_variation():
         assert rep == pytest.approx(dv, abs=1e-8)
 
 
-def test_boundary_degeneracies_raise():
-    # tangent line
-    v = DiscreteVarifold(2, (segment([-2, 1], [2, 1]),), ())
-    with pytest.raises(DegenerateGeometryError):
+@pytest.mark.parametrize("pieces, message", [
+    ([segment([-2, 1], [2, 1])], "tangent"),
+    ([segment([1, 0], [3, 0])], "endpoint"),
+    ([segment([3, 0], [1, 0])], "endpoint"),  # far endpoint
+    ([ray([-2, -1], [1, 0])], "tangent"),
+    # a piece both tangent and ending on the sphere reports its endpoint
+    ([segment([0, 1], [2, 1])], "endpoint"),
+    # the first bad piece in piece order reports
+    ([segment([-2, 1], [2, 1]), segment([1, 0], [3, 0])], "tangent"),
+    ([segment([1, 0], [3, 0]), segment([-2, 1], [2, 1])], "endpoint"),
+    ([segment([-2, 1], [2, 1]), ray([0, -1], [0, -1])], "tangent"),
+    # segments come before rays
+    ([ray([-2, -1], [1, 0]), segment([-3, 0], [3, 0]), segment([1, 0], [3, 0])],
+     "endpoint"),
+])
+def test_boundary_degeneracies_raise(pieces, message):
+    v = DiscreteVarifold(2, [p for p in pieces if isinstance(p, SegmentPiece)],
+                         [p for p in pieces if isinstance(p, RayPiece)])
+    with pytest.raises(DegenerateGeometryError, match=message):
         boundary_variation(v, [0, 0], 1.0)
-    # endpoint on the sphere
-    v2 = DiscreteVarifold(2, (segment([1, 0], [3, 0]),), ())
-    with pytest.raises(DegenerateGeometryError):
-        boundary_variation(v2, [0, 0], 1.0)
-    # far endpoint on the sphere
-    v3 = DiscreteVarifold(2, (segment([3, 0], [1, 0]),), ())
-    with pytest.raises(DegenerateGeometryError):
-        boundary_variation(v3, [0, 0], 1.0)

@@ -572,10 +572,22 @@ def test_boundary_atoms_reproduce_first_variation():
         assert rep == pytest.approx(dv, abs=1e-8)
 
 
+def test_boundary_degeneracies_raise():
+    # tangent line
+    v = DiscreteVarifold(2, (segment([-2, 1], [2, 1]),), ())
+    with pytest.raises(DegenerateGeometryError, match="tangent"):
+        boundary_variation(v, [0, 0], 1.0)
+    # endpoint on the sphere
+    v2 = DiscreteVarifold(2, (segment([1, 0], [3, 0]),), ())
+    with pytest.raises(DegenerateGeometryError, match="endpoint"):
+        boundary_variation(v2, [0, 0], 1.0)
+    # far endpoint on the sphere
+    v3 = DiscreteVarifold(2, (segment([3, 0], [1, 0]),), ())
+    with pytest.raises(DegenerateGeometryError, match="endpoint"):
+        boundary_variation(v3, [0, 0], 1.0)
+
+
 @pytest.mark.parametrize("pieces, message", [
-    ([segment([-2, 1], [2, 1])], "tangent"),
-    ([segment([1, 0], [3, 0])], "endpoint"),
-    ([segment([3, 0], [1, 0])], "endpoint"),  # far endpoint
     ([ray([-2, -1], [1, 0])], "tangent"),
     # a piece both tangent and ending on the sphere reports its endpoint
     ([segment([0, 1], [2, 1])], "endpoint"),
@@ -587,7 +599,7 @@ def test_boundary_atoms_reproduce_first_variation():
     ([ray([-2, -1], [1, 0]), segment([-3, 0], [3, 0]), segment([1, 0], [3, 0])],
      "endpoint"),
 ])
-def test_boundary_degeneracies_raise(pieces, message):
+def test_boundary_degeneracy_reports_first_bad_piece(pieces, message):
     v = DiscreteVarifold(2, [p for p in pieces if isinstance(p, SegmentPiece)],
                          [p for p in pieces if isinstance(p, RayPiece)])
     with pytest.raises(DegenerateGeometryError, match=message):

@@ -24,7 +24,6 @@ from .core import (
     RayPiece,
     Subspace,
     _ball_chords,
-    _piece_frame,
     _piece_rows,
     _rowdot,
     as_vector,
@@ -226,7 +225,7 @@ class _Samples(NamedTuple):
     u: np.ndarray
     w: np.ndarray
 
-    def pieces(self):
+    def per_piece(self):
         """(points, direction, cell lengths, weight) of every piece, in order."""
         ends = np.cumsum(self.counts).tolist()
         starts = [0, *ends[:-1]]
@@ -276,7 +275,7 @@ def _pair_all(samples: _Samples, battery: TestBattery) -> np.ndarray:
     else:
         contribs = np.array([
             [w * float(np.dot(lens, f.value(points, u))) for f in battery.functions]
-            for points, u, lens, w in samples.pieces()
+            for points, u, lens, w in samples.per_piece()
         ]).reshape(len(samples.counts), len(battery.functions))
     contribs.sort(axis=0)
     return np.sum(np.ascontiguousarray(contribs.T), axis=1)
@@ -585,9 +584,10 @@ def radial_projection_cap_mass(v: DiscreteVarifold, cap_direction, cap_angle: fl
     if not 0.0 < cap_angle <= math.pi:
         raise ValueError("cap angle must lie in (0, pi]")
     chat = unit(as_vector(cap_direction, dim=v.ambient_dim))
+    cos_alpha = math.cos(cap_angle)
     total = 0.0
-    for piece in v.pieces():
-        base, u, hi = _piece_frame(piece)
+    bases, dirs, his, weights = _piece_rows(v)
+    for base, u, hi, weight in zip(bases, dirs, his.tolist(), weights.tolist()):
         t_star = -float(np.dot(base, u))
         foot = base + t_star * u
         d = float(np.linalg.norm(foot))
@@ -599,18 +599,17 @@ def radial_projection_cap_mass(v: DiscreteVarifold, cap_direction, cap_angle: fl
         a = float(np.dot(u, chat))
         b = float(np.dot(what, chat))
         amp = math.hypot(a, b)
-        cos_alpha = math.cos(cap_angle)
         if amp <= abs(cos_alpha):
             if cos_alpha > 0.0:
                 continue
-            total += piece.weight * (theta_hi - theta_lo)
+            total += weight * (theta_hi - theta_lo)
             continue
         center = math.atan2(a, b)
         delta = math.acos(max(-1.0, min(1.0, cos_alpha / amp)))
         for wrap in (-2.0 * math.pi, 0.0, 2.0 * math.pi):
             lo = center - delta + wrap
             hi_arc = center + delta + wrap
-            total += piece.weight * max(0.0, min(hi_arc, theta_hi) - max(lo, theta_lo))
+            total += weight * max(0.0, min(hi_arc, theta_hi) - max(lo, theta_lo))
     return total
 
 

@@ -143,7 +143,9 @@ class RayPiece:
             raise ValueError("ray direction must be a unit vector")
 
 
-Piece = SegmentPiece | RayPiece
+class DegenerateGeometryError(ValueError):
+    """A piece degenerates under a cut: it is tangent to, or has an endpoint
+    on, a cutting sphere, or a snap collapses it onto a point."""
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -299,9 +301,6 @@ class DiscreteVarifold:
                 for o, d, w in zip(self.ray_o, self.ray_d, self.ray_w.tolist())
             ))
         return self._rays
-
-    def pieces(self) -> tuple[Piece, ...]:
-        return self.segments + self.rays
 
     @property
     def is_empty(self) -> bool:
@@ -531,32 +530,10 @@ class DensityValue:
 # Line / ball clipping
 # ---------------------------------------------------------------------------
 
-def _piece_frame(piece: Piece) -> tuple[np.ndarray, np.ndarray, float]:
-    """Return (base, unit direction, parameter upper bound) for a piece."""
-    if isinstance(piece, SegmentPiece):
-        return piece.a, piece.direction, piece.length
-    return piece.origin, piece.direction, math.inf
-
-
-def ball_interval(base: np.ndarray, direction: np.ndarray, center: np.ndarray,
-                  radius: float) -> tuple[float, float] | None:
-    """Parameter interval where base + t*direction lies in the open ball.
-
-    direction must be a unit vector; returns None when the line misses.
-    """
-    d = base - center
-    bh = float(np.dot(d, direction))
-    q = float(np.dot(d, d)) - radius * radius
-    disc = bh * bh - q
-    if disc <= 0.0:
-        return None
-    s = math.sqrt(disc)
-    return (-bh - s, -bh + s)
-
-
 def _piece_rows(v: DiscreteVarifold) -> tuple[np.ndarray, ...]:
     """(base, unit direction, parameter upper bound, weight) of every piece,
-    segments then rays, as stacked rows: the columnar form of _piece_frame."""
+    segments then rays, as stacked rows: a segment runs from seg_a along
+    seg_u up to seg_len, a ray from ray_o along ray_d without bound."""
     return (
         np.concatenate((v.seg_a, v.ray_o)),
         np.concatenate((v.seg_u, v.ray_d)),
@@ -567,9 +544,11 @@ def _piece_rows(v: DiscreteVarifold) -> tuple[np.ndarray, ...]:
 
 def _chord_rows(base: np.ndarray, u: np.ndarray, center: np.ndarray,
                 radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, (bh, disc) of ball_interval: the line base + t*u meets the
-    open ball on (-bh - sqrt(disc), -bh + sqrt(disc)) when disc > 0, and
-    -bh is its closest approach to the center.  The bits of ball_interval."""
+    """Per row, (bh, disc) of the chord of the line base + t*u (u a unit
+    vector) through the open ball: the line meets the ball on
+    (-bh - sqrt(disc), -bh + sqrt(disc)) when disc > 0 and misses it
+    otherwise, and -bh is its closest approach to the center.  Every chord
+    of a piece in the library is taken here."""
     d = base - center
     bh = _rowdot(d, u)
     return bh, bh * bh - (_rowdot(d, d) - radius * radius)
@@ -580,7 +559,7 @@ def _ball_chords(base: np.ndarray, u: np.ndarray, hi: np.ndarray, center: np.nda
     """Per row, the parameter interval (lo, up) of base + t*u, 0 <= t <= hi,
     inside the open ball, and the mask of rows whose interval is nonempty.
 
-    Row by row the bits of ball_interval clamped by max(lo, 0.0) and
+    Row by row the chord of _chord_rows clamped by max(lo, 0.0) and
     min(up, hi); lo and up are meaningless where the mask is False.
     """
     bh, disc = _chord_rows(base, u, center, radius)
@@ -613,20 +592,19 @@ def density(v: DiscreteVarifold, x) -> DensityValue:
     constant in the radius.
     """
     p = as_vector(x, dim=v.ambient_dim)
-    total = 0.0
-    for piece in v.pieces():
-        base, u, hi = _piece_frame(piece)
-        d = p - base
-        t = float(np.dot(d, u))
-        perp2 = float(np.dot(d, d)) - t * t
-        if perp2 > VERTEX_TOL * VERTEX_TOL:
-            continue
-        at_start = abs(t) <= VERTEX_TOL and float(np.linalg.norm(d)) <= VERTEX_TOL
-        at_end = math.isfinite(hi) and abs(t - hi) <= VERTEX_TOL
-        if at_start or at_end:
-            total += 0.5 * piece.weight
-        elif 0.0 < t < hi:
-            total += piece.weight
+    base, u, hi, w = _piece_rows(v)
+    d = p - base
+    t = _rowdot(d, u)
+    dd = _rowdot(d, d)
+    # an offset that overflows to NaN counts as on the line
+    on_line = ~(dd - t * t > VERTEX_TOL * VERTEX_TOL)
+    at_start = (np.abs(t) <= VERTEX_TOL) & (np.sqrt(dd) <= VERTEX_TOL)
+    at_end = np.abs(t - hi) <= VERTEX_TOL  # never at a ray, whose hi is inf
+    half = on_line & (at_start | at_end)
+    whole = on_line & ~half & (0.0 < t) & (t < hi)
+    parts = np.where(half, 0.5 * w, w)[half | whole]
+    # a running sum in piece order, as a loop of total += part gives
+    total = float(np.cumsum(parts)[-1]) if parts.size else 0.0
     return DensityValue(lower=total, upper=total, value=total)
 
 
@@ -756,42 +734,43 @@ def split_at_point(v: DiscreteVarifold, x) -> DiscreteVarifold:
 
     Endpoints within the vertex tolerance of x are snapped onto x, and every
     piece touching x is re-anchored to start there, so that dilations about
-    x keep the anchor at the exact origin.
+    x keep the anchor at the exact origin.  Raises DegenerateGeometryError
+    when a segment's start snaps onto x and its other end is x itself.
     """
-    p = as_vector(x, dim=v.ambient_dim)
-    segs: list[SegmentPiece] = []
-    rays: list[RayPiece] = []
-    for s in v.segments:
-        a, b = s.a, s.b
-        if np.linalg.norm(a - p) <= VERTEX_TOL:
-            a = p
-        if np.linalg.norm(b - p) <= VERTEX_TOL and a is not p:
-            b = p
-        if b is p and a is not p:
-            a, b = b, a
-        d = p - a
-        u = unit(b - a)
-        t = float(np.dot(d, u))
-        perp2 = float(np.dot(d, d)) - t * t
-        L = float(np.linalg.norm(b - a))
-        if perp2 <= VERTEX_TOL * VERTEX_TOL and VERTEX_TOL < t < L - VERTEX_TOL:
-            segs.append(SegmentPiece(p, a, s.weight))
-            segs.append(SegmentPiece(p, b, s.weight))
-        else:
-            segs.append(SegmentPiece(a, b, s.weight))
-    for r in v.rays:
-        o = r.origin
-        if np.linalg.norm(o - p) <= VERTEX_TOL:
-            o = p
-        d = p - o
-        t = float(np.dot(d, r.direction))
-        perp2 = float(np.dot(d, d)) - t * t
-        if perp2 <= VERTEX_TOL * VERTEX_TOL and t > VERTEX_TOL:
-            segs.append(SegmentPiece(p, o, r.weight))
-            rays.append(RayPiece(p, r.direction, r.weight))
-        else:
-            rays.append(RayPiece(o, r.direction, r.weight))
-    return DiscreteVarifold(v.ambient_dim, tuple(segs), tuple(rays))
+    n = v.ambient_dim
+    p = as_vector(x, dim=n)
+
+    def through_x(d, u):
+        # x's parameter on the line along u, d = x - base, and whether x is on it
+        t = _rowdot(d, u)
+        return t, _rowdot(d, d) - t * t <= VERTEX_TOL * VERTEX_TOL
+
+    # a snapped end becomes the start: a -> x, or (a, b) -> (x, a) when
+    # only b snaps
+    snap_a = _segment_lengths(p, v.seg_a) <= VERTEX_TOL
+    snap_b = ~snap_a & (_segment_lengths(p, v.seg_b) <= VERTEX_TOL)
+    a = np.where((snap_a | snap_b)[:, None], p, v.seg_a)
+    b = np.where(snap_b[:, None], v.seg_a, v.seg_b)
+    length = _segment_lengths(a, b)
+    if not length.all():
+        raise DegenerateGeometryError("a segment collapses onto the split point")
+    t, on = through_x(p - a, (b - a) / length[:, None])
+    split = on & (VERTEX_TOL < t) & (t < length - VERTEX_TOL)
+    # segments in order, each as (a, b), or as (x, a) then (x, b) when split
+    starts = np.stack((np.where(split[:, None], p, a), np.broadcast_to(p, a.shape)), 1)
+    stops = np.stack((np.where(split[:, None], a, b), b), 1)
+    slots = np.stack((np.ones_like(split), split), 1)
+    o = np.where((_segment_lengths(p, v.ray_o) <= VERTEX_TOL)[:, None], p, v.ray_o)
+    t, on = through_x(p - o, v.ray_d)
+    tail = on & (t > VERTEX_TOL)
+    # a split ray leaves the segment (x, o), after every segment, and the
+    # ray from x
+    return DiscreteVarifold._from_columns(
+        n, np.concatenate((starts[slots], np.broadcast_to(p, o[tail].shape))),
+        np.concatenate((stops[slots], o[tail])),
+        np.concatenate((np.repeat(v.seg_w, 2)[slots.ravel()], v.ray_w[tail])),
+        np.where(tail[:, None], p, o), v.ray_d, v.ray_w,
+    )
 
 
 def piece_ends(v: DiscreteVarifold) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -16,13 +16,12 @@ from typing import Callable
 import numpy as np
 
 from .core import (
+    DegenerateGeometryError,
     DiscreteVarifold,
     _chord_rows,
-    _piece_frame,
     _piece_rows,
     _rowdot,
     as_vector,
-    ball_interval,
     group_ends,
     piece_ends,
     unit,
@@ -31,10 +30,6 @@ from .core import (
 
 # smallest normal float: a squared norm below it has lost precision
 _TINY = np.finfo(float).tiny
-
-
-class DegenerateGeometryError(ValueError):
-    """A piece is tangent to, or has an endpoint on, the cutting sphere."""
 
 
 @dataclass(frozen=True)
@@ -49,7 +44,8 @@ class VariationAtom:
         object.__setattr__(self, "location", as_vector(self.location))
         object.__setattr__(self, "omega", as_vector(self.omega, dim=self.location.shape[0]))
         object.__setattr__(self, "mass", float(self.mass))
-        if abs(float(np.dot(self.omega, self.omega)) - 1.0) > 1e-10:
+        # written so that a NaN omega fails too
+        if not abs(float(np.dot(self.omega, self.omega)) - 1.0) <= 1e-10:
             raise ValueError("omega must be a unit vector")
         if self.mass <= 0.0:
             raise ValueError("atom mass must be positive")
@@ -267,11 +263,10 @@ def first_variation(v: DiscreteVarifold, g: TestField) -> float:
     if g.ambient_dim != v.ambient_dim:
         raise ValueError("field dimension does not match the varifold")
     total = 0.0
-    for s in v.segments:
-        u = s.direction
-        total += s.weight * float(np.dot(g.evaluate(s.b) - g.evaluate(s.a), u))
-    for r in v.rays:
-        total += -r.weight * float(np.dot(g.evaluate(r.origin), r.direction))
+    for a, b, u, w in zip(v.seg_a, v.seg_b, v.seg_u, v.seg_w.tolist()):
+        total += w * float(np.dot(g.evaluate(b) - g.evaluate(a), u))
+    for o, u, w in zip(v.ray_o, v.ray_d, v.ray_w.tolist()):
+        total += -w * float(np.dot(g.evaluate(o), u))
     return total
 
 
@@ -284,28 +279,34 @@ def first_variation_quadrature(v: DiscreteVarifold, g: TestField,
     """
     if nodes % 2 == 0:
         nodes += 1
+    bases, dirs, _, weights = _piece_rows(v)
+    # a ray is integrated up to its exit from the support ball
+    bh, disc = _chord_rows(v.ray_o, v.ray_d, g.support_center, g.support_radius)
+    hit = disc > 0.0
+    exits = np.where(hit, -bh + np.sqrt(np.where(hit, disc, 0.0)), 0.0)
+    his = np.concatenate((v.seg_len, exits))
+    simpson = np.ones(nodes)
+    simpson[1:-1:2] = 4.0
+    simpson[2:-1:2] = 2.0
     total = 0.0
-    for piece in v.pieces():
-        base, u, hi = _piece_frame(piece)
-        if math.isinf(hi):
-            # a ray is integrated up to its exit from the support ball
-            iv = ball_interval(base, u, g.support_center, g.support_radius)
-            hi = 0.0 if iv is None else max(iv[1], 0.0)
+    for base, u, hi, w in zip(bases, dirs, his.tolist(), weights.tolist()):
         if hi <= 0.0:
             continue
         t = np.linspace(0.0, hi, nodes)
         vals = g.divergence_batch(base + t[:, None] * u, u)
-        w = np.ones(nodes)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
         h = hi / (nodes - 1)
-        total += piece.weight * float(np.dot(w, vals)) * h / 3.0
+        total += w * float(np.dot(simpson, vals)) * h / 3.0
     return total
 
 
 def _vertex_forces(v: DiscreteVarifold) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(points, residuals, norms): one row per vertex of v, in the order of
-    the vertices' first ends; see vertex_residuals."""
+    the vertices' first ends; see vertex_residuals.
+
+    A vertex whose sum overflows is summed again with its weights scaled by
+    2^-64, which is exact, and scaled back.  Where the norm is still inf,
+    the row keeps the scaled sum, which carries the residual's direction.
+    """
     points, away, weights = piece_ends(v)
     labels = group_ends(points)
     # labels already name each vertex by its first end; np.unique would
@@ -314,8 +315,18 @@ def _vertex_forces(v: DiscreteVarifold) -> tuple[np.ndarray, np.ndarray, np.ndar
     first = np.flatnonzero(is_first)
     vertex = (np.cumsum(is_first) - 1)[labels]
     residual = np.zeros((len(first), v.ambient_dim))
-    np.add.at(residual, vertex, weights[:, None] * away)
-    return points[first], residual, _row_norms(residual)
+    with np.errstate(over="ignore"):
+        np.add.at(residual, vertex, weights[:, None] * away)
+    norms = _row_norms(residual)
+    big = ~np.isfinite(residual).all(axis=1)
+    if big.any():
+        ends = big[vertex]
+        residual[big] = 0.0
+        np.add.at(residual, vertex[ends], (weights[ends] * 2.0**-64)[:, None] * away[ends])
+        with np.errstate(over="ignore"):
+            norms[big] = _row_norms(residual[big]) * 2.0**64
+        residual[big & (norms < math.inf)] *= 2.0**64
+    return points[first], residual, norms
 
 
 def _row_norms(r: np.ndarray) -> np.ndarray:
@@ -358,9 +369,10 @@ def vertex_residuals(v: DiscreteVarifold, tol: float = 1e-12) -> list[VariationA
     keep = np.flatnonzero(norms > tol)
     r, m = residual[keep], norms[keep]
     omega = -r / m[:, None]
-    # a subnormal residual has too few bits to divide by its norm; take its
-    # direction from the row scaled to its largest entry
-    sub = np.flatnonzero(m < _TINY)
+    # a subnormal residual has too few bits to divide by its norm, and the
+    # row of an infinite one is its scaled re-sum; take their directions
+    # from the row scaled to its largest entry
+    sub = np.flatnonzero((m < _TINY) | (m == math.inf))
     if sub.size:
         scaled = r[sub] / np.max(np.abs(r[sub]), axis=1)[:, None]
         omega[sub] = -scaled / np.sqrt(_rowdot(scaled, scaled))[:, None]

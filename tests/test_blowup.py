@@ -41,15 +41,15 @@ from varifold_lab.blowup import (
 )
 from varifold_lab.core import (
     RayPiece,
-    _piece_frame,
     as_vector,
-    ball_interval,
     incident_rays,
     split_at_point,
 )
 from varifold_lab.core import unit as core_unit
 from varifold_lab.fixtures import full_line, random_subspace, y_junction
 from varifold_lab.variation import _plateau
+
+from piece_reference import ball_interval, piece_frame
 
 
 def unit(v):
@@ -155,8 +155,8 @@ def _reference_piece_samples(v, radius, cells):
     per-piece loop the batched _piece_samples replaced)."""
     h = radius / cells
     out = []
-    for piece in v.pieces():
-        base, u, hi = _piece_frame(piece)
+    for piece in v.segments + v.rays:
+        base, u, hi = piece_frame(piece)
         iv = ball_interval(base, u, np.zeros(v.ambient_dim), radius)
         if iv is None:
             continue
@@ -381,7 +381,7 @@ def test_piece_samples_match_reference_bitwise():
     for v in _sampling_cases():
         for radius, cells in ((1.0, 256), (0.7, 33), (2.5, 1000)):
             ref = _reference_piece_samples(v, radius, cells)
-            got = list(_piece_samples(v, radius, cells).pieces())
+            got = list(_piece_samples(v, radius, cells).per_piece())
             assert len(got) == len(ref)
             for (p1, u1, l1, w1), (p2, u2, l2, w2) in zip(ref, got):
                 assert p1.tobytes() == p2.tobytes()
@@ -582,6 +582,55 @@ def test_radial_cap_mass_full_line_is_pi():
     assert radial_projection_cap_mass(v, [0, 0, 1.0], math.pi) == pytest.approx(
         math.pi, abs=1e-12
     )
+
+
+def _reference_cap_mass(v, cap_direction, cap_angle):
+    """Radial cap mass piece by piece: the loop over piece objects that the
+    row loop replaced, kept as its reference."""
+    chat = core_unit(as_vector(cap_direction, dim=v.ambient_dim))
+    total = 0.0
+    for piece in v.segments + v.rays:
+        base, u, hi = piece_frame(piece)
+        t_star = -float(np.dot(base, u))
+        foot = base + t_star * u
+        d = float(np.linalg.norm(foot))
+        if d <= 1e-12:
+            continue
+        what = foot / d
+        theta_lo = math.atan2(0.0 - t_star, d)
+        theta_hi = math.pi / 2.0 if math.isinf(hi) else math.atan2(hi - t_star, d)
+        a = float(np.dot(u, chat))
+        b = float(np.dot(what, chat))
+        amp = math.hypot(a, b)
+        cos_alpha = math.cos(cap_angle)
+        if amp <= abs(cos_alpha):
+            if cos_alpha > 0.0:
+                continue
+            total += piece.weight * (theta_hi - theta_lo)
+            continue
+        center = math.atan2(a, b)
+        delta = math.acos(max(-1.0, min(1.0, cos_alpha / amp)))
+        for wrap in (-2.0 * math.pi, 0.0, 2.0 * math.pi):
+            lo = center - delta + wrap
+            hi_arc = center + delta + wrap
+            total += piece.weight * max(0.0, min(hi_arc, theta_hi) - max(lo, theta_lo))
+    return total
+
+
+def test_radial_cap_mass_matches_piece_loop_bitwise():
+    rng = np.random.default_rng(31)
+    cases = _sampling_cases() + [
+        # pieces through the origin have no image
+        full_line([0.0, 0.0, 0.0], [0.3, -0.2, 0.93]),
+        y_junction(3, arm_length=0.5),
+        dense_lines_fixture(16, seed=2, ambient_dim=3),
+    ]
+    for v in cases:
+        for angle in (0.3, 0.6, math.pi / 2.0, 2.5, math.pi):
+            cap = rng.normal(size=v.ambient_dim)
+            got = radial_projection_cap_mass(v, cap, angle)
+            assert np.float64(got).tobytes() == np.float64(
+                _reference_cap_mass(v, cap, angle)).tobytes()
 
 
 def test_growth_table_is_monotone_and_grows():

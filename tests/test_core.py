@@ -17,6 +17,7 @@ from varifold_lab import (
     circle_grid,
     conic_atoms,
     conic_to_discrete,
+    dense_lines_fixture,
     density,
     dilate,
     mass,
@@ -25,14 +26,18 @@ from varifold_lab import (
 )
 from varifold_lab.core import (
     SLIVER_TOL,
-    _piece_frame,
+    VERTEX_TOL,
+    DegenerateGeometryError,
+    _chord_rows,
     _piece_rows,
     _rowdot,
-    ball_interval,
     piece_ends,
     split_at_point,
+    unit,
 )
-from varifold_lab.fixtures import random_varifold
+from varifold_lab.fixtures import random_stationary_network, random_varifold, y_junction
+
+from piece_reference import ball_interval, piece_frame
 
 
 def segment(a, b, w=1.0):
@@ -365,7 +370,12 @@ def test_mass_additivity_disjoint_balls():
     assert a + b == pytest.approx(2.0, abs=1e-14)
 
 
-def test_ball_interval_misses():
+def test_chord_rows_miss():
+    # a line at distance 2 from the unit ball's center, one tangent to it and
+    # one through it: only the last has a chord
+    bh, disc = _chord_rows(np.array([[0.0, 2.0], [0.0, 1.0], [0.0, 0.5]]),
+                           np.array([[1.0, 0.0]] * 3), np.zeros(2), 1.0)
+    assert list(disc <= 0.0) == [True, True, False]
     assert ball_interval(np.array([0.0, 2.0]), np.array([1.0, 0.0]),
                          np.array([0.0, 0.0]), 1.0) is None
 
@@ -469,8 +479,8 @@ def test_from_columns_applies_piece_checks(edits, message):
 
 def _reference_mass(v, center, radius):
     total = 0.0
-    for piece in v.pieces():
-        base, u, hi = _piece_frame(piece)
+    for piece in v.segments + v.rays:
+        base, u, hi = piece_frame(piece)
         iv = ball_interval(base, u, np.asarray(center, float), radius)
         if iv is None:
             continue
@@ -489,8 +499,8 @@ def _reference_restrict(v, center, radius, keep):
         if hi - lo > SLIVER_TOL:
             segs.append(SegmentPiece(base + lo * u, base + hi * u, w))
 
-    for piece in v.pieces():
-        base, u, hi = _piece_frame(piece)
+    for piece in v.segments + v.rays:
+        base, u, hi = piece_frame(piece)
         iv = ball_interval(base, u, c, radius)
         inside = None
         if iv is not None:
@@ -565,6 +575,127 @@ def test_restrict_edge_cases_match_piece_loop_bitwise():
         got = restrict(v, [0.0, 0.0], 1.0, keep)
         assert (len(got.segments), len(got.rays)) == counts
         assert _piece_bytes(got) == _piece_bytes(_reference_restrict(v, [0.0, 0.0], 1.0, keep))
+
+
+def _reference_density(v, x):
+    p = np.asarray(x, float)
+    total = 0.0
+    for piece in v.segments + v.rays:
+        base, u, hi = piece_frame(piece)
+        d = p - base
+        t = float(np.dot(d, u))
+        perp2 = float(np.dot(d, d)) - t * t
+        if perp2 > VERTEX_TOL * VERTEX_TOL:
+            continue
+        at_start = abs(t) <= VERTEX_TOL and float(np.linalg.norm(d)) <= VERTEX_TOL
+        at_end = math.isfinite(hi) and abs(t - hi) <= VERTEX_TOL
+        if at_start or at_end:
+            total += 0.5 * piece.weight
+        elif 0.0 < t < hi:
+            total += piece.weight
+    return total
+
+
+def _reference_split(v, x):
+    p = np.array(x, float)
+    segs, rays = [], []
+    for s in v.segments:
+        a, b = s.a, s.b
+        if np.linalg.norm(a - p) <= VERTEX_TOL:
+            a = p
+        if np.linalg.norm(b - p) <= VERTEX_TOL and a is not p:
+            b = p
+        if b is p and a is not p:
+            a, b = b, a
+        d = p - a
+        u = unit(b - a)
+        t = float(np.dot(d, u))
+        perp2 = float(np.dot(d, d)) - t * t
+        L = float(np.linalg.norm(b - a))
+        if perp2 <= VERTEX_TOL * VERTEX_TOL and VERTEX_TOL < t < L - VERTEX_TOL:
+            segs.append(SegmentPiece(p, a, s.weight))
+            segs.append(SegmentPiece(p, b, s.weight))
+        else:
+            segs.append(SegmentPiece(a, b, s.weight))
+    for r in v.rays:
+        o = r.origin
+        if np.linalg.norm(o - p) <= VERTEX_TOL:
+            o = p
+        d = p - o
+        t = float(np.dot(d, r.direction))
+        perp2 = float(np.dot(d, d)) - t * t
+        if perp2 <= VERTEX_TOL * VERTEX_TOL and t > VERTEX_TOL:
+            segs.append(SegmentPiece(p, o, r.weight))
+            rays.append(RayPiece(p, r.direction, r.weight))
+        else:
+            rays.append(RayPiece(o, r.direction, r.weight))
+    return DiscreteVarifold(v.ambient_dim, tuple(segs), tuple(rays))
+
+
+def _column_bytes(v):
+    return [(getattr(v, name).shape, getattr(v, name).tobytes()) for name in (
+        "seg_a", "seg_b", "seg_w", "seg_u", "seg_len", "ray_o", "ray_d", "ray_w")]
+
+
+def _probe_points(v, rng):
+    """Piece ends, points 5e-10 and 2e-9 from them, points inside pieces
+    and just off them, points on the piece lines 5e-10, 1.2e-9 and 2e-9
+    from the ends, and random points."""
+    n = v.ambient_dim
+    ends = np.concatenate((v.seg_a, v.seg_b, v.ray_o))
+    along = np.concatenate((v.seg_u, -v.seg_u, v.ray_d))
+    inside = np.concatenate((v.seg_a + rng.uniform(0.1, 0.9, (len(v.seg_w), 1)) * (v.seg_b - v.seg_a),
+                             v.ray_o + rng.uniform(0.1, 3.0, (len(v.ray_w), 1)) * v.ray_d))
+    points = [ends, inside, rng.uniform(-1.5, 1.5, (4, n))]
+    for eps in (5e-10, 2e-9):
+        for base in (ends, inside):
+            off = rng.normal(size=base.shape)
+            points.append(base + eps * off / np.linalg.norm(off, axis=1)[:, None])
+    points += [ends + eps * along for eps in (5e-10, 1.2e-9, 2e-9)]
+    return np.concatenate(points)
+
+
+def _split_cases():
+    rng = np.random.default_rng(14)
+    cases = _column_cases()
+    cases += [random_stationary_network(rng, n, n_vertices=int(rng.integers(1, 5)))
+              for n in (2, 3, 4) for _ in range(3)]
+    cases += [dense_lines_fixture(k, seed=k, ambient_dim=n) for n in (2, 3) for k in (3, 12)]
+    cases += [y_junction(2), y_junction(3, arm_length=0.75)]
+    # ends within the tolerance of each other, so that a probe snaps one end
+    # or both; the second case collapses at its far end
+    cases.append(DiscreteVarifold(
+        2, (segment([0.0, 0.0], [5e-10, 0.0]), segment([1.0, 1.0], [1.0, 1.0 + 2e-9], 0.5),
+            segment([-1.0, 0.0], [0.0, 0.0], 2.0)),
+        (ray([5e-10, 0.0], [1.0, 0.0]), ray([0.0, 0.0], [-1.0, 0.0], 0.7)),
+    ))
+    cases.append(DiscreteVarifold(
+        2, (segment([0.0, 0.0], [1e-10, 0.0]),),
+        (ray([1e-10, 0.0], [1.0, 0.0]), ray([0.0, 0.0], [-1.0, 0.0])),
+    ))
+    return cases, rng
+
+
+def test_split_and_density_match_piece_loops_bitwise():
+    cases, rng = _split_cases()
+    split = collapsed = 0
+    for v in cases:
+        for x in _probe_points(v, rng):
+            assert np.float64(density(v, x).value).tobytes() == np.float64(
+                _reference_density(v, x)).tobytes()
+            try:
+                want = _reference_split(v, x)
+            except ValueError as exc:
+                # the one intended change: a collapsing snap is a typed error
+                assert str(exc) == "cannot normalize the zero vector"
+                with pytest.raises(DegenerateGeometryError, match="collapses"):
+                    split_at_point(v, x)
+                collapsed += 1
+                continue
+            got = split_at_point(v, x)
+            assert _column_bytes(got) == _column_bytes(want)
+            split += len(got.seg_w) > len(v.seg_w)
+    assert split > 100 and collapsed > 0
 
 
 _box = st.floats(-1.0, 1.0, allow_nan=False)

@@ -249,6 +249,19 @@ def test_blowup_cli_zero_density_is_domain_error(tmp_path, monkeypatch):
     assert status == 1
 
 
+def test_blowup_cli_collapsing_segment_is_domain_error(tmp_path, monkeypatch, capsys):
+    # the segment's start snaps onto the point, which is its other end
+    monkeypatch.chdir(tmp_path)
+    v = DiscreteVarifold(2, (SegmentPiece([0, 0], [1e-10, 0], 1.0),),
+                         (RayPiece([1e-10, 0], [1, 0], 1.0), RayPiece([0, 0], [-1, 0], 1.0)))
+    save_varifold("v.json", discrete=v)
+    status, _ = run(["blowup", "v.json", "--point", "1e-10,0", "--lambdas", "0.5,0.25"])
+    assert status == 1
+    assert capsys.readouterr().err == (
+        "DegenerateGeometryError: a segment collapses onto the split point\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["v.json"]
+
+
 def test_fixture_cli(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     status, _ = run(["fixture", "dense-lines", "--k", "6", "--seed", "2", "--out", "dl"])
@@ -416,6 +429,20 @@ def test_check_stationary_tiny_and_huge_weights(tmp_path, monkeypatch, capsys, w
     worst = float(out[0].removeprefix("max residual mass: "))
     assert abs(worst - w * math.sqrt(2.0)) <= 1e-15 * w * math.sqrt(2.0)
     assert len(out) == 3
+
+
+def test_check_stationary_overflowing_residual(tmp_path, monkeypatch, capsys):
+    # two ends of weight 1e308 along e1 overflow the residual sum
+    monkeypatch.chdir(tmp_path)
+    rays = tuple(RayPiece([0, 0], d, 1e308) for d in ([1, 0], [1, 0], [0, 1]))
+    save_varifold("v.json", discrete=DiscreteVarifold(2, (), rays))
+    assert run(["check-stationary", "v.json", "--tol", "0", "--out", "r.csv"])[0] == 0
+    assert capsys.readouterr().out == "max residual mass: inf\n"
+    header, row = Path("r.csv").read_text().strip().splitlines()
+    assert "nan" not in row
+    omega = np.array([float(c) for c in row.split(",")[2:4]])
+    assert abs(float(np.dot(omega, omega)) - 1.0) <= 1e-15
+    assert row.split(",")[-1] == "inf"
 
 
 def test_fixture_dense_lines_negative_seed(tmp_path, monkeypatch, capsys):

@@ -22,7 +22,7 @@ from varifold_lab import (
     vertex_residuals,
     weighted_projection,
 )
-from varifold_lab.core import VERTEX_TOL, ball_interval, group_ends, unit
+from varifold_lab.core import VERTEX_TOL, group_ends, unit
 from varifold_lab.fixtures import (
     full_line,
     random_stationary_network,
@@ -31,6 +31,8 @@ from varifold_lab.fixtures import (
     y_junction,
 )
 from varifold_lab.variation import VariationAtom, _row_norms, rotation_field
+
+from piece_reference import ball_interval
 
 
 def segment(a, b, w=1.0):
@@ -118,13 +120,25 @@ def _unit(rng, n):
     return v / np.linalg.norm(v)
 
 
+def _reference_first_variation(v, g):
+    """The endpoint formula piece by piece: the loop over piece objects
+    that the column loop replaced, kept as its reference."""
+    total = 0.0
+    for s in v.segments:
+        u = s.direction
+        total += s.weight * float(np.dot(g.evaluate(s.b) - g.evaluate(s.a), u))
+    for r in v.rays:
+        total += -r.weight * float(np.dot(g.evaluate(r.origin), r.direction))
+    return total
+
+
 def _reference_quadrature(v, g, nodes):
-    """Composite Simpson with per-type piece frames: the loop that
-    core._piece_frame replaced, kept as its reference."""
+    """Composite Simpson with per-type piece frames and a scalar chord per
+    ray: the loop that the column loop replaced, kept as its reference."""
     if nodes % 2 == 0:
         nodes += 1
     total = 0.0
-    for piece in v.pieces():
+    for piece in v.segments + v.rays:
         if isinstance(piece, SegmentPiece):
             base, u, hi = piece.a, piece.direction, piece.length
         else:
@@ -145,11 +159,11 @@ def _reference_quadrature(v, g, nodes):
 
 
 def _reference_boundary(v, y, r, tangency_tol=1e-9):
-    """Sphere crossings with per-type piece frames: the loop that
-    core._piece_frame replaced, kept as its reference."""
+    """Sphere crossings with per-type piece frames: the loop that the
+    columnar boundary_variation replaced, kept as its reference."""
     c = np.asarray(y, dtype=float)
     atoms = []
-    for piece in v.pieces():
+    for piece in v.segments + v.rays:
         if isinstance(piece, SegmentPiece):
             base, u, hi = piece.a, piece.direction, piece.length
             endpoints = (piece.a, piece.b)
@@ -198,6 +212,8 @@ def test_piece_frames_match_type_branches_bitwise():
                   linear_field(center, radius, rng.normal(size=(n, n)))):
             got = first_variation_quadrature(v, g, nodes=201)
             assert _float_bytes(got) == _float_bytes(_reference_quadrature(v, g, 201))
+            assert _float_bytes(first_variation(v, g)) == _float_bytes(
+                _reference_first_variation(v, g))
         y, r = rng.uniform(-1, 1, n), float(rng.uniform(0.3, 2.0))
         try:
             want = _reference_boundary(v, y, r)
@@ -230,7 +246,8 @@ def test_boundary_variation_matches_reference_bitwise(seed, n, case):
         r = float(np.linalg.norm(ends[rng.integers(len(ends))] - y))
     elif case == "tangent":
         # the sphere touches some piece at an interior point
-        piece = v.pieces()[rng.integers(len(v.pieces()))]
+        pieces = v.segments + v.rays
+        piece = pieces[rng.integers(len(pieces))]
         if isinstance(piece, SegmentPiece):
             foot = piece.a + rng.uniform(0.0, piece.length) * piece.direction
         else:
@@ -382,6 +399,34 @@ def test_subnormal_residual_has_a_unit_direction():
     assert 0.0 < atom.mass < np.finfo(float).tiny
     assert abs(float(np.dot(atom.omega, atom.omega)) - 1.0) <= 1e-15
     assert np.allclose(atom.omega, -unit(np.array([1.0, 3.0])), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("dirs,mass", [
+    # two of the three ends sum to inf: the direction comes from the vertex
+    # summed again with scaled weights, and the mass stays inf
+    ([[1, 0], [1, 0], [0, 1]], math.inf),
+    # a partial sum overflows but the ends cancel, wholly or down to one
+    ([[1, 0], [1, 0], [-1, 0], [-1, 0]], None),
+    ([[1, 0], [1, 0], [-1, 0]], 1e308),
+])
+def test_overflowing_residual_has_a_unit_direction(dirs, mass):
+    v = DiscreteVarifold(2, (), tuple(ray([0, 0], d, 1e308) for d in dirs))
+    atoms = vertex_residuals(v, 0.0)
+    assert is_stationary(v, 1.0) == (mass is None, mass or 0.0)
+    if mass is None:
+        assert atoms == []
+        return
+    [atom] = atoms
+    assert atom.mass == mass
+    assert abs(float(np.dot(atom.omega, atom.omega)) - 1.0) <= 1e-15
+    expected = -unit(np.sum(np.array(dirs, float), axis=0))
+    assert np.allclose(atom.omega, expected, rtol=0, atol=1e-15)
+
+
+def test_variation_atom_rejects_nan_omega():
+    for omega in ([math.nan, 0.0], [math.nan, math.nan], [2.0, 0.0]):
+        with pytest.raises(ValueError, match="unit vector"):
+            VariationAtom([0.0, 0.0], omega, 1.0)
 
 
 def test_is_stationary_builds_no_atoms(monkeypatch):

@@ -205,12 +205,13 @@ class DiscreteVarifold:
       the bits of SegmentPiece.direction and SegmentPiece.length;
     - ray_o, ray_d (m, n): ray origins and unit directions; ray_w (m,).
 
-    segments and rays are tuples of piece objects, built from the columns
-    on first access.  Values are immutable after construction.
+    segments and rays are tuples of piece objects, and _piece_rows the
+    stacked rows of every piece, built from the columns on first access.
+    Values are immutable after construction.
     """
 
     __slots__ = ("ambient_dim", "seg_a", "seg_b", "seg_w", "seg_u", "seg_len",
-                 "ray_o", "ray_d", "ray_w", "_segments", "_rays")
+                 "ray_o", "ray_d", "ray_w", "_segments", "_rays", "_stacked")
 
     def __init__(self, ambient_dim: int, segments: Iterable[SegmentPiece] = (),
                  rays: Iterable[RayPiece] = ()):
@@ -242,7 +243,7 @@ class DiscreteVarifold:
         for name, value in (
             ("ambient_dim", n), ("seg_a", seg_a), ("seg_b", seg_b), ("seg_w", seg_w),
             ("seg_u", seg_u), ("seg_len", seg_len), ("ray_o", ray_o), ("ray_d", ray_d),
-            ("ray_w", ray_w), ("_segments", None), ("_rays", None),
+            ("ray_w", ray_w), ("_segments", None), ("_rays", None), ("_stacked", None),
         ):
             object.__setattr__(self, name, value)
 
@@ -532,14 +533,20 @@ class DensityValue:
 
 def _piece_rows(v: DiscreteVarifold) -> tuple[np.ndarray, ...]:
     """(base, unit direction, parameter upper bound, weight) of every piece,
-    segments then rays, as stacked rows: a segment runs from seg_a along
-    seg_u up to seg_len, a ray from ray_o along ray_d without bound."""
-    return (
-        np.concatenate((v.seg_a, v.ray_o)),
-        np.concatenate((v.seg_u, v.ray_d)),
-        np.concatenate((v.seg_len, np.full(len(v.ray_w), math.inf))),
-        np.concatenate((v.seg_w, v.ray_w)),
-    )
+    segments then rays, as stacked read-only rows: a segment runs from seg_a
+    along seg_u up to seg_len, a ray from ray_o along ray_d without bound.
+    Built once per varifold."""
+    if v._stacked is None:
+        rows = (
+            np.concatenate((v.seg_a, v.ray_o)),
+            np.concatenate((v.seg_u, v.ray_d)),
+            np.concatenate((v.seg_len, np.full(len(v.ray_w), math.inf))),
+            np.concatenate((v.seg_w, v.ray_w)),
+        )
+        for arr in rows:
+            arr.setflags(write=False)
+        object.__setattr__(v, "_stacked", rows)
+    return v._stacked
 
 
 def _chord_rows(base: np.ndarray, u: np.ndarray, center: np.ndarray,

@@ -737,3 +737,22 @@ def test_dilation_scales_ball_mass(v, data, lam, r):
     lhs = mass(dilate(v, x, lam), c, r)
     rhs = mass(v, x + lam * c, lam * r) / lam
     assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
+
+
+def test_piece_rows_are_built_once_and_read_only():
+    v = random_stationary_network(np.random.default_rng(61), 3, 12)
+    rows = _piece_rows(v)
+    assert _piece_rows(v) is rows
+    want = (
+        np.concatenate((v.seg_a, v.ray_o)),
+        np.concatenate((v.seg_u, v.ray_d)),
+        np.concatenate((v.seg_len, np.full(len(v.ray_w), math.inf))),
+        np.concatenate((v.seg_w, v.ray_w)),
+    )
+    for got, expect in zip(rows, want):
+        assert got.tobytes() == expect.tobytes()
+        assert not got.flags.writeable
+    # a copy made by pickling builds its own rows
+    clone = pickle.loads(pickle.dumps(v))
+    assert _piece_rows(clone) is not rows
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(_piece_rows(clone), rows))

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -23,10 +24,13 @@ from varifold_lab import (
     locate_marginal_atoms,
     marginal_direction_battery,
     reconstruct_conic,
+    reconstruct_from_marginals,
     reconstruct_plane_measure,
 )
 from varifold_lab.fixtures import balanced_y_cone, random_conic
-from varifold_lab.tomography import PlaneMeasure
+from varifold_lab.tomography import CoverageGap, PlaneMeasure
+
+import tomography_reference as ref
 
 
 def unit(v):
@@ -413,6 +417,16 @@ def test_oracle_rejects_mismatched_shapes():
             oracle(*args)
 
 
+@functools.lru_cache(maxsize=None)
+def _criterion_7_cones():
+    rng = np.random.default_rng(7077)
+    return tuple(
+        random_conic(rng, 3, n_atoms=int(rng.integers(1, 11)), min_separation=1e-3,
+                     mass_range=(0.1, 2.0))
+        for _ in range(100)
+    )
+
+
 def _reference_locate(oracle, v, xi, lam_max, width_target=1e-10, mass_tol=1e-9,
                       max_depth=80):
     """One marginal at a time, one-pair oracle calls: the bisection loop that
@@ -456,13 +470,250 @@ def test_batched_location_is_bitwise_the_per_marginal_loop():
 
     pairs = _default_pairs(3)
     lam_max = 2.0 / 1e-6
-    rng = np.random.default_rng(7077)
-    for i in range(100):
-        k = int(rng.integers(1, 11))
-        cone = random_conic(rng, 3, n_atoms=k, min_separation=1e-3, mass_range=(0.1, 2.0))
+    for i, cone in enumerate(_criterion_7_cones()):
         batched = _locate_atoms(BandOracle(cone), pairs, lam_max)
         oracle = BandOracle(cone)
         for (v, xi), got in zip(pairs, batched):
             want = _reference_locate(oracle, v, xi, lam_max)
             assert got.coordinates.tobytes() == want.coordinates.tobytes(), i
             assert got.masses.tobytes() == want.masses.tobytes(), i
+
+
+# ---------------------------------------------------------------------------
+# three-level location and the array solve, against the level-by-level code
+# ---------------------------------------------------------------------------
+
+class _WidthRecorder:
+    """A BandOracle that records the band widths of every multi-pair call."""
+
+    def __init__(self, cone):
+        self.oracle = BandOracle(cone)
+        self.widths = []
+
+    def __call__(self, v, xi, bands):
+        if np.ndim(v) == 2:
+            self.widths.append(np.diff(bands, axis=1)[:, 0])
+        return self.oracle(v, xi, bands)
+
+
+# From [-2e6, 2e6] a band is 4e6 / 2^depth wide.  Width targets 2e5 and 4e5
+# stop bands at depths 5 and 4, inside a three-level chunk; with 0.0 only the
+# float-resolution rule stops a band, at a depth set by its position, so one
+# call holds both three-level and one-level bands.
+@pytest.mark.parametrize("max_depth, width_target", [
+    (1, 1e-10), (2, 1e-10), (4, 1e-10), (5, 1e-10), (80, 1e-10),
+    (80, 2e5), (80, 4e5), (5, 4e5), (80, 0.0),
+])
+def test_three_level_location_matches_level_by_level(max_depth, width_target):
+    from varifold_lab.tomography import _locate_atoms
+
+    pairs = _default_pairs(3)
+    lam_max = 2.0 / 1e-6
+    mixed = False
+    for i, cone in enumerate(_criterion_7_cones()):
+        oracle = _WidthRecorder(cone)
+        got = _locate_atoms(oracle, pairs, lam_max, width_target, max_depth=max_depth)
+        want = ref.locate_atoms(BandOracle(cone), pairs, lam_max, width_target,
+                                max_depth=max_depth)
+        for g, w in zip(got, want, strict=True):
+            assert g.coordinates.tobytes() == w.coordinates.tobytes(), i
+            assert g.masses.tobytes() == w.masses.tobytes(), i
+        mixed |= any(width.max() >= 2.0 * width.min() for width in oracle.widths)
+    assert mixed == (width_target == 0.0)
+
+
+def test_nothing_to_locate_reconstructs_the_empty_cone():
+    # every band dies at the first call, or there is no marginal at all
+    for cone, normals in ((ConicVarifold(3), None), (balanced_y_cone(), [])):
+        recon = reconstruct_conic(BandOracle(cone), 3, normals=normals)
+        assert recon.n_atoms == 0
+
+
+def test_default_reconstruction_makes_at_most_20_multi_pair_calls():
+    # 56 bisection levels reach 1e-10 from [-2e6, 2e6]: one call per level
+    # made 56 calls, three levels per call make 18 plus 2 one-level calls
+    oracle = BandOracle(balanced_y_cone())
+    calls = []
+
+    def counting(v, xi, bands):
+        if np.ndim(v) == 2:
+            calls.append(len(bands))
+        return oracle(v, xi, bands)
+
+    recon = reconstruct_conic(counting, 3)
+    assert recon.n_atoms == 3
+    assert 0 < len(calls) <= 20
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    pair=st.integers(0, 27),
+    s=st.floats(-20.0, 20.0),
+    width=st.floats(1e-12, 40.0),
+    cuts=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+)
+def test_sub_band_mass_never_exceeds_the_band(seed, pair, s, width, cuts):
+    # the contract three-level location rests on, bit for bit in both forms
+    cone = random_conic(np.random.default_rng(seed), 3, n_atoms=1 + seed % 10)
+    v, xi = _default_pairs(3)[pair]
+    t = s + width
+    lo, hi = sorted(min(max(s + c * (t - s), s), t) for c in cuts)
+    edges = [s, t]
+    for _ in range(3):  # the nested midpoints of three bisection levels
+        edges = sorted(edges + [0.5 * (a + b) for a, b in zip(edges, edges[1:])])
+    bands = np.array([[s, t], [lo, hi]] + list(zip(edges, edges[1:])))
+    for got in (BandOracle(cone)(v, xi, bands),
+                BandOracle(cone)(np.tile(v, (len(bands), 1)), np.tile(xi, (len(bands), 1)),
+                                 bands)):
+        assert np.all(got[1:] <= got[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    groups=st.lists(st.tuples(
+        st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0])),
+        st.integers(1, 12),
+        st.floats(0.0, 0.45),
+    ), max_size=8),
+    order=st.randoms(use_true_random=False),
+)
+def test_cluster_1d_matches_the_group_loop(groups, order):
+    from varifold_lab.tomography import _cluster_1d
+
+    values = []
+    for center, size, spread in groups:
+        step = spread * 1e-7 * (1.0 + abs(center))
+        values += [center + k * step for k in range(size)]
+    order.shuffle(values)
+    values = np.array(values, dtype=float)
+    want = [rep for rep, _ in ref.cluster_1d(values, lambda val: 1e-7 * (1.0 + abs(val)))]
+    got = _cluster_1d(values, lambda val: 1e-7 * (1.0 + np.abs(val)))
+    assert got.tobytes() == np.array(want, dtype=float).tobytes()
+
+
+def _outcome(solve, *args):
+    """(directions, masses) bytes of a cone, or the error a solve raised."""
+    try:
+        c = solve(*args)
+    except (AmbiguousReconstruction, CoverageGap, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return c.atom_directions.tobytes(), c.atom_masses.tobytes()
+
+
+def test_merge_of_shuffled_marginals_matches_the_atom_loops():
+    # marginals in arbitrary row order, as `reconstruct --from-measurements`
+    # builds them; an atom split in 9 gives incidence rows that sum 9 masses,
+    # which np.sum adds pairwise
+    from varifold_lab.tomography import _locate_atoms
+
+    rng = np.random.default_rng(4242)
+    normals = default_normals(3)
+    pairs = _default_pairs(3)
+    per_chart = len(pairs) // len(normals)
+    outcomes = set()
+    for cone in _criterion_7_cones()[:40]:
+        located = _locate_atoms(BandOracle(cone), pairs, 2.0 / 1e-6)
+        for split in (False, True):
+            marginals = []
+            for m in located:
+                cs, ms = m.coordinates, m.masses
+                if split and m.n_atoms:
+                    parts = rng.dirichlet(np.ones(9)) * ms[0]
+                    cs = np.concatenate((cs[0] + 1e-12 * np.arange(9), cs[1:]))
+                    ms = np.concatenate((parts, ms[1:]))
+                p = rng.permutation(len(cs))
+                marginals.append(LineMeasure(m.direction, cs[p], ms[p]))
+            charts = [(v, marginals[i * per_chart:(i + 1) * per_chart])
+                      for i, v in enumerate(normals)]
+            got = _outcome(reconstruct_from_marginals, 3, charts)
+            assert got == _outcome(ref.reconstruct_from_marginals, 3, charts)
+            outcomes.add(type(got[0]).__name__)
+    assert outcomes == {"bytes"}
+
+
+def test_lift_matches_the_atom_loop():
+    rng = np.random.default_rng(91)
+    for n in (2, 3, 4):
+        for _ in range(30):
+            v = unit(rng.normal(size=n))
+            plane = hyperplane_of(v)
+            pts = plane.project(rng.normal(size=(int(rng.integers(0, 6)), n)))
+            if len(pts) > 1 and rng.random() < 0.5:
+                pts[1] = pts[0] + 1e-12 * plane.basis[0]  # merged by conic_atoms
+            gamma = PlaneMeasure(plane, pts, rng.uniform(0.1, 2.0, size=len(pts)))
+            assert _outcome(lift_to_sphere, gamma, v) == _outcome(ref.lift_to_sphere, gamma, v)
+
+
+def test_chart_merge_identifies_and_rejects_as_the_atom_loop():
+    z = unit([0.3, 0.2, 1.0])
+    near = unit(z + [2e-7, 0.0, 0.0])
+    for masses, raises in (((1.0, 1.0 + 5e-9), False), ((1.0, 1.0 + 1e-7), True)):
+        charts = []
+        for atom, m in zip((z, near), masses):
+            v = np.array([0.0, 0.0, 1.0])
+            gamma = gnomonic_pushforward(conic_atoms(3, [(atom, m)]), v).measure
+            marginals = [LineMeasure(xi, gamma.points @ xi, gamma.masses)
+                         for xi in marginal_direction_battery(gamma.plane)]
+            charts.append((v, marginals))
+        got = _outcome(reconstruct_from_marginals, 3, charts)
+        assert got == _outcome(ref.reconstruct_from_marginals, 3, charts)
+        assert (got[0] == "AmbiguousReconstruction") == raises
+
+
+# ---------------------------------------------------------------------------
+# non-finite input
+# ---------------------------------------------------------------------------
+
+def test_nan_band_bounds_raise_and_infinite_ones_are_legal():
+    c = conic_atoms(3, [(unit([0.2, 0.1, 1.0]), 1.0), (unit([-0.5, 0.3, 1.0]), 0.7)])
+    v, xi = np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])
+    for bad in ([[np.nan, 1.0]], [[0.0, np.nan]], np.array([[0.0, 1.0], [np.nan, np.nan]])):
+        with pytest.raises(ValueError, match="NaN"):
+            BandOracle(c)(v, xi, bad)
+        with pytest.raises(ValueError, match="NaN"):
+            BandOracle(c)(np.tile(v, (len(bad), 1)), xi, bad)
+        with pytest.raises(ValueError, match="NaN"):
+            band_masses(c, v, xi, bad)
+        with pytest.raises(ValueError, match="NaN"):
+            band_marginal(c, v, xi, bad)
+    everything = band_masses(c, v, xi, [[-np.inf, np.inf]])[0]
+    assert everything > 0.0
+    assert everything == band_masses(c, v, xi, [[-1e300, 1e300]])[0]
+
+
+@pytest.mark.parametrize("coords, masses", [
+    ([np.nan], [1.0]), ([np.inf], [1.0]), ([0.0], [np.nan]), ([0.0], [np.inf]),
+    ([np.nan], [np.nan]), ([0.0, -np.inf], [1.0, 1.0]),
+])
+def test_line_measure_rejects_non_finite_atoms(coords, masses):
+    with pytest.raises(ValueError, match="finite"):
+        LineMeasure([1.0, 0.0], coords, masses)
+
+
+def test_plane_measure_rejects_non_finite_atoms():
+    plane = hyperplane_of([0.0, 0.0, 1.0])
+    for pts, ms in (([[np.nan, 0.0, 0.0]], [1.0]), ([[np.inf, 0.0, 0.0]], [1.0]),
+                    ([[0.0, 0.0, 0.0]], [np.nan]), ([[0.0, 0.0, 0.0]], [np.inf])):
+        with pytest.raises(ValueError, match="finite"):
+            PlaneMeasure(plane, np.array(pts), np.array(ms))
+
+
+def test_oracle_rejects_non_finite_rows():
+    oracle = BandOracle(balanced_y_cone())
+    v, xi = np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])
+    bands = np.array([[-1.0, 0.0], [0.0, 1.0], [1.0, 2.0]])
+    oracle(v, xi, bands)  # a cached finite pair changes nothing below
+    for bad in (np.nan, np.inf, -np.inf):
+        odd = v.copy()
+        odd[0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            oracle(odd, xi, bands)
+        with pytest.raises(ValueError, match="finite"):
+            oracle(v, odd, bands)
+        # the bad row repeats the one before it, or ends a run of its own
+        for rows in (np.array([v, odd, odd]), np.array([v, v, odd])):
+            with pytest.raises(ValueError, match="finite"):
+                oracle(rows, xi, bands)
+            with pytest.raises(ValueError, match="finite"):
+                oracle(v, rows, bands)

@@ -23,6 +23,10 @@ VERTEX_TOL = 1e-9
 # Length below which a clipped sliver is discarded instead of kept as a piece.
 SLIVER_TOL = 1e-14
 
+# A chord discriminant at most this multiple of (d.u)^2 + r^2 is rounding
+# noise of a tangent line (see _ball_chords).
+TANGENT_REL_TOL = 16.0 * np.finfo(float).eps
+
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
     """Coerce to a read-only float vector, optionally checking its length."""
@@ -567,10 +571,13 @@ def _ball_chords(base: np.ndarray, u: np.ndarray, hi: np.ndarray, center: np.nda
     inside the open ball, and the mask of rows whose interval is nonempty.
 
     Row by row the chord of _chord_rows clamped by max(lo, 0.0) and
-    min(up, hi); lo and up are meaningless where the mask is False.
+    min(up, hi); lo and up are meaningless where the mask is False.  A line
+    whose discriminant is within TANGENT_REL_TOL of (d.u)^2 + r^2 counts as
+    tangent and misses: its chord would be the square root of rounding
+    noise, which differs between a piece and the pieces clipped from it.
     """
     bh, disc = _chord_rows(base, u, center, radius)
-    hit = disc > 0.0
+    hit = disc > TANGENT_REL_TOL * (bh * bh + radius * radius)
     s = np.sqrt(np.where(hit, disc, 0.0))
     lo, up = -bh - s, -bh + s
     lo = np.where(0.0 > lo, 0.0, lo)

@@ -18,6 +18,7 @@ import numpy as np
 from .core import (
     DegenerateGeometryError,
     DiscreteVarifold,
+    _ball_chords,
     _chord_rows,
     _piece_rows,
     _rowdot,
@@ -281,9 +282,9 @@ def first_variation_quadrature(v: DiscreteVarifold, g: TestField,
         nodes += 1
     bases, dirs, _, weights = _piece_rows(v)
     # a ray is integrated up to its exit from the support ball
-    bh, disc = _chord_rows(v.ray_o, v.ray_d, g.support_center, g.support_radius)
-    hit = disc > 0.0
-    exits = np.where(hit, -bh + np.sqrt(np.where(hit, disc, 0.0)), 0.0)
+    _, up, meets = _ball_chords(v.ray_o, v.ray_d, np.full(len(v.ray_w), np.inf),
+                                g.support_center, g.support_radius)
+    exits = np.where(meets, up, 0.0)
     his = np.concatenate((v.seg_len, exits))
     simpson = np.ones(nodes)
     simpson[1:-1:2] = 4.0

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from varifold_lab.core import SegmentPiece
+from varifold_lab.core import TANGENT_REL_TOL, SegmentPiece
 
 
 def piece_frame(piece):
@@ -23,13 +23,14 @@ def piece_frame(piece):
 def ball_interval(base, direction, center, radius):
     """Parameter interval where base + t*direction lies in the open ball.
 
-    direction must be a unit vector; returns None when the line misses.
+    direction must be a unit vector; returns None when the line misses the
+    ball or is tangent to it within rounding (core.TANGENT_REL_TOL).
     """
     d = base - center
     bh = float(np.dot(d, direction))
     q = float(np.dot(d, d)) - radius * radius
     disc = bh * bh - q
-    if disc <= 0.0:
+    if disc <= TANGENT_REL_TOL * (bh * bh + radius * radius):
         return None
     s = math.sqrt(disc)
     return (-bh - s, -bh + s)

@@ -3,7 +3,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from varifold_lab import (
@@ -271,6 +271,9 @@ def test_restrict_chord_pythagoras():
     ty=st.floats(-1.0, 1.0),
     probe=st.floats(0.2, 4.0),
 )
+# the ray is tangent to the probe sphere in both cases
+@example(radius=0.5, tx=0.1, ty=0.3, probe=0.2)
+@example(radius=1.0, tx=0.5, ty=0.0, probe=0.2)
 def test_restriction_partition(radius, tx, ty, probe):
     v = DiscreteVarifold(
         2,

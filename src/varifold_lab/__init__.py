@@ -57,7 +57,6 @@ from .tomography import (
     LineMeasure,
     PlaneMeasure,
     band_marginal,
-    band_masses,
     default_normals,
     fourier_of_marginal,
     gnomonic_pushforward,
@@ -74,11 +73,9 @@ from .blowup import (
     PreconditionViolated,
     TestBattery,
     ZeroDensityError,
-    admissible_radius,
     default_battery,
     dense_lines_fixture,
     density_bound_check,
-    pair_with,
     projection_growth_table,
     radial_projection_cap_mass,
     tangent_estimate,

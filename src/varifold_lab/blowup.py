@@ -35,7 +35,7 @@ from .core import (
     split_at_point,
     unit,
 )
-from .variation import _plateau, _plateau_prime
+from .variation import _plateau
 
 
 class ZeroDensityError(ValueError):
@@ -159,9 +159,8 @@ class TestBattery:
                     raise ValueError(f"{f.label} exceeds Lipschitz constant 1")
 
 
-_PLATEAU_SLOPE = float(
-    np.max(np.abs(_plateau_prime(np.linspace(-1.0, 1.0, 20_001))))
-)
+# max |_plateau_prime| over np.linspace(-1, 1, 20_001); a test recomputes it
+_PLATEAU_SLOPE = 4.0
 
 
 def _lump_moment(
@@ -188,7 +187,7 @@ def default_battery(
     Squaring the direction moment makes every function even in s, as
     unoriented pieces require.  The battery is stored as a BatteryTable of
     radii, amplitudes and axes; its functions are derived from the table, so
-    validate and pair_with see them as ordinary BatteryFunctions.
+    validate sees them as ordinary BatteryFunctions.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     axes = [unit(rng.normal(size=ambient_dim)) for _ in range(n_directions)]
@@ -196,16 +195,6 @@ def default_battery(
     amps = [1.0 / (_PLATEAU_SLOPE / rj + 2.0) for rj in radii]
     table = BatteryTable(np.array(radii), np.array(amps), np.array(axes).reshape(-1, ambient_dim))
     return TestBattery(ambient_dim, radius, table.functions(), table)
-
-
-def cutoff_constant(radius: float) -> BatteryFunction:
-    """A smoothly cut constant: 1 on the half-radius ball, 0 outside."""
-
-    def value(points, s):
-        rad = np.linalg.norm(points, axis=1)
-        return _plateau(rad / radius)
-
-    return BatteryFunction("cutoff-constant", value)
 
 
 # Cells per lump evaluation: bounds the temporaries of a pairing.
@@ -283,20 +272,6 @@ def _pair_all(samples: _Samples, battery: TestBattery) -> np.ndarray:
 
 def _pairings(v: DiscreteVarifold, battery: TestBattery, cells: int) -> np.ndarray:
     return _pair_all(_piece_samples(v, battery.radius, cells), battery)
-
-
-def pair_with(
-    v: DiscreteVarifold,
-    f: BatteryFunction,
-    radius: float,
-    cells: int = 256,
-) -> float:
-    """Integral of f(x, direction) over v inside B(0, radius).
-
-    Midpoint quadrature on the canonical cell grid; per-piece contributions
-    are summed in sorted order so equal piece multisets pair identically.
-    """
-    return float(_pairings(v, TestBattery(v.ambient_dim, radius, (f,)), cells)[0])
 
 
 def weak_star_distance(
@@ -440,27 +415,6 @@ def _projected_localized_density(
     return total
 
 
-def _sphere_ball_masses(c: ConicVarifold, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distances from y and masses of every spherical atom / density node."""
-    dirs, masses = c.mass_rows()
-    return np.linalg.norm(dirs - y, axis=1), masses
-
-
-def admissible_radius(c: ConicVarifold, y, epsilon: float) -> float:
-    """Largest r0 <= 1e-5 with mu(B(y, r0) on the sphere) < phi(y) + epsilon."""
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    y = unit(as_vector(y, dim=c.ambient_dim))
-    dists, masses = _sphere_ball_masses(c, y)
-    others = dists > ATOM_SEPARATION_TOL
-    d, m = dists[others], masses[others]
-    order = np.argsort(d)
-    cum = np.cumsum(m[order])
-    breach = np.nonzero(cum >= epsilon)[0]
-    r0 = 1e-5 if breach.size == 0 else min(1e-5, float(d[order][breach[0]]))
-    return r0
-
-
 def density_bound_check(
     c: ConicVarifold, y, p: Subspace, r: float, epsilon: float
 ) -> DensityBoundReport:
@@ -486,8 +440,8 @@ def density_bound_check(
         raise PreconditionViolated("need 0 < r < 1e-5")
     if pole <= 10.0 * r:
         raise PreconditionViolated("bound needs |pi_P(y)| > 10 r")
-    dists, masses = _sphere_ball_masses(c, y)
-    ball = float(np.sum(masses[dists < r]))
+    dirs, masses = c.mass_rows()
+    ball = float(np.sum(masses[np.linalg.norm(dirs - y, axis=1) < r]))
     if ball >= phi + epsilon:
         raise PreconditionViolated("sphere ball mass reaches phi + epsilon")
     value = _projected_localized_density(c, y, p, r)

@@ -4,8 +4,8 @@ Subcommands: check-stationary, project, surgery, reconstruct,
 counterexample, blowup, fixture.  Every run that writes files also writes a
 `<output>.manifest.json` recording the command, inputs, parameters, and
 outputs.  Exit codes: 0 success, 1 domain error (degenerate geometry,
-ambiguous reconstruction, coverage gap, zero density, violated bound),
-2 input/output, schema or argument errors and unknown commands.
+ambiguous reconstruction, coverage gap, zero density, violated bound,
+overflow), 2 input/output, schema or argument errors and unknown commands.
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ DOMAIN_ERRORS = (
     ZeroDensityError,
     PreconditionViolated,
     DensityBoundViolation,
+    OverflowError,
 )
 
 

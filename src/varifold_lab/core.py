@@ -116,8 +116,7 @@ class SegmentPiece:
 
     @property
     def length(self) -> float:
-        d = self.b - self.a
-        return math.sqrt(float(np.dot(d, d)))
+        return float(_segment_lengths(self.a[None], self.b[None])[0])
 
     @property
     def direction(self) -> np.ndarray:
@@ -165,6 +164,12 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+def _direction_distances(dirs: np.ndarray) -> np.ndarray:
+    """(k, k) distances |dirs[i] - dirs[j]|, each with np.linalg.norm's bits."""
+    diff = dirs[:, None, :] - dirs[None, :, :]
+    return np.sqrt(_rowdot(diff, diff))
+
+
 def _rows(x, n: int) -> np.ndarray:
     """A read-only C-ordered (k, n) float array."""
     arr = np.ascontiguousarray(x, dtype=float).reshape(-1, n)
@@ -179,9 +184,10 @@ def _column(x) -> np.ndarray:
 
 
 def _segment_lengths(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """|b - a| per row, with the bits of SegmentPiece.length."""
-    d = b - a
-    length = np.sqrt(_rowdot(d, d))
+    """|b - a| per row, with np.linalg.norm's bits for one row; inf past floats."""
+    with np.errstate(over="ignore"):
+        d = b - a
+        length = np.sqrt(_rowdot(d, d))
     length.setflags(write=False)
     return length
 
@@ -449,12 +455,9 @@ class ConicVarifold:
         norms = np.linalg.norm(dirs, axis=1)
         if dirs.shape[0] and np.max(np.abs(norms - 1.0)) > 1e-10:
             raise ValueError("atom directions must be unit vectors")
-        if dirs.shape[0] > 1:
-            # pairwise distinct within the angular separation tolerance
-            d2 = np.linalg.norm(dirs[:, None, :] - dirs[None, :, :], axis=2)
-            np.fill_diagonal(d2, np.inf)
-            if np.min(d2) <= ATOM_SEPARATION_TOL:
-                raise ValueError("atom directions must be pairwise distinct")
+        # pairwise distinct: only the diagonal lies within the tolerance
+        if np.count_nonzero(_direction_distances(dirs) <= ATOM_SEPARATION_TOL) > len(dirs):
+            raise ValueError("atom directions must be pairwise distinct")
         if self.density is not None and self.density.grid.ambient_dim != self.ambient_dim:
             raise ValueError("density grid dimension does not match ambient_dim")
         dirs.setflags(write=False)
@@ -496,24 +499,31 @@ def conic_atoms(ambient_dim: int, atoms: Iterable[tuple[Sequence[float], float]]
     """Build a ConicVarifold from (direction, mass) pairs, merging duplicates.
 
     Directions already unit to within rounding are kept bit for bit, so a
-    cone assembled from existing ray directions realizes exactly those rays.
+    cone assembled from existing ray directions realizes exactly those rays;
+    others are normalized as unit() does.  In input order, a direction
+    within ATOM_SEPARATION_TOL of an atom kept before it adds its mass to
+    the first such atom; any other is kept as a new atom.
     """
-    dirs: list[np.ndarray] = []
-    masses: list[float] = []
-    for d, m in atoms:
-        z = np.array(d, dtype=float)
-        if abs(float(np.dot(z, z)) - 1.0) > 1e-13:
-            z = unit(z)
-        z.setflags(write=False)
-        for i, existing in enumerate(dirs):
-            if np.linalg.norm(existing - z) <= ATOM_SEPARATION_TOL:
-                masses[i] += float(m)
-                break
+    atoms = list(atoms)
+    dirs = np.array([d for d, _ in atoms] or np.zeros((0, ambient_dim)), dtype=float)
+    if dirs.ndim != 2 or dirs.shape[1] != ambient_dim:
+        raise ValueError("atom_directions must have shape (k, ambient_dim)")
+    masses = [float(m) for _, m in atoms]
+    sq = _rowdot(dirs, dirs)
+    off = np.abs(sq - 1.0) > 1e-13
+    if off.any():
+        if not sq[off].all():
+            raise ValueError("cannot normalize the zero vector")
+        dirs[off] /= np.sqrt(sq[off])[:, None]
+    near = (_direction_distances(dirs) <= ATOM_SEPARATION_TOL).tolist()
+    kept: list[int] = []
+    for j in range(len(masses)):
+        i = next((i for i in kept if near[j][i]), None)
+        if i is None:
+            kept.append(j)
         else:
-            dirs.append(z)
-            masses.append(float(m))
-    arr = np.array(dirs) if dirs else np.zeros((0, ambient_dim))
-    return ConicVarifold(ambient_dim, arr, np.array(masses), density)
+            masses[i] += masses[j]
+    return ConicVarifold(ambient_dim, dirs[kept], [masses[i] for i in kept], density)
 
 
 @dataclass(frozen=True)
@@ -674,15 +684,12 @@ def restrict(v: DiscreteVarifold, center, radius: float,
     )
 
 
-def conic_to_discrete(c: ConicVarifold, r_max: float = 1.0) -> DiscreteVarifold:
+def conic_to_discrete(c: ConicVarifold) -> DiscreteVarifold:
     """Realize the cone of a conic varifold as rays from the origin.
 
     Atoms become rays with their own masses; density nodes become rays with
-    quadrature-weighted masses.  r_max only matters to downstream sampling,
-    the emitted rays are genuine half lines.
+    quadrature-weighted masses.
     """
-    if r_max <= 0.0:
-        raise ValueError("r_max must be positive")
     if c.is_empty:
         raise ValueError("conic varifold has neither atoms nor density")
     dirs, masses = c.mass_rows()

@@ -22,9 +22,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (
-    ATOM_SEPARATION_TOL,
     ConicVarifold,
     Subspace,
+    _direction_distances,
     _rowdot,
     as_vector,
     conic_atoms,
@@ -225,6 +225,9 @@ class BandOracle:
     non-finite v or xi row and a NaN band bound raise ValueError; infinite
     bounds are legal.  query_count counts band rows.
 
+    An atom whose slope or weight overflows lies in no band; weights in
+    front of v that sum past the float range raise OverflowError.
+
     Slopes and weights are computed once per (v, xi) pair and cached, so a
     row of a multi-pair call sees exactly the floats of a one-pair call.
     A one-pair call sums each band with `inband @ weight`; a multi-pair
@@ -260,8 +263,15 @@ class BandOracle:
         z1 = self._dirs @ v
         z2 = self._dirs @ xi
         front = z1 > 0.0
-        lam = z2[front] / z1[front]
-        weight = self._masses[front] * (z1[front] ** 2 + z2[front] ** 2) / z1[front]
+        with np.errstate(over="ignore"):
+            lam = z2[front] / z1[front]
+            weight = self._masses[front] * (z1[front] ** 2 + z2[front] ** 2) / z1[front]
+            # an atom whose slope or weight overflows lies in no band, like
+            # one on the equator: no finite band mass can hold it
+            finite = np.isfinite(lam) & np.isfinite(weight)
+            front[front], lam, weight = finite, lam[finite], weight[finite]
+            if not weight.sum() < math.inf:
+                raise OverflowError("the cone's band masses overflow the float range")
         self._cache[key] = (front, lam, weight)
         return self._cache[key]
 
@@ -313,11 +323,6 @@ class BandOracle:
         lam, weight = np.take(lam, pair, axis=0), np.take(weight, pair, axis=0)
         inband = (lam >= arr[:, :1]) & (lam <= arr[:, 1:2])
         return np.where(inband, weight, 0.0).sum(axis=1)
-
-
-def band_masses(c: ConicVarifold, v, xi, bands) -> np.ndarray:
-    """Forward band masses of the weighted projection onto span(v, xi)."""
-    return BandOracle(c)(v, xi, bands)
 
 
 def band_marginal(c: ConicVarifold, v, xi, bands, cutoff: float = 1e-6) -> LineMeasure:
@@ -397,22 +402,9 @@ def lift_to_sphere(gamma: PlaneMeasure, v) -> ConicVarifold:
     v = unit(as_vector(v, dim=gamma.plane.ambient_dim))
     shifted = gamma.points + v
     norms = np.sqrt(_rowdot(shifted, shifted))
-    return _cone_of_rows(
-        gamma.plane.ambient_dim, shifted / norms[:, None], gamma.masses * norms
+    return conic_atoms(
+        gamma.plane.ambient_dim, zip(shifted / norms[:, None], gamma.masses * norms)
     )
-
-
-def _cone_of_rows(ambient_dim: int, dirs: np.ndarray, masses: np.ndarray) -> ConicVarifold:
-    """conic_atoms(ambient_dim, zip(dirs, masses)), built directly when no
-    row needs re-normalising and no two rows are within ATOM_SEPARATION_TOL,
-    the only cases in which conic_atoms changes a row."""
-    if len(dirs):
-        diff = dirs[:, None, :] - dirs[None, :, :]
-        close = np.sqrt(_rowdot(diff, diff)) <= ATOM_SEPARATION_TOL
-        np.fill_diagonal(close, False)
-        if close.any() or (np.abs(_rowdot(dirs, dirs) - 1.0) > 1e-13).any():
-            return conic_atoms(ambient_dim, zip(dirs, masses))
-    return ConicVarifold(ambient_dim, dirs, masses)
 
 
 # ---------------------------------------------------------------------------
@@ -778,8 +770,7 @@ def reconstruct_from_marginals(
 
     # identify each kept atom with the first final atom within 1e-6, in
     # order; the one seen closer to its pole stands for both
-    diff = dirs[:, None, :] - dirs[None, :, :]
-    near = (np.sqrt(_rowdot(diff, diff)) < 1e-6).tolist()
+    near = (_direction_distances(dirs) < 1e-6).tolist()
     ms, hs = masses.tolist(), poles.tolist()
     final: list[int] = []
     for j in range(len(ms)):
@@ -794,7 +785,7 @@ def reconstruct_from_marginals(
                 break
         else:
             final.append(j)
-    result = _cone_of_rows(ambient_dim, dirs[final], masses[final])
+    result = conic_atoms(ambient_dim, zip(dirs[final], masses[final]))
 
     # attest that every located marginal atom is explained by the result:
     # the full hemisphere mass of the reconstruction bounds what any one

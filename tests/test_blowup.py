@@ -11,7 +11,6 @@ from varifold_lab import (
     SegmentPiece,
     Subspace,
     ZeroDensityError,
-    admissible_radius,
     conic_atoms,
     conic_to_discrete,
     cut_and_paste,
@@ -22,7 +21,6 @@ from varifold_lab import (
     dilate,
     is_stationary,
     mass,
-    pair_with,
     projection_growth_table,
     radial_projection_cap_mass,
     tangent_estimate,
@@ -34,10 +32,8 @@ from varifold_lab import blowup, fixtures
 from varifold_lab.blowup import (
     _PLATEAU_SLOPE,
     BatteryFunction,
-    TestBattery,
     _pair_all,
     _piece_samples,
-    cutoff_constant,
 )
 from varifold_lab.core import (
     RayPiece,
@@ -47,7 +43,7 @@ from varifold_lab.core import (
 )
 from varifold_lab.core import unit as core_unit
 from varifold_lab.fixtures import full_line, random_subspace, y_junction
-from varifold_lab.variation import _plateau
+from varifold_lab.variation import _plateau, _plateau_prime
 
 from piece_reference import ball_interval, piece_frame
 
@@ -67,18 +63,38 @@ def test_battery_invariants():
     battery.validate(rng)
 
 
+def _cutoff_constant(radius):
+    """A smoothly cut constant: 1 on the half-radius ball, 0 outside."""
+    return BatteryFunction(
+        "cutoff-constant", lambda points, s: _plateau(np.linalg.norm(points, axis=1) / radius)
+    )
+
+
+def _one_function_battery(n, radius, f):
+    return blowup.TestBattery(n, radius, (f,))
+
+
+def _pair(v, f, radius):
+    """|pairing of f with v|: the distance to the empty varifold under the
+    one-function battery."""
+    n = v.ambient_dim
+    return weak_star_distance(v, DiscreteVarifold(n), _one_function_battery(n, radius, f))
+
+
+def test_plateau_slope_is_the_sampled_maximum():
+    slope = float(np.max(np.abs(_plateau_prime(np.linspace(-1.0, 1.0, 20_001)))))
+    assert slope == _PLATEAU_SLOPE
+
+
 def test_pair_with_cutoff_constant_measures_mass():
     # pieces inside the half-radius plateau pair to exactly their mass
     v = DiscreteVarifold(2, (SegmentPiece([-0.3, 0.1], [0.4, 0.1], 1.3),), ())
-    f = cutoff_constant(2.0)
-    assert pair_with(v, f, 2.0) == pytest.approx(mass(v, [0, 0], 2.0), abs=1e-12)
+    f = _cutoff_constant(2.0)
+    assert _pair(v, f, 2.0) == pytest.approx(mass(v, [0, 0], 2.0), abs=1e-12)
 
 
 def test_pair_with_direction_moment():
     # f(x,s) = <s, e1>^2 on a plateau covering the segment
-    from varifold_lab.blowup import BatteryFunction
-    from varifold_lab.variation import _plateau
-
     alpha = 0.6
     seg = SegmentPiece([0, 0], [math.cos(alpha), math.sin(alpha)], 1.0)
     v = DiscreteVarifold(2, (seg,), ())
@@ -87,12 +103,12 @@ def test_pair_with_direction_moment():
         return _plateau(np.linalg.norm(points, axis=1) / 4.0) * float(s[0]) ** 2
 
     f = BatteryFunction("moment", value)
-    assert pair_with(v, f, 4.0) == pytest.approx(math.cos(alpha) ** 2, abs=1e-12)
+    assert _pair(v, f, 4.0) == pytest.approx(math.cos(alpha) ** 2, abs=1e-12)
 
 
 def test_pair_with_empty_is_zero():
     v = DiscreteVarifold(2)
-    assert pair_with(v, cutoff_constant(1.0), 1.0) == 0.0
+    assert _pair(v, _cutoff_constant(1.0), 1.0) == 0.0
 
 
 def test_weak_star_distance_axioms():
@@ -115,8 +131,8 @@ def test_weak_star_separates_masses():
     battery = default_battery(2)
     line = full_line([0.0, 0.0], [1.0, 0.0])
     heavy = full_line([0.0, 0.0], [1.0, 0.0], weight=2.0)
-    f = cutoff_constant(battery.radius)
-    gap = abs(pair_with(heavy, f, battery.radius) - pair_with(line, f, battery.radius))
+    f = _cutoff_constant(battery.radius)
+    gap = weak_star_distance(heavy, line, _one_function_battery(2, battery.radius, f))
     assert gap >= mass(line, [0, 0], battery.radius / 2) - 1e-12
 
 
@@ -147,7 +163,7 @@ def _reference_battery(ambient_dim, radius=1.0, n_scales=8, n_directions=8, seed
                 return amp * _plateau(rad / rj) * np.full(points.shape[0], d)
 
             fns.append(BatteryFunction(f"lump{j}-axis{k}", value))
-    return TestBattery(ambient_dim, radius, tuple(fns))
+    return blowup.TestBattery(ambient_dim, radius, tuple(fns))
 
 
 def _reference_piece_samples(v, radius, cells):
@@ -219,7 +235,7 @@ def _opaque(battery):
     def wrap(f):
         return BatteryFunction(f.label, lambda points, s: f.value(points, s))
 
-    return TestBattery(battery.ambient_dim, battery.radius,
+    return blowup.TestBattery(battery.ambient_dim, battery.radius,
                        tuple(wrap(f) for f in battery.functions))
 
 
@@ -302,13 +318,6 @@ def test_opaque_battery_pairs_bitwise_equal_table(label, v, x):
     assert np.array(fast.distances).tobytes() == np.array(generic.distances).tobytes()
     samples = _piece_samples(dilate(v, x, 0.5), 1.0, 256)
     assert _pair_all(samples, battery).tobytes() == _pair_all(samples, _opaque(battery)).tobytes()
-
-
-def test_pair_with_matches_one_function_battery():
-    v = _random_segments(np.random.default_rng(8), 3, 7)
-    f = default_battery(3).functions[13]
-    samples = _reference_piece_samples(v, 1.0, 256)
-    assert pair_with(v, f, 1.0) == _reference_pair_all(samples, TestBattery(3, 1.0, (f,)))[0]
 
 
 _coord = st.floats(-1.5, 1.5, allow_nan=False)
@@ -529,16 +538,6 @@ def test_density_bound_preconditions():
     p = Subspace(3, np.array([[1.0, 0, 0], [0, 1.0, 0]]))
     with pytest.raises(PreconditionViolated):
         density_bound_check(c, y, p, 1e-6, epsilon=1e-3)
-
-
-def test_admissible_radius_helper():
-    y = unit([0.2, 0.1, 0.97])
-    near = unit(y + 4e-6 * unit(np.cross(y, [0.0, 1.0, 0.0])))
-    c = conic_atoms(3, [(y, 1.0), (near, 0.5)])
-    r0 = admissible_radius(c, y, epsilon=0.25)
-    assert r0 <= np.linalg.norm(near - y)
-    big = admissible_radius(c, y, epsilon=1.0)
-    assert big == pytest.approx(1e-5)
 
 
 # ---------------------------------------------------------------------------

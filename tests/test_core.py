@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -25,10 +26,12 @@ from varifold_lab import (
     sphere_grid,
 )
 from varifold_lab.core import (
+    ATOM_SEPARATION_TOL,
     SLIVER_TOL,
     VERTEX_TOL,
     DegenerateGeometryError,
     _chord_rows,
+    _direction_distances,
     _piece_rows,
     _rowdot,
     piece_ends,
@@ -38,6 +41,7 @@ from varifold_lab.core import (
 from varifold_lab.fixtures import random_stationary_network, random_varifold, y_junction
 
 from piece_reference import ball_interval, piece_frame
+from tomography_reference import conic_atoms as reference_conic_atoms
 
 
 def segment(a, b, w=1.0):
@@ -113,6 +117,76 @@ def test_conic_atoms_must_be_distinct():
     merged = conic_atoms(2, [([1.0, 0.0], 1.0), ([1.0, 0.0], 2.0)])
     assert merged.n_atoms == 1
     assert merged.atom_masses[0] == 3.0
+
+
+@st.composite
+def _atom_pairs(draw):
+    """(n, [(direction, mass)]) in R^2 to R^4: fresh rows, unit rows, rows
+    1e-13 to 1e-8 from an earlier row, rescaled rows and zero rows."""
+    n = draw(st.sampled_from([2, 3, 4]))
+    coords = st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)
+    pairs = []
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(["fresh", "unit", "near", "near", "zero"]))
+        d = np.array(draw(coords))
+        if kind == "unit" and np.linalg.norm(d) > 0.0:
+            d = d / np.linalg.norm(d)
+        elif kind == "near" and pairs:
+            step = 10.0 ** draw(st.floats(-13.0, -8.0))
+            offset = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+            d = pairs[draw(st.integers(0, len(pairs) - 1))][0] + step * offset
+        elif kind == "zero":
+            d = np.zeros(n)
+        if draw(st.booleans()):
+            d = d * draw(st.floats(0.5, 2.0))
+        pairs.append((d, draw(st.floats(0.01, 10.0))))
+    return n, pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_atom_pairs())
+@example((3, []))
+@example((2, [(np.array([1.0, 0.0]), 1.0), (np.array([0.0, 0.0]), 2.0)]))
+@example((4, [(np.array([0.6, 0.0, 0.8, 0.0]), 1.0),
+              (np.array([0.6, 0.0, 0.8, 5e-10]), 2.0),
+              (np.array([0.6, 0.0, 0.8, 1e-9]), 0.5)]))
+@example((2, [(np.array([1.0, 0.0]), 1.0), (np.array([1.0, 1.6e-9]), 2.0),
+              (np.array([1.0, 0.8e-9]), 0.5)]))  # within the tolerance of both kept atoms
+def test_conic_atoms_matches_pair_loop_bitwise(case):
+    n, pairs = case
+    try:
+        want = reference_conic_atoms(n, pairs)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            conic_atoms(n, pairs)
+        return
+    got = conic_atoms(n, pairs)
+    assert got.atom_directions.tobytes() == want.atom_directions.tobytes()
+    assert got.atom_masses.tobytes() == want.atom_masses.tobytes()
+
+
+def test_atom_validation_reads_the_merge_distances():
+    # e1 and e1 + (0, d) with |d| within a few ulps of ATOM_SEPARATION_TOL:
+    # ConicVarifold rejects exactly the pairs conic_atoms merges, where
+    # np.linalg.norm over an axis reads some of these distances on the other
+    # side of the tolerance
+    rng = np.random.default_rng(19)
+    seen = set()
+    for n in (2, 3, 4):
+        for _ in range(200):
+            d = rng.normal(size=n - 1)
+            for k in range(-3, 4):
+                scale = ATOM_SEPARATION_TOL * (1.0 + k * 2.2e-16) / np.linalg.norm(d)
+                dirs = np.array([np.eye(n)[0], np.concatenate(([1.0], scale * d))])
+                close = bool(_direction_distances(dirs)[0, 1] <= ATOM_SEPARATION_TOL)
+                assert conic_atoms(n, zip(dirs, (1.0, 2.0))).n_atoms == (1 if close else 2)
+                if close:
+                    with pytest.raises(ValueError, match="pairwise distinct"):
+                        ConicVarifold(n, dirs, [1.0, 2.0])
+                else:
+                    ConicVarifold(n, dirs, [1.0, 2.0])
+                seen.add(close)
+    assert seen == {True, False}
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,10 @@ ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 
 @pytest.mark.parametrize("script", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
 def test_demo_runs(script):
-    proc = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=ENV,
-                          capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(script)],
+                          cwd=ROOT, env=ENV, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stderr == ""
 
 
 def test_import_defers_scipy_optimize():

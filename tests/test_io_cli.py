@@ -466,3 +466,50 @@ def test_non_positive_counts_exit_2(tmp_path, monkeypatch, capsys, argv):
     assert err.startswith("SchemaError: --")
     assert "Traceback" not in err
     assert not list(tmp_path.iterdir())
+
+
+# Hostile numbers: each run ends in a typed exit with at most one stderr
+# line and no numpy warning (RuntimeWarning is an error in tier-1).
+
+def test_reconstruct_overflowing_band_masses_is_domain_error(tmp_path, monkeypatch, capsys):
+    # valid masses of 1e308 whose band masses exceed the float range
+    monkeypatch.chdir(tmp_path)
+    Path("c.json").write_text(
+        '{"ambient_dim": 3, "conic": {"atoms": [{"dir": [0.6, 0, 0.8], "mass": 1e308},'
+        ' {"dir": [0, 0.6, 0.8], "mass": 1e308}]}}'
+    )
+    status, _ = run(["reconstruct", "c.json"])
+    assert status == 1
+    err = capsys.readouterr().err
+    assert err.startswith("OverflowError: ") and err.count("\n") == 1
+    assert not Path("c.residuals.csv").exists()
+
+
+def test_check_stationary_overflowing_segment_length_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("v.json").write_text(
+        '{"ambient_dim": 2, "segments": [{"a": [-1e308, 0], "b": [1e308, 0], "weight": 1.0}]}'
+    )
+    assert run(["check-stationary", "v.json"])[0] == 2
+    err = capsys.readouterr().err
+    assert err.startswith("SchemaError: ") and err.count("\n") == 1
+
+
+def test_reconstruct_subnormal_pole_component(tmp_path, monkeypatch, capsys):
+    # the first atom's slope overflows under the normal e1, where it lies in
+    # no band; every other chart sees it
+    monkeypatch.chdir(tmp_path)
+    Path("c.json").write_text(
+        '{"ambient_dim": 3, "conic": {"atoms": [{"dir": [1e-310, 0.6, 0.8], "mass": 1.0},'
+        ' {"dir": [0.6, 0, 0.8], "mass": 2.0}]}}'
+    )
+    assert run(["reconstruct", "c.json"])[0] == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("recovered 2/2 atoms") and err == ""
+    header, *rows = Path("c.residuals.csv").read_text().splitlines()
+    assert header == "dir1,dir2,dir3,mass,position_error,mass_error"
+    assert [row.split(",")[:4] for row in rows] == [
+        ["9.9999999999999694e-311", "0.59999999999999998", "0.80000000000000004", "1"],
+        ["0.59999999999999998", "0", "0.80000000000000004", "2"],
+    ]
+    assert all(float(c) < 1e-10 for row in rows for c in row.split(",")[4:])

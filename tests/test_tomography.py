@@ -14,7 +14,6 @@ from varifold_lab import (
     LineMeasure,
     Subspace,
     band_marginal,
-    band_masses,
     conic_atoms,
     default_normals,
     fourier_of_marginal,
@@ -118,7 +117,7 @@ def test_45_degree_band_mass_is_sqrt_two():
     v = np.array([0.0, 0.0, 1.0])
     e = np.array([1.0, 0.0, 0.0])
     c = conic_atoms(3, [(unit(v + e), 1.0)])
-    got = band_masses(c, v, e, [BandSpec(0.5, 1.5)])
+    got = BandOracle(c)(v, e, [BandSpec(0.5, 1.5)])
     assert got[0] == pytest.approx(math.sqrt(2), abs=1e-14)
     m = band_marginal(c, v, e, [BandSpec(0.5, 1.5)])
     assert m.coordinates[0] == pytest.approx(1.0, abs=1e-14)
@@ -128,7 +127,7 @@ def test_45_degree_band_mass_is_sqrt_two():
 def test_empty_bands_give_zero():
     v = np.array([0.0, 0.0, 1.0])
     c = conic_atoms(3, [(unit([1.0, 0.0, 1.0]), 1.0)])
-    got = band_masses(c, v, [1.0, 0.0, 0.0], [BandSpec(2.0, 3.0), BandSpec(-1.0, 0.5)])
+    got = BandOracle(c)(v, [1.0, 0.0, 0.0], [BandSpec(2.0, 3.0), BandSpec(-1.0, 0.5)])
     assert np.all(got == 0.0)
 
 
@@ -304,8 +303,8 @@ def test_homogeneity_of_the_pipeline():
     plane = hyperplane_of(v)
     xi = plane.basis[1]
     bands = [BandSpec(-10.0, 10.0)]
-    assert band_masses(scaled, v, xi, bands)[0] == pytest.approx(
-        3.0 * band_masses(c, v, xi, bands)[0], rel=1e-14
+    assert BandOracle(scaled)(v, xi, bands)[0] == pytest.approx(
+        3.0 * BandOracle(c)(v, xi, bands)[0], rel=1e-14
     )
     m1 = band_marginal(c, v, xi, bands)
     m3 = band_marginal(scaled, v, xi, bands)
@@ -674,12 +673,10 @@ def test_nan_band_bounds_raise_and_infinite_ones_are_legal():
         with pytest.raises(ValueError, match="NaN"):
             BandOracle(c)(np.tile(v, (len(bad), 1)), xi, bad)
         with pytest.raises(ValueError, match="NaN"):
-            band_masses(c, v, xi, bad)
-        with pytest.raises(ValueError, match="NaN"):
             band_marginal(c, v, xi, bad)
-    everything = band_masses(c, v, xi, [[-np.inf, np.inf]])[0]
+    everything = BandOracle(c)(v, xi, [[-np.inf, np.inf]])[0]
     assert everything > 0.0
-    assert everything == band_masses(c, v, xi, [[-1e300, 1e300]])[0]
+    assert everything == BandOracle(c)(v, xi, [[-1e300, 1e300]])[0]
 
 
 @pytest.mark.parametrize("coords, masses", [
@@ -717,3 +714,22 @@ def test_oracle_rejects_non_finite_rows():
                 oracle(rows, xi, bands)
             with pytest.raises(ValueError, match="finite"):
                 oracle(v, rows, bands)
+
+
+def test_oracle_slopes_and_masses_beyond_the_float_range():
+    # an atom whose slope or weight overflows lies in no band, in both call
+    # forms; finite weights that sum past the float range raise
+    c = ConicVarifold(3, np.array([[1e-310, 0.6, 0.8], [0.6, 0.0, 0.8]]), np.array([1.0, 2.0]))
+    v, xi = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
+    bands = np.array([[-1.0, 1.0], [-np.inf, np.inf]])
+    want = 2.0 * 0.6
+    assert BandOracle(c)(v, xi, bands).tolist() == [want, want]
+    assert BandOracle(c)(np.tile(v, (2, 1)), xi, bands).tolist() == [want, want]
+    e3 = np.array([0.0, 0.0, 1.0])
+    # weight 1.5e308 * (0.6^2 + 0.8^2) / 0.6 = 2.5e308
+    heavy = ConicVarifold(3, c.atom_directions[1:], np.array([1.5e308]))
+    assert BandOracle(heavy)(v, e3, bands).tolist() == [0.0, 0.0]
+    # weights 1e308 / 0.6 and 1e308 * 0.36 / 0.6, which sum to 2.3e308
+    pair = ConicVarifold(3, np.array([[0.6, 0.0, 0.8], [0.6, 0.8, 0.0]]), np.array([1e308, 1e308]))
+    with pytest.raises(OverflowError):
+        BandOracle(pair)(v, e3, bands)

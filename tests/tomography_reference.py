@@ -4,7 +4,8 @@ the reference for the array code in varifold_lab.tomography.
 Location bisected one level per oracle call and merged each pair's bands in
 a Python loop; the plane solve clustered, eliminated and built incidence
 rows one representative at a time; the lift and the chart merge went atom
-by atom.  Tests compare the library with these bit for bit.
+by atom, and conic_atoms normalized and merged one (direction, mass) pair at
+a time.  Tests compare the library with these bit for bit.
 """
 
 import math
@@ -14,7 +15,7 @@ import numpy as np
 
 from scipy.optimize import nnls
 
-from varifold_lab.core import ConicVarifold, Subspace, as_vector, conic_atoms, unit
+from varifold_lab.core import ATOM_SEPARATION_TOL, ConicVarifold, Subspace, as_vector, unit
 from varifold_lab.tomography import (
     AmbiguousReconstruction,
     CoverageGap,
@@ -22,6 +23,27 @@ from varifold_lab.tomography import (
     PlaneMeasure,
     hyperplane_of,
 )
+
+
+def conic_atoms(ambient_dim, atoms, density=None) -> ConicVarifold:
+    """Build a ConicVarifold from (direction, mass) pairs, merging duplicates:
+    each pair against the atoms kept before it, in order."""
+    dirs = []
+    masses = []
+    for d, m in atoms:
+        z = np.array(d, dtype=float)
+        if abs(float(np.dot(z, z)) - 1.0) > 1e-13:
+            z = unit(z)
+        z.setflags(write=False)
+        for i, existing in enumerate(dirs):
+            if np.linalg.norm(existing - z) <= ATOM_SEPARATION_TOL:
+                masses[i] += float(m)
+                break
+        else:
+            dirs.append(z)
+            masses.append(float(m))
+    arr = np.array(dirs) if dirs else np.zeros((0, ambient_dim))
+    return ConicVarifold(ambient_dim, arr, np.array(masses), density)
 
 
 def lift_to_sphere(gamma: PlaneMeasure, v) -> ConicVarifold:

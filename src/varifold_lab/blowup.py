@@ -137,16 +137,17 @@ class TestBattery:
     functions: tuple[BatteryFunction, ...]
     table: BatteryTable | None = None
 
-    def validate(self, rng: np.random.Generator, samples: int = 64) -> None:
-        """Sampled checks: support vanishing and Lipschitz constant <= 1 (5%)."""
+    def validate(self, rng: np.random.Generator) -> None:
+        """Sampled checks at BATTERY_CHECK_SAMPLES points each: support
+        vanishing and Lipschitz constant <= 1 (5%)."""
         n = self.ambient_dim
         for f in self.functions:
-            for _ in range(samples):
+            for _ in range(BATTERY_CHECK_SAMPLES):
                 x = unit(rng.normal(size=n)) * self.radius * rng.uniform(1.0, 2.0)
                 s = unit(rng.normal(size=n))
                 if float(f.value(x[None, :], s)[0]) != 0.0:
                     raise ValueError(f"{f.label} does not vanish outside the ball")
-            for _ in range(samples):
+            for _ in range(BATTERY_CHECK_SAMPLES):
                 x1 = rng.normal(size=n) * self.radius * 0.5
                 x2 = rng.normal(size=n) * self.radius * 0.5
                 s1 = unit(rng.normal(size=n))
@@ -162,6 +163,16 @@ class TestBattery:
 # max |_plateau_prime| over np.linspace(-1, 1, 20_001); a test recomputes it
 _PLATEAU_SLOPE = 4.0
 
+# default_battery: lumps at BATTERY_SCALES radii up to BATTERY_RADIUS times
+# squared moments along BATTERY_AXES quasi-random axes drawn from
+# BATTERY_SEED; PAIRING_CELLS midpoint cells span each battery radius.
+BATTERY_RADIUS = 1.0
+BATTERY_SCALES = 8
+BATTERY_AXES = 8
+BATTERY_SEED = 7
+PAIRING_CELLS = 256
+BATTERY_CHECK_SAMPLES = 64
+
 
 def _lump_moment(
     rj: float, amp: float, u: np.ndarray
@@ -174,27 +185,22 @@ def _lump_moment(
     return value
 
 
-def default_battery(
-    ambient_dim: int,
-    radius: float = 1.0,
-    n_scales: int = 8,
-    n_directions: int = 8,
-    seed: int = 7,
-) -> TestBattery:
-    """Products of radial lumps at n_scales scales with squared direction
-    moments for n_directions quasi-random axes; normalized to Lipschitz 1.
+def default_battery(ambient_dim: int) -> TestBattery:
+    """Products of radial lumps at BATTERY_SCALES scales up to radius
+    BATTERY_RADIUS with squared direction moments for BATTERY_AXES
+    quasi-random axes; normalized to Lipschitz 1.
 
     Squaring the direction moment makes every function even in s, as
     unoriented pieces require.  The battery is stored as a BatteryTable of
     radii, amplitudes and axes; its functions are derived from the table, so
     validate sees them as ordinary BatteryFunctions.
     """
-    rng = np.random.Generator(np.random.PCG64(seed))
-    axes = [unit(rng.normal(size=ambient_dim)) for _ in range(n_directions)]
-    radii = [radius * (j + 1) / n_scales for j in range(n_scales)]
+    rng = np.random.Generator(np.random.PCG64(BATTERY_SEED))
+    axes = [unit(rng.normal(size=ambient_dim)) for _ in range(BATTERY_AXES)]
+    radii = [BATTERY_RADIUS * (j + 1) / BATTERY_SCALES for j in range(BATTERY_SCALES)]
     amps = [1.0 / (_PLATEAU_SLOPE / rj + 2.0) for rj in radii]
     table = BatteryTable(np.array(radii), np.array(amps), np.array(axes).reshape(-1, ambient_dim))
-    return TestBattery(ambient_dim, radius, table.functions(), table)
+    return TestBattery(ambient_dim, BATTERY_RADIUS, table.functions(), table)
 
 
 # Cells per lump evaluation: bounds the temporaries of a pairing.
@@ -270,20 +276,15 @@ def _pair_all(samples: _Samples, battery: TestBattery) -> np.ndarray:
     return np.sum(np.ascontiguousarray(contribs.T), axis=1)
 
 
-def _pairings(v: DiscreteVarifold, battery: TestBattery, cells: int) -> np.ndarray:
-    return _pair_all(_piece_samples(v, battery.radius, cells), battery)
+def _pairings(v: DiscreteVarifold, battery: TestBattery) -> np.ndarray:
+    return _pair_all(_piece_samples(v, battery.radius, PAIRING_CELLS), battery)
 
 
-def weak_star_distance(
-    v1: DiscreteVarifold,
-    v2: DiscreteVarifold,
-    battery: TestBattery,
-    cells: int = 256,
-) -> float:
+def weak_star_distance(v1: DiscreteVarifold, v2: DiscreteVarifold, battery: TestBattery) -> float:
     """Max pairing difference over the battery; zero for equal piece multisets."""
     if v1.ambient_dim != v2.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    return float(np.max(np.abs(_pairings(v1, battery, cells) - _pairings(v2, battery, cells))))
+    return float(np.max(np.abs(_pairings(v1, battery) - _pairings(v2, battery))))
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +329,6 @@ def tangent_estimate(
     x,
     lambdas: Sequence[float],
     battery: TestBattery | None = None,
-    cells: int = 256,
 ) -> tuple[ConicVarifold, TangentDiagnostics]:
     """Tangent cone of v at x with stabilization diagnostics.
 
@@ -350,9 +350,9 @@ def tangent_estimate(
     cone = conic_atoms(v.ambient_dim, incident_rays(vs, p))
     if battery is None:
         battery = default_battery(v.ambient_dim)
-    cone_pairings = _pairings(conic_to_discrete(cone), battery, cells)
+    cone_pairings = _pairings(conic_to_discrete(cone), battery)
     dists = tuple(
-        float(np.max(np.abs(_pairings(dilate(vs, p, l), battery, cells) - cone_pairings)))
+        float(np.max(np.abs(_pairings(dilate(vs, p, l), battery) - cone_pairings)))
         for l in lams
     )
     return cone, TangentDiagnostics(tuple(lams), dists)
@@ -572,11 +572,10 @@ def projection_growth_table(
     cap_direction,
     cap_angle: float,
     seed: int = 0,
-    ambient_dim: int = 3,
 ) -> list[tuple[int, float]]:
-    """(k, radial cap mass) rows for increasing dense-lines truncations."""
+    """(k, radial cap mass) rows for increasing dense-lines truncations in R^3."""
     rows = []
     for k in sorted(k_values):
-        fixture = dense_lines_fixture(k, seed=seed, ambient_dim=ambient_dim)
+        fixture = dense_lines_fixture(k, seed=seed)
         rows.append((k, radial_projection_cap_mass(fixture, cap_direction, cap_angle)))
     return rows

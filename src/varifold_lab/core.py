@@ -120,7 +120,9 @@ class SegmentPiece:
 
     @property
     def direction(self) -> np.ndarray:
-        return unit(self.b - self.a)
+        u = (self.b - self.a) / self.length
+        u.setflags(write=False)
+        return u
 
 
 @dataclass(frozen=True)
@@ -183,11 +185,32 @@ def _column(x) -> np.ndarray:
     return arr
 
 
-def _segment_lengths(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """|b - a| per row, with np.linalg.norm's bits for one row; inf past floats."""
+# smallest normal float: a squared norm below it has lost precision
+_TINY = np.finfo(float).tiny
+
+
+def _row_norms(r: np.ndarray) -> np.ndarray:
+    """|r| of every row, with the bits np.linalg.norm gives the row alone.
+
+    A nonzero row whose squared norm is subnormal, zero or infinite is
+    rescaled by its largest entry s first, as s * |r / s|, so the norm of a
+    tiny or huge row keeps full precision.
+    """
     with np.errstate(over="ignore"):
-        d = b - a
-        length = np.sqrt(_rowdot(d, d))
+        sq = _rowdot(r, r)
+    norms = np.sqrt(sq)
+    s =np.max(np.abs(r), axis=1)
+    odd = np.flatnonzero(((sq < _TINY) | (sq == math.inf)) & (0.0 < s) & (s < math.inf))
+    if odd.size:
+        scaled = r[odd] / s[odd, None]
+        norms[odd] = s[odd] * np.sqrt(_rowdot(scaled, scaled))
+    return norms
+
+
+def _segment_lengths(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """_row_norms(b - a): inf where b - a leaves the float range."""
+    with np.errstate(over="ignore"):
+        length = _row_norms(b - a)
     length.setflags(write=False)
     return length
 

@@ -160,7 +160,7 @@ def weighted_projection_conic(c: ConicVarifold, p: Subspace) -> ConicVarifold:
 # The projections-do-not-determine-the-measure example
 # ---------------------------------------------------------------------------
 
-def counterexample_pair(n_nodes: int = 2048) -> tuple[ConicVarifold, ConicVarifold]:
+def counterexample_pair() -> tuple[ConicVarifold, ConicVarifold]:
     """Two distinct planar conic varifolds with identical weighted projections.
 
     The first carries the uniform density 1 on the circle, the second the
@@ -168,8 +168,8 @@ def counterexample_pair(n_nodes: int = 2048) -> tuple[ConicVarifold, ConicVarifo
     the one-sided cosine kernel for every direction, so every half-line
     multiplicity agrees, yet the two measures differ on arcs.
     """
-    grid = circle_grid(n_nodes)
-    uniform = SampledDensity(grid, np.ones(n_nodes))
+    grid = circle_grid(2048)
+    uniform = SampledDensity(grid, np.ones(grid.size))
     wobbly = SampledDensity(grid, 1.0 - np.sin(3.0 * grid.angles))
     v1 = ConicVarifold(2, density=uniform)
     v2 = ConicVarifold(2, density=wobbly)

@@ -15,6 +15,8 @@ import numpy as np
 from .core import DiscreteVarifold, RayPiece, as_vector, restrict
 from .variation import DegenerateGeometryError, VariationAtom, boundary_variation
 
+RADIUS_CANDIDATES = 16
+
 
 @dataclass(frozen=True)
 class SurgeryResult:
@@ -48,19 +50,17 @@ def cut_and_paste(v: DiscreteVarifold, y, r: float) -> SurgeryResult:
     return SurgeryResult(inner, pasted, combined, tuple(atoms))
 
 
-def find_good_radius(v: DiscreteVarifold, y, r_lo: float, r_hi: float,
-                     candidates: int = 16) -> float:
-    """First radius in a geometric scan of [r_lo, r_hi] avoiding degeneracy.
+def find_good_radius(v: DiscreteVarifold, y, r_lo: float, r_hi: float) -> float:
+    """First radius in a geometric scan of RADIUS_CANDIDATES radii of
+    [r_lo, r_hi] avoiding degeneracy.
 
     Mirrors the fact that almost every radius admits a clean boundary force
     measure; raises DegenerateGeometryError if every candidate fails.
     """
     if not 0.0 < r_lo <= r_hi:
         raise ValueError("need 0 < r_lo <= r_hi")
-    if candidates < 1:
-        raise ValueError("need at least one candidate radius")
     c = as_vector(y, dim=v.ambient_dim)
-    ratios = np.geomspace(r_lo, r_hi, candidates)
+    ratios = np.geomspace(r_lo, r_hi, RADIUS_CANDIDATES)
     for r in ratios:
         try:
             boundary_variation(v, c, float(r))
@@ -68,6 +68,6 @@ def find_good_radius(v: DiscreteVarifold, y, r_lo: float, r_hi: float,
             continue
         return float(r)
     raise DegenerateGeometryError(
-        f"no clean cutting radius among {candidates} candidates in "
+        f"no clean cutting radius among {RADIUS_CANDIDATES} candidates in "
         f"[{r_lo}, {r_hi}]"
     )

@@ -32,6 +32,32 @@ from .core import (
 )
 
 
+# Atoms whose pole component is at or below this are near-equatorial: no
+# gnomonic chart holds them, and the bisection searches slopes up to
+# 2 / CHART_CUTOFF.
+CHART_CUTOFF = 1e-6
+# Dyadic atom location: a band stops at this width (or the local float
+# resolution) or this depth, and is dropped when its mass is at or below
+# LOCATE_MASS_TOL.
+LOCATE_WIDTH = 1e-10
+LOCATE_MAX_DEPTH = 80
+LOCATE_MASS_TOL = 1e-9
+# Plane solve: coordinates closer than MATCH_TOL (1 + |coordinate|) are one
+# atom, residuals above RESIDUAL_TOL times the mass scale are inconsistent,
+# and a solution may hold at most MAX_ATOMS atoms.
+MATCH_TOL = 1e-7
+RESIDUAL_TOL = 1e-8
+MAX_ATOMS = 32
+# Chart merge: an atom counts when its pole component reaches KEEP_FRACTION;
+# two charts' atoms are one when their directions are MERGE_ANGLE apart or
+# less and their masses agree within MERGE_MASS_TOL max(1, mass).  Marginal
+# mass unexplained beyond COVERAGE_TOL max(1, marginal mass) is a gap.
+KEEP_FRACTION = 0.2
+MERGE_ANGLE = 1e-6
+MERGE_MASS_TOL = 1e-8
+COVERAGE_TOL = 1e-8
+
+
 class AmbiguousReconstruction(ValueError):
     """The incidence system does not pin a unique nonnegative atom set."""
 
@@ -325,12 +351,12 @@ class BandOracle:
         return np.where(inband, weight, 0.0).sum(axis=1)
 
 
-def band_marginal(c: ConicVarifold, v, xi, bands, cutoff: float = 1e-6) -> LineMeasure:
+def band_marginal(c: ConicVarifold, v, xi, bands) -> LineMeasure:
     """Marginal of the gnomonic pushforward over the given slope bands.
 
     Band masses come from the forward projection operator; each atom's band
     contribution is divided by (1 + lambda^2) at the atom's exact slope.
-    Directions with v-component at or below the cutoff are near-equatorial
+    Directions with v-component at or below CHART_CUTOFF are near-equatorial
     and excluded, as in gnomonic_pushforward.
     """
     v = unit(as_vector(v, dim=c.ambient_dim))
@@ -342,7 +368,7 @@ def band_marginal(c: ConicVarifold, v, xi, bands, cutoff: float = 1e-6) -> LineM
     dirs, masses = c.mass_rows()
     z1 = dirs @ v
     z2 = dirs @ xi
-    front = z1 > cutoff
+    front = z1 > CHART_CUTOFF
     lam = z2[front] / z1[front]
     band_weight = masses[front] * (z1[front] ** 2 + z2[front] ** 2) / z1[front]
     covered = np.zeros(lam.shape, dtype=bool)
@@ -369,11 +395,11 @@ class GnomonicResult:
     excluded: tuple[tuple[np.ndarray, float], ...] = ()
 
 
-def gnomonic_pushforward(c: ConicVarifold, v, cutoff: float = 1e-6) -> GnomonicResult:
+def gnomonic_pushforward(c: ConicVarifold, v) -> GnomonicResult:
     """Transport the hemisphere {<z, v> > 0} of a cone to the plane v-perp.
 
     An atom (z, m) maps to the point pi_P(z / <z, v>) with mass m <z, v>.
-    Atoms with |<z, v>| <= cutoff are excluded and reported so the caller
+    Atoms with |<z, v>| <= CHART_CUTOFF are excluded and reported so the caller
     can re-run with a different pole; back-hemisphere atoms are simply not
     part of this chart.
     """
@@ -385,7 +411,7 @@ def gnomonic_pushforward(c: ConicVarifold, v, cutoff: float = 1e-6) -> GnomonicR
     excluded: list[tuple[np.ndarray, float]] = []
     for i in range(dirs.shape[0]):
         h = float(np.dot(dirs[i], v))
-        if abs(h) <= cutoff:
+        if abs(h) <= CHART_CUTOFF:
             excluded.append((dirs[i], float(masses[i])))
             continue
         if h < 0.0:
@@ -416,15 +442,13 @@ def locate_marginal_atoms(
     v: np.ndarray,
     xi: np.ndarray,
     lam_max: float,
-    width_target: float = 1e-10,
-    mass_tol: float = 1e-9,
-    max_depth: int = 80,
 ) -> LineMeasure:
     """Find the atoms of one marginal using only band-mass measurements.
 
     Bisects [-lam_max, lam_max], discarding bands whose mass stays at or
-    below mass_tol, until active bands are narrower than width_target (or
-    than the local floating-point resolution).  Adjacent survivors are
+    below LOCATE_MASS_TOL, until active bands are narrower than
+    LOCATE_WIDTH (or than the local floating-point resolution) or
+    LOCATE_MAX_DEPTH levels deep.  Adjacent survivors are
     merged and re-measured once, and each located band mass is divided by
     (1 + lambda^2) at the band midpoint.  As in reconstruct_conic, each
     bisection call takes three levels at once, with one (v, xi) row per
@@ -432,9 +456,7 @@ def locate_marginal_atoms(
     is that of one level per call when the oracle's band mass does not
     grow as a band shrinks (see BandOracle).
     """
-    (located,) = _locate_atoms(
-        oracle, [(v, xi)], lam_max, width_target, mass_tol, max_depth
-    )
+    (located,) = _locate_atoms(oracle, [(v, xi)], lam_max)
     return located
 
 
@@ -451,15 +473,15 @@ def _locate_atoms(
     oracle: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     pairs: Sequence[tuple[np.ndarray, np.ndarray]],
     lam_max: float,
-    width_target: float = 1e-10,
-    mass_tol: float = 1e-9,
-    max_depth: int = 80,
+    width_target: float = LOCATE_WIDTH,
+    max_depth: int = LOCATE_MAX_DEPTH,
 ) -> list[LineMeasure]:
-    """locate_marginal_atoms for every (v, xi) pair at once.
+    """locate_marginal_atoms for every (v, xi) pair at once, stopping bands
+    at width_target and max_depth.
 
     Each oracle call measures every live band three bisection levels down:
     its 8 great-grandchildren, cut at nested midpoints, keeping those above
-    mass_tol.  For an oracle whose band mass does not grow when a band
+    LOCATE_MASS_TOL.  For an oracle whose band mass does not grow when a band
     shrinks, these are exactly the survivors of three one-level steps.  A
     band takes one level only when one of its children or grandchildren is
     narrow or fewer than 3 levels of max_depth remain, so the narrow rule
@@ -500,7 +522,7 @@ def _locate_atoms(
         owner, depth = np.repeat(owner, counts), np.repeat(depth + np.where(deep, 3, 1), counts)
         bands = np.column_stack((edges[:, :-1][used], edges[:, 1:][used]))
         rows_v, rows_xi = np.take(vs, owner, axis=0), np.take(xis, owner, axis=0)
-        alive = oracle(rows_v, rows_xi, bands) > mass_tol
+        alive = oracle(rows_v, rows_xi, bands) > LOCATE_MASS_TOL
         owner, bands, depth = owner[alive], bands[alive], depth[alive]
     owner = np.concatenate([o for o, _ in done])
     bands = np.concatenate([iv for _, iv in done])
@@ -521,7 +543,7 @@ def _locate_atoms(
     totals = np.concatenate([np.zeros(0)] + [
         oracle(v, xi, merged[a:b]) for (v, xi), a, b in zip(pairs, bounds, bounds[1:]) if b > a
     ])
-    keep = totals > mass_tol
+    keep = totals > LOCATE_MASS_TOL
     mids = 0.5 * (merged[:, 0] + merged[:, 1])[keep]
     gamma = totals[keep] / (1.0 + mids**2)
     kept = np.concatenate([[0], np.cumsum(keep)])[bounds].tolist()
@@ -576,9 +598,6 @@ def _masked_sums(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
 def reconstruct_plane_measure(
     plane: Subspace,
     marginals: Sequence[LineMeasure],
-    k_max: int = 32,
-    match_tol: float = 1e-7,
-    residual_tol: float = 1e-8,
 ) -> PlaneMeasure:
     """Recover an atomic plane measure from its one-dimensional marginals.
 
@@ -588,7 +607,8 @@ def reconstruct_plane_measure(
     least squares on the incidence system.  When more than dim + 1 marginals
     are supplied, the last one is held out and used only to verify the
     solution.  Raises AmbiguousReconstruction when the system is
-    rank-deficient, inconsistent, or fails the held-out check.
+    rank-deficient, inconsistent, fails the held-out check, or needs more
+    than MAX_ATOMS atoms.
     """
     from scipy.optimize import nnls  # deferred: `import varifold_lab` stays numpy-only
 
@@ -601,7 +621,7 @@ def reconstruct_plane_measure(
         held_out = solving.pop()
 
     def tol_of(val):
-        return match_tol * (1.0 + np.abs(val))
+        return MATCH_TOL * (1.0 + np.abs(val))
 
     # orthogonal subset used for the candidate grid
     axes: list[int] = []
@@ -625,7 +645,7 @@ def reconstruct_plane_measure(
         axis_coord_lists.append(reps)
     shape = [len(c) for c in axis_coord_lists]
     n_candidates = math.prod(shape)
-    if n_candidates > max(200_000, k_max**d):
+    if n_candidates > max(200_000, MAX_ATOMS**d):
         raise AmbiguousReconstruction(
             f"candidate grid too large ({n_candidates}); supply cleaner marginals"
         )
@@ -661,21 +681,21 @@ def reconstruct_plane_measure(
         )
     w, _ = nnls(A, b)
     scale = max(1.0, float(np.max(np.abs(b))) if b.size else 1.0)
-    if float(np.max(np.abs(A @ w - b))) > residual_tol * scale:
+    if float(np.max(np.abs(A @ w - b))) > RESIDUAL_TOL * scale:
         raise AmbiguousReconstruction("marginals are mutually inconsistent")
 
     keep = w > 1e-10
     candidates, w = candidates[keep], w[keep]
-    if candidates.shape[0] > k_max:
+    if candidates.shape[0] > MAX_ATOMS:
         raise AmbiguousReconstruction(
-            f"solution uses {candidates.shape[0]} atoms, above the budget {k_max}"
+            f"solution uses {candidates.shape[0]} atoms, above the budget {MAX_ATOMS}"
         )
     if held_out is not None and candidates.shape[0]:
         proj = candidates @ held_out.direction
         reps = _cluster_1d(np.concatenate([proj, held_out.coordinates]), tol_of)
         predicted = _masked_sums(_near(proj, reps, tol_of), w)
         measured = _masked_sums(_near(held_out.coordinates, reps, tol_of), held_out.masses)
-        if (np.abs(predicted - measured) > residual_tol * np.maximum(1.0, measured)).any():
+        if (np.abs(predicted - measured) > RESIDUAL_TOL * np.maximum(1.0, measured)).any():
             raise AmbiguousReconstruction(
                 "held-out marginal disagrees with the reconstruction"
             )
@@ -690,11 +710,6 @@ def reconstruct_conic(
     oracle: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     ambient_dim: int,
     normals: Sequence[np.ndarray] | None = None,
-    k_max: int = 32,
-    cutoff: float = 1e-6,
-    keep_fraction: float = 0.2,
-    coverage_tol: float = 1e-8,
-    mass_tol: float = 1e-9,
 ) -> ConicVarifold:
     """Recover an atomic conic varifold from band-mass measurements.
 
@@ -726,57 +741,51 @@ def reconstruct_conic(
     located = iter(_locate_atoms(
         oracle,
         [(v, xi) for v, battery in zip(normals, batteries) for xi in battery],
-        2.0 / cutoff,
-        mass_tol=mass_tol,
+        2.0 / CHART_CUTOFF,
     ))
     charts = [(v, [next(located) for _ in battery]) for v, battery in zip(normals, batteries)]
-    return reconstruct_from_marginals(
-        ambient_dim, charts, k_max=k_max, keep_fraction=keep_fraction,
-        coverage_tol=coverage_tol,
-    )
+    return reconstruct_from_marginals(ambient_dim, charts)
 
 
 def reconstruct_from_marginals(
     ambient_dim: int,
     charts: Sequence[tuple[np.ndarray, Sequence[LineMeasure]]],
-    k_max: int = 32,
-    keep_fraction: float = 0.2,
-    coverage_tol: float = 1e-8,
 ) -> ConicVarifold:
     """Merge the hemisphere reconstructions of (unit normal, marginals) charts.
 
     Each chart with located mass is solved on the hyperplane v-perp and
     lifted back to the sphere.  Hemisphere results are merged, keeping
-    well-conditioned recoveries (pole component above keep_fraction); an
-    atom recovered twice is identified when directions agree within 1e-6
-    radians and masses within 1e-8.
+    well-conditioned recoveries (pole component at least KEEP_FRACTION, or
+    0.9 / sqrt(ambient_dim) if that is smaller); an atom recovered twice is
+    identified when directions agree within MERGE_ANGLE radians and masses
+    within MERGE_MASS_TOL relative to the larger of 1 and the mass.
 
     Raises AmbiguousReconstruction from the plane solve or on conflicting
     masses, and CoverageGap when marginal mass is not explained by the
     merged reconstruction.
     """
-    keep_cut = min(keep_fraction, 0.9 / math.sqrt(ambient_dim))
+    keep_cut = min(KEEP_FRACTION, 0.9 / math.sqrt(ambient_dim))
     # (directions, masses, pole dots) of the well-conditioned atoms per chart
     kept = [(np.zeros((0, ambient_dim)), np.zeros(0), np.zeros(0))]
     for v, marginals in charts:
         if all(m.n_atoms == 0 for m in marginals):
             continue
-        gamma = reconstruct_plane_measure(hyperplane_of(v), marginals, k_max=k_max)
+        gamma = reconstruct_plane_measure(hyperplane_of(v), marginals)
         cone_v = lift_to_sphere(gamma, v)
         h = _rowdot(cone_v.atom_directions, np.asarray(v, dtype=float))
         well = h >= keep_cut
         kept.append((cone_v.atom_directions[well], cone_v.atom_masses[well], h[well]))
     dirs, masses, poles = (np.concatenate(column) for column in zip(*kept))
 
-    # identify each kept atom with the first final atom within 1e-6, in
-    # order; the one seen closer to its pole stands for both
-    near = (_direction_distances(dirs) < 1e-6).tolist()
+    # identify each kept atom with the first final atom within MERGE_ANGLE,
+    # in order; the one seen closer to its pole stands for both
+    near = (_direction_distances(dirs) < MERGE_ANGLE).tolist()
     ms, hs = masses.tolist(), poles.tolist()
     final: list[int] = []
     for j in range(len(ms)):
         for slot, f in enumerate(final):
             if near[j][f]:
-                if abs(ms[j] - ms[f]) > 1e-8:
+                if abs(ms[j] - ms[f]) > MERGE_MASS_TOL * max(1.0, ms[f]):
                     raise AmbiguousReconstruction(
                         "conflicting masses for the same recovered direction"
                     )
@@ -798,7 +807,7 @@ def reconstruct_from_marginals(
     for (v, marginals), covered in zip(charts, explained.tolist()):
         for m in marginals:
             unaccounted = m.total_mass - covered
-            if unaccounted > coverage_tol:
+            if unaccounted > COVERAGE_TOL * max(1.0, m.total_mass):
                 raise CoverageGap(
                     f"marginal mass {unaccounted:.3e} unaccounted for under "
                     f"normal {np.array2string(v, precision=3)}"

@@ -16,11 +16,13 @@ from typing import Callable
 import numpy as np
 
 from .core import (
+    _TINY,
     DegenerateGeometryError,
     DiscreteVarifold,
     _ball_chords,
     _chord_rows,
     _piece_rows,
+    _row_norms,
     _rowdot,
     as_vector,
     group_ends,
@@ -28,9 +30,12 @@ from .core import (
     unit,
 )
 
-
-# smallest normal float: a squared norm below it has lost precision
-_TINY = np.finfo(float).tiny
+# _plateau is 1 for |t| <= PLATEAU and falls smoothly to 0 at |t| = 1.
+PLATEAU = 0.5
+# Distance from the cutting sphere within which boundary_variation counts a
+# piece end as on it, or a chord discriminant as tangent.
+TANGENCY_TOL = 1e-9
+FIELD_CHECK_SAMPLES = 32
 
 
 @dataclass(frozen=True)
@@ -54,16 +59,15 @@ class VariationAtom:
 
 @dataclass(frozen=True)
 class TestField:
-    """A compactly supported smooth vector field with an explicit jacobian.
+    """A compactly supported smooth vector field with an explicit derivative.
 
-    evaluate(x) -> vector and jacobian(x) -> (n, n) matrix; both must accept
-    single points.  The field vanishes outside the open support ball.
-    divergence_batch(points, s) evaluates the tangential divergence
-    s . (Dg(x) s) for a whole (m, n) block of points and a unit s at once.
+    evaluate(x) -> vector accepts single points.  The field vanishes outside
+    the open support ball.  divergence_batch(points, s) evaluates the
+    tangential divergence s . (Dg(x) s) for a whole (m, n) block of points
+    and a unit s at once.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], np.ndarray]
     support_center: np.ndarray
     support_radius: float
     divergence_batch: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -78,26 +82,24 @@ class TestField:
     def ambient_dim(self) -> int:
         return self.support_center.shape[0]
 
-    def validate(self, rng: np.random.Generator, samples: int = 32) -> None:
-        """Spot-check support vanishing and jacobian-vs-finite-differences."""
+    def validate(self, rng: np.random.Generator) -> None:
+        """Spot-check, at FIELD_CHECK_SAMPLES points each, support vanishing
+        and divergence_batch against a central difference of s . evaluate
+        along s."""
         n = self.ambient_dim
-        for _ in range(samples):
+        for _ in range(FIELD_CHECK_SAMPLES):
             d = unit(rng.normal(size=n))
             far = self.support_center + 2.0 * self.support_radius * d
             if np.linalg.norm(self.evaluate(far)) != 0.0:
                 raise ValueError("field does not vanish outside its support ball")
         h = 1e-6 * self.support_radius
-        for _ in range(samples):
+        for _ in range(FIELD_CHECK_SAMPLES):
             x = self.support_center + self.support_radius * rng.uniform(-0.9, 0.9, size=n)
-            jac = self.jacobian(x)
-            num = np.empty_like(jac)
-            for j in range(n):
-                e = np.zeros(n)
-                e[j] = h
-                num[:, j] = (self.evaluate(x + e) - self.evaluate(x - e)) / (2.0 * h)
-            scale = max(1.0, float(np.max(np.abs(jac))))
-            if np.max(np.abs(jac - num)) > 1e-6 * scale:
-                raise ValueError("jacobian disagrees with finite differences")
+            s = unit(rng.normal(size=n))
+            div = float(self.divergence_batch(x[None, :], s)[0])
+            num = float(np.dot(s, self.evaluate(x + h * s) - self.evaluate(x - h * s))) / (2.0 * h)
+            if abs(div - num) > 1e-6 * max(1.0, abs(div)):
+                raise ValueError("divergence_batch disagrees with finite differences")
 
 
 # ---------------------------------------------------------------------------
@@ -130,21 +132,21 @@ def _half_exp(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _plateau(t: np.ndarray, plateau: float = 0.5) -> np.ndarray:
-    """Smooth lump: 1 for |t| <= plateau, 0 for |t| >= 1."""
+def _plateau(t: np.ndarray) -> np.ndarray:
+    """Smooth lump: 1 for |t| <= PLATEAU, 0 for |t| >= 1."""
     t = np.abs(np.asarray(t, dtype=float))
-    u = (1.0 - t) / (1.0 - plateau)
+    u = (1.0 - t) / (1.0 - PLATEAU)
     a = _half_exp(u)
     b = _half_exp(1.0 - u)
     out = np.where(t >= 1.0, 0.0, a / np.where(a + b == 0.0, 1.0, a + b))
-    return np.where(t <= plateau, 1.0, out)
+    return np.where(t <= PLATEAU, 1.0, out)
 
 
-def _plateau_prime(t: np.ndarray, plateau: float = 0.5) -> np.ndarray:
+def _plateau_prime(t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     sign = np.sign(t)
     ta = np.abs(t)
-    u = (1.0 - ta) / (1.0 - plateau)
+    u = (1.0 - ta) / (1.0 - PLATEAU)
     a = _half_exp(u)
     b = _half_exp(1.0 - u)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -153,45 +155,26 @@ def _plateau_prime(t: np.ndarray, plateau: float = 0.5) -> np.ndarray:
         s_prime = np.where(
             (a + b) > 0.0, (ap * b + a * bp) / np.maximum((a + b) ** 2, 1e-300), 0.0
         )
-    inner = (ta > plateau) & (ta < 1.0)
-    return np.where(inner, -sign * s_prime / (1.0 - plateau), 0.0)
+    inner = (ta > PLATEAU) & (ta < 1.0)
+    return np.where(inner, -sign * s_prime / (1.0 - PLATEAU), 0.0)
 
 
 def _profile_field(center, radius: float, matrix_or_vector, profile, profile_prime) -> TestField:
     c = as_vector(center)
-    n = c.shape[0]
     arg = np.asarray(matrix_or_vector, dtype=float)
     if arg.ndim == 1:
         # constant vector times radial profile
         def value_of(x):
             return arg
-
-        def deriv_of(x):
-            return np.zeros((n, n))
     else:
         def value_of(x):
             return arg @ (x - c)
-
-        def deriv_of(x):
-            return arg
 
     def evaluate(x):
         x = np.asarray(x, dtype=float)
         r = float(np.linalg.norm(x - c))
         p = float(profile(np.atleast_1d(r / radius))[0])
         return p * value_of(x)
-
-    def jacobian(x):
-        x = np.asarray(x, dtype=float)
-        d = x - c
-        r = float(np.linalg.norm(d))
-        t = r / radius
-        p = float(profile(np.atleast_1d(t))[0])
-        jac = p * deriv_of(x)
-        if r > 0.0:
-            grad = float(profile_prime(np.atleast_1d(t))[0]) / (radius * r) * d
-            jac = jac + np.outer(value_of(x), grad)
-        return jac
 
     def divergence_batch(points, s):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -211,7 +194,7 @@ def _profile_field(center, radius: float, matrix_or_vector, profile, profile_pri
         grad_s[safe] = profile_prime(t[safe]) / (radius * r[safe]) * (d[safe] @ s)
         return out + vs * grad_s
 
-    return TestField(evaluate, jacobian, c, radius, divergence_batch)
+    return TestField(evaluate, c, radius, divergence_batch)
 
 
 def bump_field(center, radius: float, vector) -> TestField:
@@ -219,27 +202,15 @@ def bump_field(center, radius: float, vector) -> TestField:
     return _profile_field(center, radius, as_vector(vector), _bump, _bump_prime)
 
 
-def plateau_field(center, radius: float, vector, plateau: float = 0.5) -> TestField:
+def plateau_field(center, radius: float, vector) -> TestField:
     """Constant vector times a smooth lump equal to 1 on the inner ball."""
-    return _profile_field(
-        center,
-        radius,
-        as_vector(vector),
-        lambda t: _plateau(t, plateau),
-        lambda t: _plateau_prime(t, plateau),
-    )
+    return _profile_field(center, radius, as_vector(vector), _plateau, _plateau_prime)
 
 
-def linear_field(center, radius: float, matrix, plateau: float = 0.5) -> TestField:
+def linear_field(center, radius: float, matrix) -> TestField:
     """g(x) = lump(|x-c|/radius) * A (x-c); A = I radial, A skew rotational."""
     A = np.array(matrix, dtype=float)
-    return _profile_field(
-        center,
-        radius,
-        A,
-        lambda t: _plateau(t, plateau),
-        lambda t: _plateau_prime(t, plateau),
-    )
+    return _profile_field(center, radius, A, _plateau, _plateau_prime)
 
 
 def rotation_field(center, radius: float, i: int, j: int, n: int) -> TestField:
@@ -330,24 +301,6 @@ def _vertex_forces(v: DiscreteVarifold) -> tuple[np.ndarray, np.ndarray, np.ndar
     return points[first], residual, norms
 
 
-def _row_norms(r: np.ndarray) -> np.ndarray:
-    """|r| of every row, with the bits np.linalg.norm gives the row alone.
-
-    A nonzero row whose squared norm is subnormal, zero or infinite is
-    rescaled by its largest entry s first, as s * |r / s|, so the norm of a
-    tiny or huge residual keeps full precision.
-    """
-    with np.errstate(over="ignore"):
-        sq = _rowdot(r, r)
-    norms = np.sqrt(sq)
-    s = np.max(np.abs(r), axis=1)
-    odd = np.flatnonzero(((sq < _TINY) | (sq == math.inf)) & (0.0 < s) & (s < math.inf))
-    if odd.size:
-        scaled = r[odd] / s[odd, None]
-        norms[odd] = s[odd] * np.sqrt(_rowdot(scaled, scaled))
-    return norms
-
-
 def vertex_residuals(v: DiscreteVarifold, tol: float = 1e-12) -> list[VariationAtom]:
     """Atomic representation of delta V for a piecewise-linear varifold.
 
@@ -388,15 +341,14 @@ def is_stationary(v: DiscreteVarifold, tol: float) -> tuple[bool, float]:
     return worst <= tol, worst
 
 
-def boundary_variation(v: DiscreteVarifold, y, r: float,
-                       tangency_tol: float = 1e-9) -> list[VariationAtom]:
+def boundary_variation(v: DiscreteVarifold, y, r: float) -> list[VariationAtom]:
     """Boundary force atoms of v restricted to the open ball B(y, r).
 
     Every transversal crossing x of a piece with the sphere contributes the
     atom (x, s_out, weight), where s_out is the piece direction oriented
     outward; each omega satisfies <omega, (x-y)/r> >= 0.  Raises
     DegenerateGeometryError when a piece is tangent to the sphere or has an
-    endpoint on it, in which case the caller should perturb r.
+    endpoint on it, both within TANGENCY_TOL, in which case the caller should perturb r.
     """
     if r <= 0.0:
         raise ValueError("radius must be positive")
@@ -405,14 +357,14 @@ def boundary_variation(v: DiscreteVarifold, y, r: float,
 
     def ends_on_sphere(p):
         d = p - c
-        return np.abs(np.sqrt(_rowdot(d, d)) - r) <= tangency_tol
+        return np.abs(np.sqrt(_rowdot(d, d)) - r) <= TANGENCY_TOL
 
     on_sphere = ends_on_sphere(base)
     on_sphere[:len(v.seg_w)] |= ends_on_sphere(v.seg_b)
     bh, disc = _chord_rows(base, u, c, r)
     foot = -bh  # closest approach parameter of the supporting line
-    tangent = (np.abs(disc) <= tangency_tol) & (-tangency_tol <= foot) & (
-        foot <= hi + tangency_tol)
+    tangent = (np.abs(disc) <= TANGENCY_TOL) & (-TANGENCY_TOL <= foot) & (
+        foot <= hi + TANGENCY_TOL)
     bad = on_sphere | tangent
     if bad.any():
         # the first bad piece reports, its endpoints before its tangency

@@ -507,6 +507,17 @@ def _piece_bytes(v):
     return segs, _rays_bytes(v.rays)
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e200])
+def test_segment_length_when_its_square_leaves_the_normal_range(scale):
+    # |(3, 4)| scale with a subnormal, zero or infinite squared length
+    s = segment([0.0, 0.0], [3.0 * scale, 4.0 * scale])
+    assert abs(s.length - 5.0 * scale) <= 1e-15 * 5.0 * scale
+    assert np.abs(s.direction - [0.6, 0.8]).max() <= 1e-15
+    v = DiscreteVarifold(2, (s,))
+    assert v.seg_len.tobytes() == np.float64(s.length).tobytes()
+    assert v.seg_u.tobytes() == s.direction.tobytes()
+
+
 def test_columns_carry_piece_bits():
     for v in _column_cases():
         assert v.seg_u.tobytes() == np.array(

@@ -495,6 +495,36 @@ def test_check_stationary_overflowing_segment_length_exits_2(tmp_path, monkeypat
     assert err.startswith("SchemaError: ") and err.count("\n") == 1
 
 
+def test_check_stationary_segment_with_overflowing_squared_length(tmp_path, monkeypatch, capsys):
+    # the length 1e200 fits in a float; its square does not
+    monkeypatch.chdir(tmp_path)
+    Path("v.json").write_text(
+        '{"ambient_dim": 2, "segments": [{"a": [0, 0], "b": [1e200, 0], "weight": 1.0}]}'
+    )
+    assert run(["check-stationary", "v.json", "--out", "r.csv"])[0] == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("max residual mass: 1\n") and err == ""
+    assert Path("r.csv").read_text().splitlines()[2].startswith("9.9999999999999997e+199,0,1,")
+
+
+@pytest.mark.parametrize("heavy", [1e3, 1e12])
+def test_reconstruct_heavy_cone(tmp_path, monkeypatch, capsys, heavy):
+    # the chart merge and the coverage check compare masses relative to
+    # their size, so a heavy atom next to a light one reconstructs
+    monkeypatch.chdir(tmp_path)
+    Path("c.json").write_text(
+        '{"ambient_dim": 3, "conic": {"atoms": [{"dir": [0.6, 0, 0.8], "mass": %r},'
+        ' {"dir": [0, 0.6, 0.8], "mass": 1.0}]}}' % heavy
+    )
+    assert run(["reconstruct", "c.json"])[0] == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("recovered 2/2 atoms") and err == ""
+    _, *rows = Path("c.residuals.csv").read_text().splitlines()
+    for row in rows:
+        mass, position_error, mass_error = map(float, row.split(",")[3:])
+        assert position_error < 1e-10 and mass_error < 1e-10 * mass
+
+
 def test_reconstruct_subnormal_pole_component(tmp_path, monkeypatch, capsys):
     # the first atom's slope overflows under the normal e1, where it lies in
     # no band; every other chart sees it

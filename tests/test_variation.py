@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -22,7 +23,7 @@ from varifold_lab import (
     vertex_residuals,
     weighted_projection,
 )
-from varifold_lab.core import VERTEX_TOL, group_ends, unit
+from varifold_lab.core import VERTEX_TOL, _row_norms, group_ends, unit
 from varifold_lab.fixtures import (
     full_line,
     random_stationary_network,
@@ -30,7 +31,7 @@ from varifold_lab.fixtures import (
     random_varifold,
     y_junction,
 )
-from varifold_lab.variation import VariationAtom, _row_norms, rotation_field
+from varifold_lab.variation import VariationAtom, rotation_field
 
 from piece_reference import ball_interval
 
@@ -56,6 +57,16 @@ def test_field_validation():
         rotation_field([0.0, 0.0], 1.0, 0, 1, 2),
     ):
         f.validate(rng)
+
+
+def test_field_validation_checks_the_divergence():
+    # first_variation_quadrature integrates divergence_batch, so validate
+    # checks it against evaluate
+    f = linear_field([0.1, 0.2], 1.5, np.eye(2))
+    doubled = dataclasses.replace(
+        f, divergence_batch=lambda points, s: 2.0 * f.divergence_batch(points, s))
+    with pytest.raises(ValueError, match="divergence_batch"):
+        doubled.validate(np.random.default_rng(3))
 
 
 def test_plateau_is_one_inside():

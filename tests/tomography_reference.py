@@ -17,6 +17,7 @@ from scipy.optimize import nnls
 
 from varifold_lab.core import ATOM_SEPARATION_TOL, ConicVarifold, Subspace, as_vector, unit
 from varifold_lab.tomography import (
+    MAX_ATOMS,
     AmbiguousReconstruction,
     CoverageGap,
     LineMeasure,
@@ -251,7 +252,6 @@ def reconstruct_plane_measure(
 def reconstruct_from_marginals(
     ambient_dim: int,
     charts: Sequence[tuple[np.ndarray, Sequence[LineMeasure]]],
-    k_max: int = 32,
     keep_fraction: float = 0.2,
     coverage_tol: float = 1e-8,
 ) -> ConicVarifold:
@@ -259,9 +259,12 @@ def reconstruct_from_marginals(
 
     Each chart with located mass is solved on the hyperplane v-perp and
     lifted back to the sphere.  Hemisphere results are merged, keeping
-    well-conditioned recoveries (pole component above keep_fraction); an
-    atom recovered twice is identified when directions agree within 1e-6
-    radians and masses within 1e-8.
+    well-conditioned recoveries (pole component at least keep_fraction, or
+    0.9 / sqrt(ambient_dim) if that is smaller); an atom recovered twice is
+    identified when directions agree within 1e-6 radians and masses within
+    1e-8 relative to the larger of 1 and the mass.  Marginal mass beyond the
+    explained mass by more than coverage_tol relative to the larger of 1 and
+    the marginal's mass is a coverage gap.
 
     Raises AmbiguousReconstruction from the plane solve or on conflicting
     masses, and CoverageGap when marginal mass is not explained by the
@@ -272,7 +275,7 @@ def reconstruct_from_marginals(
     for v, marginals in charts:
         if all(m.n_atoms == 0 for m in marginals):
             continue
-        gamma = reconstruct_plane_measure(hyperplane_of(v), marginals, k_max=k_max)
+        gamma = reconstruct_plane_measure(hyperplane_of(v), marginals, k_max=MAX_ATOMS)
         cone_v = lift_to_sphere(gamma, v)
         for i in range(cone_v.n_atoms):
             z = cone_v.atom_directions[i]
@@ -284,7 +287,7 @@ def reconstruct_from_marginals(
     for z, m, h in kept:
         for i, (zf, mf, hf) in enumerate(final):
             if float(np.linalg.norm(z - zf)) < 1e-6:
-                if abs(m - mf) > 1e-8:
+                if abs(m - mf) > 1e-8 * max(1.0, mf):
                     raise AmbiguousReconstruction(
                         "conflicting masses for the same recovered direction"
                     )
@@ -310,7 +313,7 @@ def reconstruct_from_marginals(
                 explained += float(result.atom_masses[i]) * h
         for m in marginals:
             unaccounted = float(np.sum(m.masses)) - explained
-            if unaccounted > coverage_tol:
+            if unaccounted > coverage_tol * max(1.0, float(np.sum(m.masses))):
                 raise CoverageGap(
                     f"marginal mass {unaccounted:.3e} unaccounted for under "
                     f"normal {np.array2string(v, precision=3)}"

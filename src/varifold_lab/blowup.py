@@ -24,13 +24,13 @@ from .core import (
     RayPiece,
     Subspace,
     _ball_chords,
+    _dilations,
     _piece_rows,
     _rowdot,
     as_vector,
     conic_atoms,
     conic_to_discrete,
     density,
-    dilate,
     incident_rays,
     split_at_point,
     unit,
@@ -205,6 +205,23 @@ def default_battery(ambient_dim: int) -> TestBattery:
 
 # Cells per lump evaluation: bounds the temporaries of a pairing.
 _LUMP_CHUNK = 1024
+# Pieces dilated per batch in tangent_estimate: bounds the stacked rows.
+_DILATION_ROWS = 4096
+
+
+def _clip(rows, radius: float) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Rows (base, u, w, lo, up) of the pieces (base, u, hi, w) that meet
+    B(0, radius), with chord (lo, up) of base + t*u; and the mask of those."""
+    base, u, hi, w = rows
+    lo, up, meets = _ball_chords(base, u, hi, np.zeros(base.shape[1]), radius)
+    return tuple(col[meets] for col in (base, u, w, lo, up)), meets
+
+
+def _row_key(rows) -> bytes:
+    """The clipped rows' bytes in sorted order; equal keys pair to equal bits,
+    since pieces are sampled and paired row by row and pairings are sorted sums."""
+    table = np.column_stack(rows).view(np.uint64)
+    return table[np.lexsort(table.T)].tobytes()
 
 
 class _Samples(NamedTuple):
@@ -228,20 +245,18 @@ class _Samples(NamedTuple):
             yield self.points[a:b], u, self.lens[a:b], w
 
 
-def _piece_samples(v: DiscreteVarifold, radius: float, cells: int) -> _Samples:
-    """Midpoint cells of every piece clipped to B(0, radius).
+def _piece_samples(rows, radius: float, cells: int) -> _Samples:
+    """Midpoint cells of the pieces clipped to B(0, radius), given as _clip's rows.
 
     Cells sit on an absolute grid anchored at the piece line's closest
     approach to the origin, so subdividing a piece (or swapping a long
     segment for the ray it stabilizes to) reproduces the same cells bit for
     bit.  All pieces are cut in one pass: the ragged edge grids are laid end
     to end, and a cell is kept when both its edges belong to one piece and
-    its length is positive.
+    its length is positive.  A piece's cells depend on its row alone.
     """
     h = radius / cells
-    base, u, hi, w = _piece_rows(v)
-    lo, up, meets = _ball_chords(base, u, hi, np.zeros(v.ambient_dim), radius)
-    base, u, w, lo, up = base[meets], u[meets], w[meets], lo[meets], up[meets]
+    base, u, w, lo, up = rows
     foot = -_rowdot(base, u)
     k_lo = np.floor((lo - foot) / h).astype(np.int64)
     n_edges = np.ceil((up - foot) / h).astype(np.int64) - k_lo + 1
@@ -276,15 +291,16 @@ def _pair_all(samples: _Samples, battery: TestBattery) -> np.ndarray:
     return np.sum(np.ascontiguousarray(contribs.T), axis=1)
 
 
-def _pairings(v: DiscreteVarifold, battery: TestBattery) -> np.ndarray:
-    return _pair_all(_piece_samples(v, battery.radius, PAIRING_CELLS), battery)
+def _pairings(rows, battery: TestBattery) -> np.ndarray:
+    return _pair_all(_piece_samples(rows, battery.radius, PAIRING_CELLS), battery)
 
 
 def weak_star_distance(v1: DiscreteVarifold, v2: DiscreteVarifold, battery: TestBattery) -> float:
     """Max pairing difference over the battery; zero for equal piece multisets."""
     if v1.ambient_dim != v2.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    return float(np.max(np.abs(_pairings(v1, battery) - _pairings(v2, battery))))
+    p1, p2 = (_pairings(_clip(_piece_rows(v), battery.radius)[0], battery) for v in (v1, v2))
+    return float(np.max(np.abs(p1 - p2)))
 
 
 # ---------------------------------------------------------------------------
@@ -301,14 +317,9 @@ class TangentDiagnostics:
     @property
     def stabilized_at(self) -> int | None:
         """First index from which the distance is exactly zero onward."""
-        idx = None
-        for i, d in enumerate(self.distances):
-            if d == 0.0:
-                if idx is None:
-                    idx = i
-            else:
-                idx = None
-        return idx
+        nonzero = [i for i, d in enumerate(self.distances) if d != 0.0]
+        start = nonzero[-1] + 1 if nonzero else 0
+        return start if start < len(self.distances) else None
 
 
 def dilation_factors(lambdas: Sequence[float]) -> list[float]:
@@ -336,11 +347,13 @@ def tangent_estimate(
     factor beats the distance to every non-incident piece).  Diagnostics
     report the battery distance between each dilation and the cone; with
     power-of-two dilation factors the sequence hits exactly 0 at the
-    stabilization scale.  The cone is sampled and paired with the battery
-    once; each dilation's pairing vector is compared against it, with the
-    same floats weak_star_distance gives.  Raises ValueError unless the
-    factors are finite, positive and strictly decreasing, and
-    ZeroDensityError off the support.
+    stabilization scale, with the floats weak_star_distance gives.  Every
+    dilation is clipped to the battery ball in one stacked pass (batches of
+    about _DILATION_ROWS pieces).  One whose clipped rows, sorted, have the
+    cone's bytes gets 0.0 unpaired, since it would pair to the cone's bits
+    (see _row_key); any other is paired, and then the cone, once.  Raises
+    ValueError unless the factors are finite, positive and strictly
+    decreasing, ZeroDensityError off the support, and errors as dilate.
     """
     lams = dilation_factors(lambdas)
     p = as_vector(x, dim=v.ambient_dim)
@@ -350,12 +363,25 @@ def tangent_estimate(
     cone = conic_atoms(v.ambient_dim, incident_rays(vs, p))
     if battery is None:
         battery = default_battery(v.ambient_dim)
-    cone_pairings = _pairings(conic_to_discrete(cone), battery)
-    dists = tuple(
-        float(np.max(np.abs(_pairings(dilate(vs, p, l), battery) - cone_pairings)))
-        for l in lams
-    )
-    return cone, TangentDiagnostics(tuple(lams), dists)
+    cone_rows = _clip(_piece_rows(conic_to_discrete(cone)), battery.radius)[0]
+    cone_key, cone_pairings, dists = _row_key(cone_rows), None, []
+    k, m = len(vs.seg_w), len(vs.ray_w)
+    per = max(1, _DILATION_ROWS // (k + m))
+    for batch in (lams[j:j + per] for j in range(0, len(lams), per)):
+        # the stacked rows regrouped by dilation: its segments, then its rays
+        ids = np.arange(len(batch))
+        order = np.argsort(np.concatenate((ids.repeat(k), ids.repeat(m))), kind="stable")
+        stacked = _piece_rows(_dilations(vs, p, batch))
+        rows, meets = _clip([col[order] for col in stacked], battery.radius)
+        ends = np.cumsum(meets.reshape(len(batch), k + m).sum(axis=1)).tolist()
+        for part in (tuple(col[s:e] for col in rows) for s, e in zip([0, *ends], ends)):
+            if _row_key(part) == cone_key:
+                dists.append(0.0)
+                continue
+            if cone_pairings is None:
+                cone_pairings = _pairings(cone_rows, battery)
+            dists.append(float(np.max(np.abs(_pairings(part, battery) - cone_pairings))))
+    return cone, TangentDiagnostics(tuple(lams), tuple(dists))
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +417,8 @@ def _projected_localized_density(
     total = 0.0
     for z, m in zip(dirs, masses):
         bh = float(np.dot(z, y))
-        disc = bh * bh - 1.0 + r * r
+        perp = y - bh * z  # (y.z)^2 - 1 + r^2 loses about six digits for r < 1e-5
+        disc = r * r - float(np.dot(perp, perp))
         if disc <= 0.0:
             continue
         s = math.sqrt(disc)

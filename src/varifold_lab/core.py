@@ -269,8 +269,8 @@ class DiscreteVarifold:
         object.__setattr__(self, "_segments", segments)
         object.__setattr__(self, "_rays", rays)
 
-    def _assemble(self, n, seg_a, seg_b, seg_w, seg_len, ray_o, ray_d, ray_w) -> None:
-        """Store the columns, given as read-only arrays, and derive seg_u."""
+    def _assemble(self, n, seg_a, seg_b, seg_w, seg_len, ray_o, ray_d, ray_w):
+        """Store the columns, given as read-only arrays; derive seg_u; return self."""
         seg_u = (seg_b - seg_a) / seg_len[:, None]
         seg_u.setflags(write=False)
         for name, value in (
@@ -279,6 +279,7 @@ class DiscreteVarifold:
             ("ray_w", ray_w), ("_segments", None), ("_rays", None), ("_stacked", None),
         ):
             object.__setattr__(self, name, value)
+        return self
 
     @classmethod
     def _from_columns(cls, ambient_dim: int, seg_a, seg_b, seg_w,
@@ -301,9 +302,7 @@ class DiscreteVarifold:
             # written so that a NaN direction fails too
             (np.abs(_rowdot(u, u) - 1.0) <= 1e-10, "ray direction must be a unit vector"),
         )
-        v = cls.__new__(cls)
-        v._assemble(n, a, b, w, length, o, u, rw)
-        return v
+        return cls.__new__(cls)._assemble(n, a, b, w, length, o, u, rw)
 
     def __reduce__(self):
         return (DiscreteVarifold._from_columns, (
@@ -655,15 +654,29 @@ def density(v: DiscreteVarifold, x) -> DensityValue:
     return DensityValue(lower=total, upper=total, value=total)
 
 
+def _dilations(v: DiscreteVarifold, c: np.ndarray, lams: Sequence[float]) -> DiscreteVarifold:
+    """Images of v under y -> (y - c) / lam for all lams, stacked (all segments,
+    then all rays, in factor order) with the bits of their own image; raises
+    OverflowError off the float range, DegenerateGeometryError on a collapse."""
+    n, k, lam = v.ambient_dim, len(lams), np.asarray(lams, dtype=float)[:, None, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b, o = (_rows((x - c) / lam, n) for x in (v.seg_a, v.seg_b, v.ray_o))
+        length = _segment_lengths(a, b)  # NaN or inf where a, b or b - a overflow
+    if not (np.isfinite(o).all() and (length < math.inf).all()):
+        raise OverflowError("a dilation leaves the float range")
+    if not length.all():
+        raise DegenerateGeometryError("a dilated segment collapses onto a point")
+    return DiscreteVarifold.__new__(DiscreteVarifold)._assemble(
+        n, a, b, _column(np.tile(v.seg_w, k)), length,
+        o, _rows(np.tile(v.ray_d, (k, 1)), n), _column(np.tile(v.ray_w, k)))
+
+
 def dilate(v: DiscreteVarifold, x, lam: float) -> DiscreteVarifold:
-    """Image of v under y -> (y - x) / lam; weights unchanged."""
-    if lam <= 0.0:
+    """Image of v under y -> (y - x) / lam; weights unchanged.  OverflowError
+    when it leaves the float range, DegenerateGeometryError on a collapse."""
+    if not lam > 0.0:
         raise ValueError("dilation factor must be positive")
-    c = as_vector(x, dim=v.ambient_dim)
-    return DiscreteVarifold._from_columns(
-        v.ambient_dim, (v.seg_a - c) / lam, (v.seg_b - c) / lam, v.seg_w,
-        (v.ray_o - c) / lam, v.ray_d, v.ray_w,
-    )
+    return _dilations(v, as_vector(x, dim=v.ambient_dim), [lam])
 
 
 def restrict(v: DiscreteVarifold, center, radius: float,

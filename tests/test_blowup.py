@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -32,11 +33,15 @@ from varifold_lab import blowup, fixtures
 from varifold_lab.blowup import (
     _PLATEAU_SLOPE,
     BatteryFunction,
+    _clip,
     _pair_all,
     _piece_samples,
+    _row_key,
 )
 from varifold_lab.core import (
+    DegenerateGeometryError,
     RayPiece,
+    _piece_rows,
     as_vector,
     incident_rays,
     split_at_point,
@@ -230,6 +235,11 @@ def _reference_tangent(v, x, lambdas):
     return cone, tuple(_reference_distance(dilate(vs, p, l), cd, battery) for l in lambdas)
 
 
+def _samples(v, radius, cells):
+    """_piece_samples of v's pieces clipped to B(0, radius)."""
+    return _piece_samples(_clip(_piece_rows(v), radius)[0], radius, cells)
+
+
 def _opaque(battery):
     """The battery's functions re-wrapped as closures, without its table."""
     def wrap(f):
@@ -289,6 +299,103 @@ def test_catalogue_reference_has_nonzero_distances():
     assert nonzero >= 20
 
 
+def _count_pairings(monkeypatch):
+    """A list that gets one entry per _pair_all call."""
+    calls = []
+    real = blowup._pair_all
+    monkeypatch.setattr(blowup, "_pair_all", lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+def _incident_varifold(rng, n, x):
+    """Segments and rays ending at x, maybe a segment through x, and random
+    pieces elsewhere."""
+    def arm():
+        return fixtures.random_unit_vector(rng, n)
+
+    w = lambda: float(rng.uniform(0.2, 3.0))  # noqa: E731
+    segs = [SegmentPiece(x, x + rng.uniform(0.05, 3.0) * arm(), w())
+            for _ in range(int(rng.integers(0, 3)))]
+    rays = [RayPiece(x, arm(), w()) for _ in range(int(rng.integers(0, 3)))]
+    if not segs and not rays or rng.uniform() < 0.5:
+        # along an axis, so that x lies on the segment's line exactly
+        u = np.eye(n)[rng.integers(n)]
+        segs.append(SegmentPiece(x - rng.uniform(0.05, 2.0) * u, x + rng.uniform(0.05, 2.0) * u,
+                                 w()))
+    others = fixtures.random_varifold(rng, n, n_segments=int(rng.integers(0, 4)),
+                                      n_rays=int(rng.integers(0, 3)), box=1.5)
+    return DiscreteVarifold(n, tuple(segs), tuple(rays)) + others
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+    exponents=st.lists(st.integers(-3, 30), min_size=1, max_size=6, unique=True),
+    others=st.lists(st.floats(1e-6, 8.0), max_size=3, unique=True),
+    opaque=st.booleans(),
+)
+def test_tangent_skip_matches_pairing_every_dilation(n, seed, exponents, others, opaque):
+    # a skipped dilation must have been one that pairs to exactly 0.0
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, n)
+    v = _incident_varifold(rng, n, x)
+    lambdas = sorted({2.0 ** -e for e in exponents} | set(others), reverse=True)
+    battery = default_battery(n)
+    cone, diag = tangent_estimate(v, x, lambdas, battery=_opaque(battery) if opaque else battery)
+    ref_cone, ref_dists = _reference_tangent(v, x, lambdas)
+    assert cone.atom_directions.tobytes() == ref_cone.atom_directions.tobytes()
+    assert np.array(diag.distances).tobytes() == np.array(ref_dists).tobytes()
+
+
+def test_rows_differing_by_a_negative_zero_pair_to_zero(monkeypatch):
+    # the cone's rays start at -0.0: its clipped rows differ from every
+    # dilation's only in those sign bits, so each dilation is paired
+    def signed_zero_cone(c):
+        d = conic_to_discrete(c)
+        return DiscreteVarifold._from_columns(d.ambient_dim, d.seg_a, d.seg_b, d.seg_w,
+                                              np.full(d.ray_o.shape, -0.0), d.ray_d, d.ray_w)
+
+    lambdas = [2.0 ** -k for k in range(4)]
+    cone, _ = tangent_estimate(y_junction(3), np.zeros(3), lambdas)
+    rows = [_clip(_piece_rows(f(cone)), 1.0)[0] for f in (conic_to_discrete, signed_zero_cone)]
+    assert _row_key(rows[0]) != _row_key(rows[1])
+    assert all(np.array_equal(a, b) for a, b in zip(*rows))
+    monkeypatch.setattr(blowup, "conic_to_discrete", signed_zero_cone)
+    calls = _count_pairings(monkeypatch)
+    _, diag = tangent_estimate(y_junction(3), np.zeros(3), lambdas)
+    assert len(calls) == 1 + len(lambdas)
+    assert np.array(diag.distances).tobytes() == np.zeros(len(lambdas)).tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 100, 250])
+def test_tangent_batches_of_dilations_give_the_same_bits(monkeypatch, rows):
+    # 48 pieces a dilation: batches of 1 (a batch holds at least one), 2 and 5
+    _, v, x = CATALOGUE[5]
+    lambdas = [2.0 ** -k for k in range(12)]
+    _, whole = tangent_estimate(v, x, lambdas)
+    monkeypatch.setattr(blowup, "_DILATION_ROWS", rows)
+    _, batched = tangent_estimate(v, x, lambdas)
+    assert np.array(batched.distances).tobytes() == np.array(whole.distances).tobytes()
+    assert any(d != 0.0 for d in whole.distances) and whole.distances[-1] == 0.0
+
+
+def test_y_junction_of_rays_pairs_nothing(monkeypatch):
+    calls = _count_pairings(monkeypatch)
+    _, diag = tangent_estimate(y_junction(3), np.zeros(3), [2.0 ** -k for k in range(22)])
+    assert diag.distances == (0.0,) * 22
+    assert not calls
+
+
+def test_catalogue_pairs_only_dilations_that_may_differ(monkeypatch):
+    # at most the cone once plus every dilation with a nonzero distance
+    calls = _count_pairings(monkeypatch)
+    for _, v, x in CATALOGUE:
+        calls.clear()
+        _, diag = tangent_estimate(v, x, REFERENCE_LAMBDAS)
+        assert len(calls) <= 1 + sum(d != 0.0 for d in diag.distances)
+
+
 def _random_segments(rng, n, count):
     segs = []
     for _ in range(count):
@@ -316,7 +423,7 @@ def test_opaque_battery_pairs_bitwise_equal_table(label, v, x):
     _, fast = tangent_estimate(v, x, REFERENCE_LAMBDAS, battery=battery)
     _, generic = tangent_estimate(v, x, REFERENCE_LAMBDAS, battery=_opaque(battery))
     assert np.array(fast.distances).tobytes() == np.array(generic.distances).tobytes()
-    samples = _piece_samples(dilate(v, x, 0.5), 1.0, 256)
+    samples = _samples(dilate(v, x, 0.5), 1.0, 256)
     assert _pair_all(samples, battery).tobytes() == _pair_all(samples, _opaque(battery)).tobytes()
 
 
@@ -390,7 +497,7 @@ def test_piece_samples_match_reference_bitwise():
     for v in _sampling_cases():
         for radius, cells in ((1.0, 256), (0.7, 33), (2.5, 1000)):
             ref = _reference_piece_samples(v, radius, cells)
-            got = list(_piece_samples(v, radius, cells).per_piece())
+            got = list(_samples(v, radius, cells).per_piece())
             assert len(got) == len(ref)
             for (p1, u1, l1, w1), (p2, u2, l2, w2) in zip(ref, got):
                 assert p1.tobytes() == p2.tobytes()
@@ -405,7 +512,7 @@ def test_table_contributions_match_piece_loop_bitwise():
     for v in _sampling_cases():
         table = default_battery(v.ambient_dim).table
         for cells in (256, 1500):
-            samples = _piece_samples(v, 1.0, cells)
+            samples = _samples(v, 1.0, cells)
             ref = [_reference_contributions(table, *piece)
                    for piece in _reference_piece_samples(v, 1.0, cells)]
             got = table.contributions(samples)
@@ -453,6 +560,29 @@ def test_tangent_requires_positive_density():
 def test_tangent_rejects_non_finite_factors(lambdas):
     with pytest.raises(ValueError, match="finite"):
         tangent_estimate(y_junction(), [0.0, 0.0], lambdas)
+
+
+@pytest.mark.parametrize("arm,lam,error", [
+    (1.5, 1e-320, OverflowError),  # coordinates leave the float range
+    (1e-20, 1e308, DegenerateGeometryError),  # the arms collapse to the origin
+])
+def test_hostile_dilation_factors_raise_typed_errors(arm, lam, error):
+    v = y_junction(2, arm_length=arm)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            dilate(v, [0.0, 0.0], lam)
+        with pytest.raises(error):
+            tangent_estimate(v, [0.0, 0.0], sorted([1.0, lam], reverse=True))
+
+
+def test_dilated_segment_length_overflow_raises():
+    # both dilated endpoints fit in a float; the length between them does not
+    v = DiscreteVarifold(2, (SegmentPiece([-6e307, 0.0], [6e307, 0.0], 1.0),), ())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError):
+            dilate(v, [0.0, 0.0], 0.5)
 
 
 def test_tangent_on_dense_lines_fixture():
@@ -506,6 +636,19 @@ def test_density_bounds_single_atom():
     pole = float(np.linalg.norm(p.project(y)))
     assert report.lower == pytest.approx(pole * 1.4, abs=1e-12)
     assert report.upper == pytest.approx(pole * 1.4, abs=1e-12)
+
+
+def test_density_bounds_near_tangent_chord():
+    # the ray through z passes y at a distance just above r: its chord
+    # misses B(y, r), while (y.z)^2 - 1 + r^2 rounds to +2.2e-17
+    y = np.array([1.0, 0.0, 0.0])
+    z = [0.9999999999828707, 0.0, 5.853088892663749e-06]
+    r = 5.853086206137439e-06
+    assert float(np.dot(z, y)) ** 2 - 1.0 + r * r > 0.0
+    c = conic_atoms(3, [(y, 1.4), (z, 1.0)])
+    p = Subspace(3, np.array([[1.0, 0, 0], [0, 1.0, 0]]))
+    report = density_bound_check(c, y, p, r, epsilon=1e-3)
+    assert report.lower == 1.4
 
 
 def test_density_bounds_ignore_far_atoms():

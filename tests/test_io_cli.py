@@ -507,6 +507,21 @@ def test_check_stationary_segment_with_overflowing_squared_length(tmp_path, monk
     assert Path("r.csv").read_text().splitlines()[2].startswith("9.9999999999999997e+199,0,1,")
 
 
+@pytest.mark.parametrize("arm,lambdas,error", [
+    (1.5, "1,1e-320", "OverflowError"),
+    (1e-20, "1e308,1", "DegenerateGeometryError"),
+])
+def test_blowup_hostile_dilation_factors_are_domain_errors(tmp_path, monkeypatch, capsys,
+                                                           arm, lambdas, error):
+    # a dilated coordinate overflows, or the dilated arms collapse to a point
+    monkeypatch.chdir(tmp_path)
+    save_varifold("y.json", discrete=y_junction(2, arm_length=arm))
+    assert run(["blowup", "y.json", "--point", "0,0", "--lambdas", lambdas])[0] == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{error}: ") and err.count("\n") == 1
+    assert not Path("y.blowup.csv").exists()
+
+
 @pytest.mark.parametrize("heavy", [1e3, 1e12])
 def test_reconstruct_heavy_cone(tmp_path, monkeypatch, capsys, heavy):
     # the chart merge and the coverage check compare masses relative to

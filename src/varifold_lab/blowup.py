@@ -11,6 +11,7 @@ closest approach to the origin, and pairings are summed in sorted order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -30,7 +31,6 @@ from .core import (
     as_vector,
     conic_atoms,
     conic_to_discrete,
-    density,
     incident_rays,
     split_at_point,
     unit,
@@ -185,6 +185,7 @@ def _lump_moment(
     return value
 
 
+@functools.lru_cache(maxsize=8)
 def default_battery(ambient_dim: int) -> TestBattery:
     """Products of radial lumps at BATTERY_SCALES scales up to radius
     BATTERY_RADIUS with squared direction moments for BATTERY_AXES
@@ -192,8 +193,8 @@ def default_battery(ambient_dim: int) -> TestBattery:
 
     Squaring the direction moment makes every function even in s, as
     unoriented pieces require.  The battery is stored as a BatteryTable of
-    radii, amplitudes and axes; its functions are derived from the table, so
-    validate sees them as ordinary BatteryFunctions.
+    radii, amplitudes and axes, its functions derived from the table; it is
+    immutable, so one is built per ambient dimension and shared.
     """
     rng = np.random.Generator(np.random.PCG64(BATTERY_SEED))
     axes = [unit(rng.normal(size=ambient_dim)) for _ in range(BATTERY_AXES)]
@@ -357,10 +358,11 @@ def tangent_estimate(
     """
     lams = dilation_factors(lambdas)
     p = as_vector(x, dim=v.ambient_dim)
-    if density(v, p).value == 0.0:
-        raise ZeroDensityError("point carries no density; every blow-up is empty")
     vs = split_at_point(v, p)
-    cone = conic_atoms(v.ambient_dim, incident_rays(vs, p))
+    rays = incident_rays(vs, p)  # none exactly where density(v, x) is 0
+    if not rays:
+        raise ZeroDensityError("point carries no density; every blow-up is empty")
+    cone = conic_atoms(v.ambient_dim, rays)
     if battery is None:
         battery = default_battery(v.ambient_dim)
     cone_rows = _clip(_piece_rows(conic_to_discrete(cone)), battery.radius)[0]

@@ -29,7 +29,7 @@ from .blowup import (
     projection_growth_table,
     tangent_estimate,
 )
-from .core import as_vector, unit
+from .core import _rowdot, as_vector, unit
 from .fixtures import balanced_y_cone, full_line, y_junction
 from .io import (
     SchemaError,
@@ -194,20 +194,17 @@ def _reconstruct_from_cone(args, manifest: RunManifest) -> int:
     normals = default_normals(n, extra=args.normals)
     oracle = BandOracle(cone)
     recon = reconstruct_conic(oracle, n, normals=normals)
+    # each atom's nearest reconstructed atom, the first of equals
+    diff = recon.atom_directions[None, :, :] - cone.atom_directions[:, None, :]
+    dist = np.sqrt(_rowdot(diff, diff))  # np.linalg.norm's bits
     rows = []
-    for i in range(cone.n_atoms):
-        z = cone.atom_directions[i]
-        best, err = None, np.inf
-        for j in range(recon.n_atoms):
-            d = float(np.linalg.norm(recon.atom_directions[j] - z))
-            if d < err:
-                best, err = j, d
-        mass_err = (
-            abs(float(recon.atom_masses[best]) - float(cone.atom_masses[i]))
-            if best is not None
-            else float(cone.atom_masses[i])
-        )
-        rows.append(tuple(z) + (float(cone.atom_masses[i]), err, mass_err))
+    for i, (z, m) in enumerate(zip(cone.atom_directions, cone.atom_masses.tolist())):
+        if recon.n_atoms:
+            best = int(np.argmin(dist[i]))
+            err, mass_err = float(dist[i, best]), abs(float(recon.atom_masses[best]) - m)
+        else:
+            err, mass_err = math.inf, m
+        rows.append(tuple(z) + (m, err, mass_err))
     header = [f"dir{i + 1}" for i in range(n)] + ["mass", "position_error", "mass_error"]
     rows.sort()
     out = args.report or (Path(args.input).stem + ".residuals.csv")

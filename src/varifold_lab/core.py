@@ -629,26 +629,36 @@ def mass(v: DiscreteVarifold, center, radius: float) -> float:
     return float(np.cumsum(parts)[-1]) if parts.size else 0.0
 
 
-def density(v: DiscreteVarifold, x) -> DensityValue:
-    """One-dimensional density of v at x (exact for piecewise-linear v).
+def _locate_point(v: DiscreteVarifold, p: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Masks (start, end, inside) over the piece rows, segments then rays: the
+    one rule placing p for density, split_at_point and incident_rays.  An end
+    holds p within VERTEX_TOL; the interior holds p when no end does, p's
+    offset |d - (d.u) u| from the line (d = p - start) is at most VERTEX_TOL
+    and d.u lies in (VERTEX_TOL, length - VERTEX_TOL)."""
+    base, u, hi, _ = _piece_rows(v)
+    start = _segment_lengths(p, base) <= VERTEX_TOL
+    end = np.zeros_like(start)
+    end[:len(v.seg_w)] = _segment_lengths(p, v.seg_b) <= VERTEX_TOL
+    # a difference off the float range is inf or NaN, which no mask admits
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = p - base
+        t = _rowdot(d, u)
+        off = _row_norms(d - t[:, None] * u)
+    inside = ~(start | end) & (off <= VERTEX_TOL) & (VERTEX_TOL < t) & (t < hi - VERTEX_TOL)
+    return start, end, inside
 
-    A piece whose relative interior contains x contributes its weight; a
-    piece with an endpoint at x contributes half.  Lower and upper densities
+
+def density(v: DiscreteVarifold, x) -> DensityValue:
+    """One-dimensional density of v at x (exact for piecewise-linear v): the
+    weight of each piece whose interior holds x plus half the weight for each
+    piece end at x, by _locate_point; so half the summed weights of
+    incident_rays(split_at_point(v, x), x).  Lower and upper densities
     coincide because finite piece lists make the mass ratio eventually
     constant in the radius.
     """
-    p = as_vector(x, dim=v.ambient_dim)
-    base, u, hi, w = _piece_rows(v)
-    d = p - base
-    t = _rowdot(d, u)
-    dd = _rowdot(d, d)
-    # an offset that overflows to NaN counts as on the line
-    on_line = ~(dd - t * t > VERTEX_TOL * VERTEX_TOL)
-    at_start = (np.abs(t) <= VERTEX_TOL) & (np.sqrt(dd) <= VERTEX_TOL)
-    at_end = np.abs(t - hi) <= VERTEX_TOL  # never at a ray, whose hi is inf
-    half = on_line & (at_start | at_end)
-    whole = on_line & ~half & (0.0 < t) & (t < hi)
-    parts = np.where(half, 0.5 * w, w)[half | whole]
+    start, end, inside = _locate_point(v, as_vector(x, dim=v.ambient_dim))
+    share = np.where(inside, 1.0, 0.5 * start + 0.5 * end)
+    parts = (share * _piece_rows(v)[3])[share > 0.0]
     # a running sum in piece order, as a loop of total += part gives
     total = float(np.cumsum(parts)[-1]) if parts.size else 0.0
     return DensityValue(lower=total, upper=total, value=total)
@@ -787,39 +797,28 @@ def circle_arc_mass(c: ConicVarifold, lo: float, hi: float) -> float:
 # ---------------------------------------------------------------------------
 
 def split_at_point(v: DiscreteVarifold, x) -> DiscreteVarifold:
-    """Split every piece whose relative interior contains x at x exactly.
-
-    Endpoints within the vertex tolerance of x are snapped onto x, and every
-    piece touching x is re-anchored to start there, so that dilations about
-    x keep the anchor at the exact origin.  Raises DegenerateGeometryError
-    when a segment's start snaps onto x and its other end is x itself.
+    """Split every piece whose relative interior holds x (by _locate_point)
+    at x exactly.  Ends at x are snapped onto x, and every piece touching x
+    is re-anchored to start there, so that dilations about x keep the anchor
+    at the exact origin.  Raises DegenerateGeometryError when a segment's
+    start snaps onto x and its other end is x itself.
     """
-    n = v.ambient_dim
+    n, ns = v.ambient_dim, len(v.seg_w)
     p = as_vector(x, dim=n)
-
-    def through_x(d, u):
-        # x's parameter on the line along u, d = x - base, and whether x is on it
-        t = _rowdot(d, u)
-        return t, _rowdot(d, d) - t * t <= VERTEX_TOL * VERTEX_TOL
-
+    start, end, inside = _locate_point(v, p)
     # a snapped end becomes the start: a -> x, or (a, b) -> (x, a) when
     # only b snaps
-    snap_a = _segment_lengths(p, v.seg_a) <= VERTEX_TOL
-    snap_b = ~snap_a & (_segment_lengths(p, v.seg_b) <= VERTEX_TOL)
-    a = np.where((snap_a | snap_b)[:, None], p, v.seg_a)
+    snap_b = end[:ns] & ~start[:ns]
+    a = np.where((start[:ns] | snap_b)[:, None], p, v.seg_a)
     b = np.where(snap_b[:, None], v.seg_a, v.seg_b)
-    length = _segment_lengths(a, b)
-    if not length.all():
+    if not _segment_lengths(a, b).all():
         raise DegenerateGeometryError("a segment collapses onto the split point")
-    t, on = through_x(p - a, (b - a) / length[:, None])
-    split = on & (VERTEX_TOL < t) & (t < length - VERTEX_TOL)
+    split, tail = inside[:ns], inside[ns:]
     # segments in order, each as (a, b), or as (x, a) then (x, b) when split
     starts = np.stack((np.where(split[:, None], p, a), np.broadcast_to(p, a.shape)), 1)
     stops = np.stack((np.where(split[:, None], a, b), b), 1)
     slots = np.stack((np.ones_like(split), split), 1)
-    o = np.where((_segment_lengths(p, v.ray_o) <= VERTEX_TOL)[:, None], p, v.ray_o)
-    t, on = through_x(p - o, v.ray_d)
-    tail = on & (t > VERTEX_TOL)
+    o = np.where(start[ns:, None], p, v.ray_o)
     # a split ray leaves the segment (x, o), after every segment, and the
     # ray from x
     return DiscreteVarifold._from_columns(
@@ -891,11 +890,13 @@ def group_ends(points: np.ndarray) -> np.ndarray:
 
 
 def incident_rays(v: DiscreteVarifold, x) -> list[tuple[np.ndarray, float]]:
-    """(away-direction, weight) for every piece end within VERTEX_TOL of x.
+    """(away-direction, weight) for every piece end at x, by _locate_point.
 
     The rows of piece_ends(v) at x, in their order.
     """
-    p = as_vector(x, dim=v.ambient_dim)
-    points, away, weights = piece_ends(v)
-    hit = np.flatnonzero(np.linalg.norm(points - p, axis=1) <= VERTEX_TOL)
+    start, end, _ = _locate_point(v, as_vector(x, dim=v.ambient_dim))
+    ns = len(v.seg_w)
+    _, away, weights = piece_ends(v)
+    hit = np.flatnonzero(np.concatenate((np.stack((start[:ns], end[:ns]), 1).ravel(),
+                                         start[ns:])))
     return [(away[i], float(weights[i])) for i in hit]

@@ -280,6 +280,21 @@ def test_default_battery_functions_match_reference_closures():
             assert f.value(points, s).tobytes() == g.value(points, s).tobytes()
 
 
+def test_default_battery_is_built_once_per_dimension_and_read_only():
+    # the shared battery cannot be changed by one caller under another
+    for n in (2, 3, 4):
+        battery = default_battery(n)
+        assert default_battery(n) is battery
+        table = battery.table
+        for arr in (table.radii, table.amps, table.axes):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        with pytest.raises(AttributeError):
+            battery.radius = 2.0
+    assert default_battery(2) is not default_battery(3)
+
+
 @pytest.mark.parametrize("label,v,x", CATALOGUE, ids=[c[0] for c in CATALOGUE])
 def test_tangent_distances_bitwise_equal_reference(label, v, x):
     cone, diag = tangent_estimate(v, x, REFERENCE_LAMBDAS)
@@ -318,8 +333,7 @@ def _incident_varifold(rng, n, x):
             for _ in range(int(rng.integers(0, 3)))]
     rays = [RayPiece(x, arm(), w()) for _ in range(int(rng.integers(0, 3)))]
     if not segs and not rays or rng.uniform() < 0.5:
-        # along an axis, so that x lies on the segment's line exactly
-        u = np.eye(n)[rng.integers(n)]
+        u = arm()
         segs.append(SegmentPiece(x - rng.uniform(0.05, 2.0) * u, x + rng.uniform(0.05, 2.0) * u,
                                  w()))
     others = fixtures.random_varifold(rng, n, n_segments=int(rng.integers(0, 4)),

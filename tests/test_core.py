@@ -34,6 +34,7 @@ from varifold_lab.core import (
     _direction_distances,
     _piece_rows,
     _rowdot,
+    incident_rays,
     piece_ends,
     split_at_point,
     unit,
@@ -665,22 +666,27 @@ def test_restrict_edge_cases_match_piece_loop_bitwise():
         assert _piece_bytes(got) == _piece_bytes(_reference_restrict(v, [0.0, 0.0], 1.0, keep))
 
 
+def _on_piece(p, base, u, hi):
+    """Whether p is inside the piece (base, u, hi) away from its ends: its
+    perpendicular offset is at most VERTEX_TOL and its parameter lies in
+    (VERTEX_TOL, hi - VERTEX_TOL)."""
+    d = p - base
+    t = float(np.dot(d, u))
+    off = float(np.linalg.norm(d - t * u))
+    return off <= VERTEX_TOL and VERTEX_TOL < t < hi - VERTEX_TOL
+
+
 def _reference_density(v, x):
+    # an end at x counts half the weight, a piece through x its weight
     p = np.asarray(x, float)
     total = 0.0
     for piece in v.segments + v.rays:
         base, u, hi = piece_frame(piece)
-        d = p - base
-        t = float(np.dot(d, u))
-        perp2 = float(np.dot(d, d)) - t * t
-        if perp2 > VERTEX_TOL * VERTEX_TOL:
-            continue
-        at_start = abs(t) <= VERTEX_TOL and float(np.linalg.norm(d)) <= VERTEX_TOL
-        at_end = math.isfinite(hi) and abs(t - hi) <= VERTEX_TOL
-        if at_start or at_end:
-            total += 0.5 * piece.weight
-        elif 0.0 < t < hi:
-            total += piece.weight
+        ends = (base, piece.b) if isinstance(piece, SegmentPiece) else (base,)
+        at = sum(float(np.linalg.norm(e - p)) <= VERTEX_TOL for e in ends)
+        share = 0.5 * at if at else float(_on_piece(p, base, u, hi))
+        if share:
+            total += share * piece.weight
     return total
 
 
@@ -695,12 +701,8 @@ def _reference_split(v, x):
             b = p
         if b is p and a is not p:
             a, b = b, a
-        d = p - a
-        u = unit(b - a)
-        t = float(np.dot(d, u))
-        perp2 = float(np.dot(d, d)) - t * t
-        L = float(np.linalg.norm(b - a))
-        if perp2 <= VERTEX_TOL * VERTEX_TOL and VERTEX_TOL < t < L - VERTEX_TOL:
+        u, L = unit(b - a), float(np.linalg.norm(b - a))
+        if a is not p and _on_piece(p, a, u, L):
             segs.append(SegmentPiece(p, a, s.weight))
             segs.append(SegmentPiece(p, b, s.weight))
         else:
@@ -709,10 +711,7 @@ def _reference_split(v, x):
         o = r.origin
         if np.linalg.norm(o - p) <= VERTEX_TOL:
             o = p
-        d = p - o
-        t = float(np.dot(d, r.direction))
-        perp2 = float(np.dot(d, d)) - t * t
-        if perp2 <= VERTEX_TOL * VERTEX_TOL and t > VERTEX_TOL:
+        if o is not p and _on_piece(p, o, r.direction, math.inf):
             segs.append(SegmentPiece(p, o, r.weight))
             rays.append(RayPiece(p, r.direction, r.weight))
         else:
@@ -825,6 +824,50 @@ def test_dilation_scales_ball_mass(v, data, lam, r):
     lhs = mass(dilate(v, x, lam), c, r)
     rhs = mass(v, x + lam * c, lam * r) / lam
     assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
+
+
+_NEAR = st.sampled_from([0.0, 5e-10, 0.9e-9, -0.9e-9, 1.2e-9, 2e-9])
+
+
+@st.composite
+def _probed_varifolds(draw):
+    """(v, x, floor): a _varifolds() draw and a probe point x, either in the
+    box, inside a piece (floor is that piece's weight, which x's density
+    reaches), or a piece end moved by up to 2e-9 along and across its piece
+    (floor 0)."""
+    v = draw(_varifolds())
+    n = v.ambient_dim
+    base, u, hi, w = _piece_rows(v)
+    kind = draw(st.sampled_from(["box", "inside", "end"]) if len(w) else st.just("box"))
+    if kind == "box":
+        return v, np.array(draw(st.lists(_box, min_size=n, max_size=n))), 0.0
+    i = draw(st.integers(0, len(w) - 1))
+    if kind == "inside":
+        t = draw(st.floats(0.05, 0.95)) * min(hi[i], 2.0)
+        return v, base[i] + t * u[i], float(w[i])
+    end = base[i] if i >= len(v.seg_w) or draw(st.booleans()) else v.seg_b[i]
+    e = np.array(draw(st.lists(_box, min_size=n, max_size=n)))
+    across = e - np.dot(e, u[i]) * u[i]
+    assume(np.linalg.norm(across) > 0.1)
+    across /= np.linalg.norm(across)
+    return v, end + draw(_NEAR) * u[i] + draw(_NEAR) * across, 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(_probed_varifolds())
+# a generic segment through x: |d|^2 - (d.u)^2 cancelled to above VERTEX_TOL^2
+@example((DiscreteVarifold(3, (SegmentPiece([-1.0, 0.5, 0.25], [1.2, -0.1, 0.35], 1.0),), ()),
+          np.array([0.1, 0.2, 0.3]), 1.0))
+# an end 0.9e-9 along and 0.9e-9 across from x, 1.27e-9 away: half the
+# weight by the old end rule, but no incident end
+@example((DiscreteVarifold(2, (SegmentPiece([-1.0, 0.0], [-0.9e-9, 0.0], 1.0),), ()),
+          np.array([0.0, 0.9e-9]), 0.0))
+def test_density_is_half_the_incident_weights_after_split(case):
+    v, x, floor = case
+    theta = density(v, x).value
+    incident = sum(w for _, w in incident_rays(split_at_point(v, x), x))
+    assert math.isclose(theta, 0.5 * incident, rel_tol=1e-12)
+    assert theta >= floor
 
 
 def test_piece_rows_are_built_once_and_read_only():

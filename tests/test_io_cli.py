@@ -173,6 +173,21 @@ def test_reconstruct_cli(tmp_path, monkeypatch, capsys):
     assert recon.n_atoms == 4
 
 
+@pytest.mark.parametrize("recon_atoms,row", [
+    # both reconstructed atoms lie sqrt(2) from the cone's: the first is taken
+    ([([0.0, 1.0], 0.5), ([0.0, -1.0], 3.0)], "1,0,2,1.4142135623730951,1.5"),
+    ([], "1,0,2,inf,2"),  # nothing reconstructed: the whole mass is missing
+])
+def test_reconstruct_residuals_take_the_first_nearest_atom(tmp_path, monkeypatch,
+                                                            recon_atoms, row):
+    monkeypatch.chdir(tmp_path)
+    save_varifold("c.json", conic=conic_atoms(2, [([1.0, 0.0], 2.0)]))
+    monkeypatch.setattr("varifold_lab.cli.reconstruct_conic",
+                        lambda *args, **kwargs: conic_atoms(2, recon_atoms))
+    assert run(["reconstruct", "c.json", "--report", "r.csv"])[0] == 0
+    assert Path("r.csv").read_text().splitlines()[1] == row
+
+
 def test_reconstruct_from_measurements(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     from varifold_lab import BandOracle, hyperplane_of, marginal_direction_battery
@@ -260,6 +275,31 @@ def test_blowup_cli_collapsing_segment_is_domain_error(tmp_path, monkeypatch, ca
     assert capsys.readouterr().err == (
         "DegenerateGeometryError: a segment collapses onto the split point\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["v.json"]
+
+
+def test_blowup_cli_near_end_is_zero_density(tmp_path, monkeypatch, capsys):
+    # the end is 0.9e-9 along and 0.9e-9 across from the point, 1.27e-9
+    # away: off the segment, so no density and no cone
+    monkeypatch.chdir(tmp_path)
+    Path("v.json").write_text(
+        '{"ambient_dim": 2, "segments": [{"a": [-1, 0], "b": [-0.9e-9, 0], "weight": 1.0}]}')
+    status, _ = run(["blowup", "v.json", "--point", "0,0.9e-9", "--lambdas", "0.5,0.25"])
+    assert status == 1
+    assert capsys.readouterr().err == (
+        "ZeroDensityError: point carries no density; every blow-up is empty\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["v.json"]
+
+
+def test_blowup_cli_generic_segment_through_point(tmp_path, monkeypatch):
+    # x is the midpoint of a segment off every axis: the cone is its two halves
+    monkeypatch.chdir(tmp_path)
+    v = DiscreteVarifold(3, (SegmentPiece([-1.0, 0.5, 0.25], [1.2, -0.1, 0.35], 1.0),), ())
+    save_varifold("v.json", discrete=v)
+    status, _ = run(["blowup", "v.json", "--point", "0.1,0.2,0.3",
+                     "--lambdas", "0.5,0.25,0.125", "--out", "b"])
+    assert status == 0
+    cone = load_varifold("b.cone.json").require_conic()
+    assert cone.n_atoms == 2 and list(cone.atom_masses) == [1.0, 1.0]
 
 
 def test_fixture_cli(tmp_path, monkeypatch):

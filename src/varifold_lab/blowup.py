@@ -374,7 +374,10 @@ def tangent_estimate(
         ids = np.arange(len(batch))
         order = np.argsort(np.concatenate((ids.repeat(k), ids.repeat(m))), kind="stable")
         stacked = _piece_rows(_dilations(vs, p, batch))
-        rows, meets = _clip([col[order] for col in stacked], battery.radius)
+        # a far piece of an extreme dilation may overflow its chord: the
+        # non-finite chord is a miss
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows, meets = _clip([col[order] for col in stacked], battery.radius)
         ends = np.cumsum(meets.reshape(len(batch), k + m).sum(axis=1)).tolist()
         for part in (tuple(col[s:e] for col in rows) for s, e in zip([0, *ends], ends)):
             if _row_key(part) == cone_key:

@@ -29,7 +29,7 @@ from .blowup import (
     projection_growth_table,
     tangent_estimate,
 )
-from .core import _rowdot, as_vector, unit
+from .core import _TINY, _rowdot, as_vector, unit
 from .fixtures import balanced_y_cone, full_line, y_junction
 from .io import (
     SchemaError,
@@ -142,6 +142,9 @@ def _cmd_project(args, manifest: RunManifest) -> int:
     doc = load_varifold(args.input)
     v = doc.require_discrete()
     p = load_subspace(args.subspace)
+    if p.ambient_dim != v.ambient_dim:
+        raise SchemaError(f"--subspace: ambient dimension {p.ambient_dim}, "
+                          f"the varifold's is {v.ambient_dim}")
     image = mapping_projection(v, p) if args.mapping else weighted_projection(v, p)
     out = args.out or (Path(args.input).stem + ".projected.json")
     save_varifold(out, discrete=image)
@@ -191,6 +194,8 @@ def _reconstruct_from_cone(args, manifest: RunManifest) -> int:
     doc = load_varifold(args.input)
     cone = doc.require_conic()
     n = cone.ambient_dim
+    if n < 2:
+        raise SchemaError("reconstruct needs an ambient dimension of at least 2")
     normals = default_normals(n, extra=args.normals)
     oracle = BandOracle(cone)
     recon = reconstruct_conic(oracle, n, normals=normals)
@@ -230,6 +235,8 @@ def _reconstruct_from_cone(args, manifest: RunManifest) -> int:
 def _reconstruct_from_measurements(args, manifest: RunManifest) -> int:
     path = Path(args.from_measurements)
     lines = path.read_text().strip().splitlines()
+    if not lines:
+        raise SchemaError(f"{path}: empty file, expected a CSV header")
     header = [h.strip() for h in lines[0].split(",")]
     n = args.ambient_dim
     expected = [f"v{i + 1}" for i in range(n)] + [f"xi{i + 1}" for i in range(n)] + [
@@ -248,13 +255,16 @@ def _reconstruct_from_measurements(args, manifest: RunManifest) -> int:
             raise SchemaError(f"line {lineno}: {exc}") from exc
         if not np.all(np.isfinite(vals)):
             raise SchemaError(f"line {lineno}: values must be finite")
-        v = as_vector(vals[:n])
-        if not np.any(v):
-            raise SchemaError(f"line {lineno}: the normal v is the zero vector")
-        xi = as_vector(vals[n : 2 * n])
-        if not np.any(xi):
-            raise SchemaError(f"line {lineno}: the direction xi is the zero vector")
+        v, xi = as_vector(vals[:n]), as_vector(vals[n : 2 * n])
+        for name, x in (("the normal v", v), ("the direction xi", xi)):
+            with np.errstate(over="ignore"):  # unit() needs a normal float x.x
+                if not _TINY <= float(np.dot(x, x)) < math.inf:
+                    raise SchemaError(f"line {lineno}: {name} is zero or cannot be normalized")
+        if abs(float(np.dot(unit(v), unit(xi)))) > 1e-12:
+            raise SchemaError(f"line {lineno}: the direction xi is not orthogonal to v")
         s, t, m = vals[2 * n :]
+        if not s < t:
+            raise SchemaError(f"line {lineno}: need s < t")
         key = v.tobytes() + xi.tobytes()
         g = groups.setdefault(key, {"v": v, "xi": xi, "bands": []})
         g["bands"].append((s, t, m))
@@ -285,6 +295,8 @@ def _cmd_reconstruct(args, manifest: RunManifest) -> int:
     if args.from_measurements:
         if args.ambient_dim is None:
             raise SchemaError("--from-measurements requires --ambient-dim")
+        if args.ambient_dim < 2:
+            raise SchemaError("--ambient-dim must be at least 2")
         return _reconstruct_from_measurements(args, manifest)
     if not args.input:
         raise SchemaError("reconstruct needs an input cone or --from-measurements")

@@ -254,30 +254,28 @@ class BandOracle:
     An atom whose slope or weight overflows lies in no band; weights in
     front of v that sum past the float range raise OverflowError.
 
-    Slopes and weights are computed once per (v, xi) pair and cached, so a
-    row of a multi-pair call sees exactly the floats of a one-pair call.
-    A one-pair call sums each band with `inband @ weight`; a multi-pair
-    call sums row by row, which may differ in the last bits.  Rows of one
-    pair should be consecutive: each run of equal pairs is one table row.
+    Slopes and weights are computed once per (v, xi) pair and cached.  A
+    shared vector is broadcast to one row per band, so both forms take
+    the same path and give the same bits.  Rows of one pair should be
+    consecutive: each run of equal pairs is one table row.
 
-    In either form the mass of a band never grows when the band shrinks,
-    bit for bit: every row sums the same positive weights in the same
-    order, a sub-band only turns some of them into 0, and rounded addition
-    is monotone.  reconstruct_conic relies on this when it measures three
+    The mass of a band never grows when the band shrinks, bit for bit:
+    every row sums the same positive weights in the same order, a
+    sub-band only turns some of them into 0, and rounded addition is
+    monotone.  reconstruct_conic relies on this when it measures three
     bisection levels in one call.
     """
 
     def __init__(self, cone: ConicVarifold):
         self._dirs, self._masses = cone.mass_rows()
         self.ambient_dim = cone.ambient_dim
-        self._cache: dict[bytes, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._cache: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
         self._tables: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
         self.query_count = 0
 
-    def _slopes(
-        self, v: np.ndarray, xi: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(front mask, slopes, weights) of the atoms in front of v."""
+    def _slopes(self, v: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(slopes, weights) of every atom; an atom behind v, or whose slope
+        or weight overflows, gets a NaN slope and weight 0."""
         key = v.tobytes() + xi.tobytes()
         hit = self._cache.get(key)
         if hit is not None:
@@ -289,33 +287,27 @@ class BandOracle:
         z1 = self._dirs @ v
         z2 = self._dirs @ xi
         front = z1 > 0.0
+        lam, weight = np.full(z1.shape, np.nan), np.zeros(z1.shape)
         with np.errstate(over="ignore"):
-            lam = z2[front] / z1[front]
-            weight = self._masses[front] * (z1[front] ** 2 + z2[front] ** 2) / z1[front]
+            lam[front] = z2[front] / z1[front]
+            weight[front] = self._masses[front] * (z1[front] ** 2 + z2[front] ** 2) / z1[front]
             # an atom whose slope or weight overflows lies in no band, like
             # one on the equator: no finite band mass can hold it
-            finite = np.isfinite(lam) & np.isfinite(weight)
-            front[front], lam, weight = finite, lam[finite], weight[finite]
+            out = ~(np.isfinite(lam) & np.isfinite(weight))
+            lam[out], weight[out] = np.nan, 0.0
             if not weight.sum() < math.inf:
                 raise OverflowError("the cone's band masses overflow the float range")
-        self._cache[key] = (front, lam, weight)
-        return self._cache[key]
+        self._cache[key] = (lam, weight)
+        return lam, weight
 
     def _table(self, vs: np.ndarray, xis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(pairs x atoms) slopes and weights; atoms behind a chart get a NaN
-        slope and weight 0.  Cached per sequence of pairs."""
+        """(pairs x atoms) slopes and weights, cached per sequence of pairs."""
         key = vs.tobytes() + xis.tobytes()
         hit = self._tables.get(key)
-        if hit is not None:
-            return hit
-        shape = (vs.shape[0], self._dirs.shape[0])
-        lam, weight = np.full(shape, np.nan), np.zeros(shape)
-        for i in range(shape[0]):
-            front, lam_i, weight_i = self._slopes(as_vector(vs[i]), as_vector(xis[i]))
-            lam[i, front] = lam_i
-            weight[i, front] = weight_i
-        self._tables[key] = (lam, weight)
-        return lam, weight
+        if hit is None:
+            rows = [self._slopes(v, xi) for v, xi in zip(vs, xis)]
+            hit = self._tables[key] = tuple(np.array(column) for column in zip(*rows))
+        return hit
 
     def _rows(self, x, m: int) -> np.ndarray:
         a = np.asarray(x, dtype=float)
@@ -330,13 +322,6 @@ class BandOracle:
 
     def __call__(self, v, xi, bands) -> np.ndarray:
         arr = _bands_array(bands)
-        if np.ndim(v) == 1 and np.ndim(xi) == 1:
-            _, lam, weight = self._slopes(
-                as_vector(v, dim=self.ambient_dim), as_vector(xi, dim=self.ambient_dim)
-            )
-            self.query_count += len(arr)
-            inband = (lam >= arr[:, :1]) & (lam <= arr[:, 1:2])
-            return inband @ weight
         m = len(arr)
         vs, xis = self._rows(v, m), self._rows(xi, m)
         self.query_count += m
@@ -451,10 +436,10 @@ def locate_marginal_atoms(
     LOCATE_MAX_DEPTH levels deep.  Adjacent survivors are
     merged and re-measured once, and each located band mass is divided by
     (1 + lambda^2) at the band midpoint.  As in reconstruct_conic, each
-    bisection call takes three levels at once, with one (v, xi) row per
-    band, and the re-measure calls with the vectors v and xi.  The result
-    is that of one level per call when the oracle's band mass does not
-    grow as a band shrinks (see BandOracle).
+    call carries one (v, xi) row per band, and each bisection call takes
+    three levels at once.  The result is that of one level per call when
+    the oracle's band mass does not grow as a band shrinks (see
+    BandOracle).
     """
     (located,) = _locate_atoms(oracle, [(v, xi)], lam_max)
     return located
@@ -486,9 +471,8 @@ def _locate_atoms(
     band takes one level only when one of its children or grandchildren is
     narrow or fewer than 3 levels of max_depth remain, so the narrow rule
     and max_depth act as in a one-level loop.  Rows carry their own (v, xi)
-    and stay sorted by pair.  The final re-measure of each pair's merged
-    bands is a one-pair call, so the located masses are those of the
-    one-pair oracle arithmetic.
+    and stay sorted by pair.  One final call re-measures the merged bands
+    of every pair; its masses are the located ones.
     """
     vs = np.array([v for v, _ in pairs], dtype=float)
     xis = np.array([xi for _, xi in pairs], dtype=float)
@@ -539,10 +523,8 @@ def _locate_atoms(
     merged = np.column_stack((lo[first], hi[last]))
     bounds = np.searchsorted(owner[first], np.arange(len(pairs) + 1)).tolist()
 
-    # one one-pair re-measure per marginal: its bits are the located masses
-    totals = np.concatenate([np.zeros(0)] + [
-        oracle(v, xi, merged[a:b]) for (v, xi), a, b in zip(pairs, bounds, bounds[1:]) if b > a
-    ])
+    # one re-measure of every merged band: its bits are the located masses
+    totals = oracle(vs[owner[first]], xis[owner[first]], merged) if len(merged) else np.zeros(0)
     keep = totals > LOCATE_MASS_TOL
     mids = 0.5 * (merged[:, 0] + merged[:, 1])[keep]
     gamma = totals[keep] / (1.0 + mids**2)
@@ -728,8 +710,8 @@ def reconstruct_conic(
     whose band mass does not grow as a band shrinks, as BandOracle's does
     bit for bit; for such an oracle the result is that of one level per
     call.  A default R^3 run makes about 20 such calls instead of 56, and
-    measures about 30% more band rows.  Each marginal's merged bands are
-    then re-measured in one call with vector v and xi.
+    measures about 30% more band rows.  One more call then re-measures
+    the merged bands of every marginal.
 
     Raises AmbiguousReconstruction from the plane solve and CoverageGap when
     located marginal mass is not explained by the merged reconstruction.

@@ -9,6 +9,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varifold_lab import (
     BandOracle,
@@ -258,6 +260,40 @@ def test_criterion_09_tangent_cones_on_the_fixture_catalog():
             cd = conic_to_discrete(cone)
             for r in (0.25, 1.0, 2.0):
                 assert abs(mass(cd, np.zeros(v.ambient_dim), r) - 2.0 * r * theta) <= 1e-12
+
+
+# Criteria 2 and 9 as properties on networks of the benchmark's sizes: up to
+# 90 vertices (about 270 pieces) in R^2 to R^4, any seed.
+_networks = dict(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 4),
+    n_vertices=st.integers(1, 90),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_networks)
+def test_criterion_02_holds_on_random_networks(seed, n, n_vertices):
+    rng = np.random.default_rng(seed)
+    net = random_stationary_network(rng, n, n_vertices=n_vertices)
+    p = random_subspace(rng, n, int(rng.integers(1, n)))
+    image = weighted_projection(net, p)
+    assert max((a.mass for a in vertex_residuals(image, tol=0.0)), default=0.0) <= 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_networks)
+def test_criterion_09_holds_at_random_piece_ends(seed, n, n_vertices):
+    rng = np.random.default_rng(seed)
+    v = random_stationary_network(rng, n, n_vertices=n_vertices)
+    ends = [p for s in v.segments for p in (s.a, s.b)] + [r.origin for r in v.rays]
+    x = ends[int(rng.integers(len(ends)))]
+    cone, diag = tangent_estimate(v, x, [2.0 ** -k for k in range(0, 22)])
+    assert diag.distances[-1] == 0.0
+    theta = density(v, x).value
+    cd = conic_to_discrete(cone)
+    for r in (0.25, 1.0, 2.0):
+        assert abs(mass(cd, np.zeros(n), r) - 2.0 * r * theta) <= 1e-12
 
 
 def test_criterion_10_first_variation_closed_form():

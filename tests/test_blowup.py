@@ -599,6 +599,19 @@ def test_dilated_segment_length_overflow_raises():
             dilate(v, [0.0, 0.0], 0.5)
 
 
+def test_extreme_dilation_of_a_far_piece_misses_the_ball_quietly():
+    # dilated by 1e300, the far segment's chord overflows and it misses the
+    # battery ball, so the dilation is the y-junction's cone
+    y = y_junction(2, arm_length=1.5)
+    v = DiscreteVarifold(2, y.segments + (SegmentPiece([5.0, 5.0], [6.0, 7.0], 1.0),), y.rays)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cone, diag = tangent_estimate(v, [0.0, 0.0], [1.0, 1e-300])
+    assert cone.n_atoms == 3
+    assert diag.distances[0] == 0.0
+    assert diag.distances[1] < 1e-15
+
+
 def test_tangent_on_dense_lines_fixture():
     v = dense_lines_fixture(6, seed=1)
     x = v.rays[0].origin  # on the first line, away from the others

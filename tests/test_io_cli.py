@@ -336,6 +336,11 @@ def test_check_stationary_non_finite_input_exits_2(tmp_path, monkeypatch, capsys
     "0,0,1,1,0,0,abc,0.2,1.0",      # non-numeric cell
     "0,0,1,1,0,0,0.1,0.2",          # missing cell
     "0,0,1,1,0,0,0.1,0.2,nan",      # non-finite cell
+    "1e-200,0,0,0,1,0,0.1,0.2,1.0",  # v too small to normalize
+    "0,0,1,1e200,0,0,0.1,0.2,1.0",  # xi too large to normalize
+    "0,0,1,0,0,2,0.1,0.2,1.0",      # xi parallel to v
+    "0,0,1,1,0,0,0.2,0.2,1.0",      # s == t
+    "0,0,1,1,0,0,0.3,0.2,1.0",      # s > t
 ])
 def test_reconstruct_from_measurements_bad_row_exits_2(tmp_path, monkeypatch, capsys, row):
     monkeypatch.chdir(tmp_path)
@@ -344,6 +349,34 @@ def test_reconstruct_from_measurements_bad_row_exits_2(tmp_path, monkeypatch, ca
     status, _ = run(["reconstruct", "--from-measurements", "bands.csv", "--ambient-dim", "3"])
     assert status == 2
     assert "line 3" in capsys.readouterr().err
+
+
+_BAD_INPUTS = {
+    "empty.csv": "",
+    "one.csv": "v1,xi1,s,t,band_mass\n1,1,0.1,0.2,1.0\n",
+    "c1.json": '{"ambient_dim": 1, "conic": {"atoms": [{"dir": [1.0], "mass": 1.0}]}}',
+    "p3.json": '{"ambient_dim": 3, "basis": [[1.0, 0.0, 0.0]]}',
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["reconstruct", "--from-measurements", "empty.csv", "--ambient-dim", "3"],
+    ["reconstruct", "--from-measurements", "one.csv", "--ambient-dim", "1"],
+    ["reconstruct", "c1.json"],
+    ["project", "y.json", "--subspace", "p3.json"],  # a subspace of R^3 for a varifold in R^2
+], ids=["empty-measurements", "ambient-dim-1", "cone-in-R1", "subspace-dimension"])
+def test_reconstruct_and_project_bad_inputs_exit_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    for name, text in _BAD_INPUTS.items():
+        Path(name).write_text(text)
+    save_varifold("y.json", discrete=y_junction())
+    status, _ = run(argv)
+    assert status == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("SchemaError: ")
+    assert "Traceback" not in err
+    assert sorted(p.name for p in Path().iterdir()) == sorted([*_BAD_INPUTS, "y.json"])
 
 
 @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])

@@ -389,13 +389,12 @@ def test_per_row_oracle_matches_per_pair_calls():
     for order in (np.arange(len(expect)), rng.permutation(len(expect))):
         oracle = BandOracle(c)
         got = oracle(rows_v[order], rows_xi[order], rows_bands[order])
-        assert np.array_equal(got > 0.0, expect[order] > 0.0)
-        assert np.allclose(got, expect[order], rtol=1e-12, atol=0.0)
+        assert np.array_equal(got, expect[order])
         assert oracle.query_count == len(expect)
     # one shared vector broadcasts against per-row arrays
     v, xi = pairs[0]
     got = BandOracle(c)(v, np.tile(xi, (len(bands), 1)), bands)
-    assert np.allclose(got, BandOracle(c)(v, xi, bands), rtol=1e-12, atol=0.0)
+    assert np.array_equal(got, BandOracle(c)(v, xi, bands))
 
 
 def test_oracle_rejects_mismatched_shapes():
@@ -483,15 +482,14 @@ def test_batched_location_is_bitwise_the_per_marginal_loop():
 # ---------------------------------------------------------------------------
 
 class _WidthRecorder:
-    """A BandOracle that records the band widths of every multi-pair call."""
+    """A BandOracle that records the band widths of every call."""
 
     def __init__(self, cone):
         self.oracle = BandOracle(cone)
         self.widths = []
 
     def __call__(self, v, xi, bands):
-        if np.ndim(v) == 2:
-            self.widths.append(np.diff(bands, axis=1)[:, 0])
+        self.widths.append(np.diff(bands, axis=1)[:, 0])
         return self.oracle(v, xi, bands)
 
 
@@ -517,7 +515,8 @@ def test_three_level_location_matches_level_by_level(max_depth, width_target):
         for g, w in zip(got, want, strict=True):
             assert g.coordinates.tobytes() == w.coordinates.tobytes(), i
             assert g.masses.tobytes() == w.masses.tobytes(), i
-        mixed |= any(width.max() >= 2.0 * width.min() for width in oracle.widths)
+        # the last call re-measures the merged bands, of any widths
+        mixed |= any(width.max() >= 2.0 * width.min() for width in oracle.widths[:-1])
     assert mixed == (width_target == 0.0)
 
 
@@ -528,20 +527,21 @@ def test_nothing_to_locate_reconstructs_the_empty_cone():
         assert recon.n_atoms == 0
 
 
-def test_default_reconstruction_makes_at_most_20_multi_pair_calls():
+def test_default_reconstruction_makes_at_most_21_oracle_calls():
     # 56 bisection levels reach 1e-10 from [-2e6, 2e6]: one call per level
-    # made 56 calls, three levels per call make 18 plus 2 one-level calls
+    # made 56 calls, three levels per call make 18 plus 2 one-level calls,
+    # and one more call re-measures the merged bands of every marginal
     oracle = BandOracle(balanced_y_cone())
     calls = []
 
     def counting(v, xi, bands):
-        if np.ndim(v) == 2:
-            calls.append(len(bands))
+        calls.append(len(bands))
         return oracle(v, xi, bands)
 
     recon = reconstruct_conic(counting, 3)
     assert recon.n_atoms == 3
-    assert 0 < len(calls) <= 20
+    assert 0 < len(calls) <= 21
+    assert sum(calls) == oracle.query_count
 
 
 @settings(max_examples=200, deadline=None)
@@ -566,6 +566,22 @@ def test_sub_band_mass_never_exceeds_the_band(seed, pair, s, width, cuts):
                 BandOracle(cone)(np.tile(v, (len(bands), 1)), np.tile(xi, (len(bands), 1)),
                                  bands)):
         assert np.all(got[1:] <= got[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    pair=st.integers(0, 27),
+    bands=st.lists(st.tuples(st.floats(-20.0, 20.0), st.floats(0.0, 40.0)),
+                   min_size=1, max_size=16),
+)
+def test_one_vector_and_per_row_calls_agree_bitwise(seed, pair, bands):
+    cone = random_conic(np.random.default_rng(seed), 3, n_atoms=1 + seed % 10)
+    v, xi = _default_pairs(3)[pair]
+    bands = np.array([(s, s + width) for s, width in bands])
+    rows = len(bands), 1
+    got = BandOracle(cone)(np.tile(v, rows), np.tile(xi, rows), bands)
+    assert got.tobytes() == BandOracle(cone)(v, xi, bands).tobytes()
 
 
 @settings(max_examples=300, deadline=None)

@@ -69,9 +69,9 @@ def locate_atoms(
     """locate_marginal_atoms for every (v, xi) pair at once.
 
     Each bisection level is one oracle call whose rows carry their own
-    (v, xi) and stay sorted by pair.  The final re-measure of each pair's
-    merged bands is a one-pair call, so the located masses are those of
-    the one-pair oracle arithmetic.
+    (v, xi) and stay sorted by pair.  Each pair's merged bands are then
+    re-measured in a call of their own; BandOracle sums a row alike in
+    every call, so the located masses have the library's bits.
     """
     vs = np.array([v for v, _ in pairs], dtype=float)
     xis = np.array([xi for _, xi in pairs], dtype=float)

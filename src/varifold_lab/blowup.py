@@ -579,7 +579,7 @@ def radial_projection_cap_mass(v: DiscreteVarifold, cap_direction, cap_angle: fl
         d = float(np.linalg.norm(foot))
         if d <= 1e-12:
             continue
-        what = foot / d
+        what = unit(foot)
         theta_lo = math.atan2(0.0 - t_star, d)
         theta_hi = math.pi / 2.0 if math.isinf(hi) else math.atan2(hi - t_star, d)
         a = float(np.dot(u, chat))

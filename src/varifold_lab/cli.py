@@ -257,7 +257,7 @@ def _reconstruct_from_measurements(args, manifest: RunManifest) -> int:
             raise SchemaError(f"line {lineno}: values must be finite")
         v, xi = as_vector(vals[:n]), as_vector(vals[n : 2 * n])
         for name, x in (("the normal v", v), ("the direction xi", xi)):
-            with np.errstate(over="ignore"):  # unit() needs a normal float x.x
+            with np.errstate(over="ignore"):  # x.x must be a normal float
                 if not _TINY <= float(np.dot(x, x)) < math.inf:
                     raise SchemaError(f"line {lineno}: {name} is zero or cannot be normalized")
         if abs(float(np.dot(unit(v), unit(xi)))) > 1e-12:

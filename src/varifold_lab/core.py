@@ -27,6 +27,9 @@ SLIVER_TOL = 1e-14
 # noise of a tangent line (see _ball_chords).
 TANGENT_REL_TOL = 16.0 * np.finfo(float).eps
 
+# smallest normal float: a squared norm below it has lost precision
+_TINY = np.finfo(float).tiny
+
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
     """Coerce to a read-only float vector, optionally checking its length."""
@@ -40,11 +43,10 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
 
 
 def unit(v: np.ndarray) -> np.ndarray:
-    """v / |v|.  Single shared code path so equal inputs give equal bits."""
-    n = math.sqrt(float(np.dot(v, v)))
-    if n == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    u = v / n
+    """v / |v|, read-only, by the rule of _unit_rows; ValueError for a zero or non-finite v."""
+    with np.errstate(over="ignore"):
+        sq = float(np.dot(v, v))
+    u = v / math.sqrt(sq) if _TINY <= sq < math.inf else _unit_rows(v[None, :])[0][0]
     u.setflags(write=False)
     return u
 
@@ -185,32 +187,43 @@ def _column(x) -> np.ndarray:
     return arr
 
 
-# smallest normal float: a squared norm below it has lost precision
-_TINY = np.finfo(float).tiny
-
-
-def _row_norms(r: np.ndarray) -> np.ndarray:
-    """|r| of every row, with the bits np.linalg.norm gives the row alone.
-
-    A nonzero row whose squared norm is subnormal, zero or infinite is
-    rescaled by its largest entry s first, as s * |r / s|, so the norm of a
-    tiny or huge row keeps full precision.
-    """
+def _row_norms(r: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """(|r|, i, u): |r| of every row, with np.linalg.norm's bits except on the
+    rows i whose squared norm is not a normal float but whose largest entry
+    magnitude s is finite and nonzero: s * |r / s| there (Blue's scaled norm),
+    u their directions (r / s) / |r / s|.  i = u = None when there are none."""
     with np.errstate(over="ignore"):
         sq = _rowdot(r, r)
-    norms = np.sqrt(sq)
-    s =np.max(np.abs(r), axis=1)
-    odd = np.flatnonzero(((sq < _TINY) | (sq == math.inf)) & (0.0 < s) & (s < math.inf))
-    if odd.size:
-        scaled = r[odd] / s[odd, None]
-        norms[odd] = s[odd] * np.sqrt(_rowdot(scaled, scaled))
-    return norms
+        norms = np.sqrt(sq)
+        if _TINY <= sq.min(initial=math.inf) and sq.max(initial=0.0) < math.inf:
+            return norms, None, None
+        i = np.flatnonzero(~((_TINY <= sq) & (sq < math.inf)))
+        s = np.max(np.abs(r[i]), axis=1)
+        ok = (0.0 < s) & (s < math.inf)
+        i, s = i[ok], s[ok]
+        u = r[i] / s[:, None]
+        n = np.sqrt(_rowdot(u, u))
+        norms[i], u = s * n, u / n[:, None]
+    return norms, i, u
+
+
+def _unit_rows(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(r / |r|, |r|) of every row: the bits of r / sqrt(np.dot(r, r)) where that
+    squared norm is normal, else _row_norms'.  ValueError for a zero or non-finite row."""
+    norms, i, ui = _row_norms(r)
+    if i is None:
+        return r / norms[:, None], norms
+    _check_rows((np.isfinite(r).all(axis=1), "cannot normalize a non-finite vector"),
+                (r.any(axis=1), "cannot normalize the zero vector"))
+    u = r / norms[:, None]
+    u[i] = ui
+    return u, norms
 
 
 def _segment_lengths(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """_row_norms(b - a): inf where b - a leaves the float range."""
+    """|b - a| by _row_norms: inf where b - a leaves the float range."""
     with np.errstate(over="ignore"):
-        length = _row_norms(b - a)
+        length = _row_norms(b - a)[0]
     length.setflags(write=False)
     return length
 
@@ -522,21 +535,19 @@ def conic_atoms(ambient_dim: int, atoms: Iterable[tuple[Sequence[float], float]]
 
     Directions already unit to within rounding are kept bit for bit, so a
     cone assembled from existing ray directions realizes exactly those rays;
-    others are normalized as unit() does.  In input order, a direction
-    within ATOM_SEPARATION_TOL of an atom kept before it adds its mass to
-    the first such atom; any other is kept as a new atom.
+    others go through _unit_rows.  In input order, a direction within
+    ATOM_SEPARATION_TOL of an atom kept before it adds its mass to the
+    first such atom; any other is kept as a new atom.
     """
     atoms = list(atoms)
     dirs = np.array([d for d, _ in atoms] or np.zeros((0, ambient_dim)), dtype=float)
     if dirs.ndim != 2 or dirs.shape[1] != ambient_dim:
         raise ValueError("atom_directions must have shape (k, ambient_dim)")
     masses = [float(m) for _, m in atoms]
-    sq = _rowdot(dirs, dirs)
-    off = np.abs(sq - 1.0) > 1e-13
+    with np.errstate(over="ignore"):  # a NaN or infinite row fails in _unit_rows
+        off = ~(np.abs(_rowdot(dirs, dirs) - 1.0) <= 1e-13)
     if off.any():
-        if not sq[off].all():
-            raise ValueError("cannot normalize the zero vector")
-        dirs[off] /= np.sqrt(sq[off])[:, None]
+        dirs[off] = _unit_rows(dirs[off])[0]
     near = (_direction_distances(dirs) <= ATOM_SEPARATION_TOL).tolist()
     kept: list[int] = []
     for j in range(len(masses)):
@@ -643,7 +654,7 @@ def _locate_point(v: DiscreteVarifold, p: np.ndarray) -> tuple[np.ndarray, ...]:
     with np.errstate(over="ignore", invalid="ignore"):
         d = p - base
         t = _rowdot(d, u)
-        off = _row_norms(d - t[:, None] * u)
+        off = _row_norms(d - t[:, None] * u)[0]
     inside = ~(start | end) & (off <= VERTEX_TOL) & (VERTEX_TOL < t) & (t < hi - VERTEX_TOL)
     return start, end, inside
 
@@ -833,9 +844,9 @@ def piece_ends(v: DiscreteVarifold) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """The vertex index of v: one row per piece end, as (points, away, weights).
 
     Rows run a, b for each segment in order, then one row per ray origin.
-    away[i] is the unit vector from end i into its piece: unit(b - a) at a,
-    its negation at b (the same bits as unit(a - b)), the direction at a ray
-    origin.
+    away[i] is the unit vector from end i into its piece: seg_u at a (the
+    bits of unit(b - a) where |b - a|^2 is a normal float), its negation at
+    b, the direction at a ray origin.
     """
     ns = len(v.seg_w)
     n = v.ambient_dim

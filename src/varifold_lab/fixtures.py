@@ -81,7 +81,7 @@ def random_balanced_star(rng: np.random.Generator, n: int,
         residual = -sum(w * d for d, w in zip(dirs, weights))
         m = float(np.linalg.norm(residual))
         if m > 1e-6:
-            dirs.append(residual / m)
+            dirs.append(unit(residual))
             weights.append(m)
             return list(zip(dirs, weights))
 
@@ -117,7 +117,7 @@ def random_stationary_network(
             weights.append(float(rng.uniform(0.5, 2.0)))
             residual = w * d - sum(wi * di for di, wi in zip(dirs, weights))
             m = float(np.linalg.norm(residual))
-        dirs.append(residual / m)
+        dirs.append(unit(residual))
         weights.append(m)
         for di, wi in zip(dirs, weights):
             open_arms.append((new_vertex, di, wi))

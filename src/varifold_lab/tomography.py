@@ -26,6 +26,7 @@ from .core import (
     Subspace,
     _direction_distances,
     _rowdot,
+    _unit_rows,
     as_vector,
     conic_atoms,
     unit,
@@ -345,10 +346,9 @@ def band_marginal(c: ConicVarifold, v, xi, bands) -> LineMeasure:
     and excluded, as in gnomonic_pushforward.
     """
     v = unit(as_vector(v, dim=c.ambient_dim))
-    xi = as_vector(xi, dim=c.ambient_dim)
+    xi = unit(as_vector(xi, dim=c.ambient_dim))
     if abs(float(np.dot(v, xi))) > 1e-12:
         raise ValueError("xi must be orthogonal to v")
-    xi = unit(xi)
     arr = _bands_array(bands)
     dirs, masses = c.mass_rows()
     z1 = dirs @ v
@@ -411,11 +411,8 @@ def gnomonic_pushforward(c: ConicVarifold, v) -> GnomonicResult:
 def lift_to_sphere(gamma: PlaneMeasure, v) -> ConicVarifold:
     """Inverse gnomonic transport: atom (x, m) lifts to ((x+v)/|x+v|, m |x+v|)."""
     v = unit(as_vector(v, dim=gamma.plane.ambient_dim))
-    shifted = gamma.points + v
-    norms = np.sqrt(_rowdot(shifted, shifted))
-    return conic_atoms(
-        gamma.plane.ambient_dim, zip(shifted / norms[:, None], gamma.masses * norms)
-    )
+    dirs, norms = _unit_rows(gamma.points + v)
+    return conic_atoms(gamma.plane.ambient_dim, zip(dirs, gamma.masses * norms))
 
 
 # ---------------------------------------------------------------------------

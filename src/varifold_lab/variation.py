@@ -16,7 +16,6 @@ from typing import Callable
 import numpy as np
 
 from .core import (
-    _TINY,
     DegenerateGeometryError,
     DiscreteVarifold,
     _ball_chords,
@@ -24,6 +23,7 @@ from .core import (
     _piece_rows,
     _row_norms,
     _rowdot,
+    _unit_rows,
     as_vector,
     group_ends,
     piece_ends,
@@ -289,14 +289,14 @@ def _vertex_forces(v: DiscreteVarifold) -> tuple[np.ndarray, np.ndarray, np.ndar
     residual = np.zeros((len(first), v.ambient_dim))
     with np.errstate(over="ignore"):
         np.add.at(residual, vertex, weights[:, None] * away)
-    norms = _row_norms(residual)
+    norms = _row_norms(residual)[0]
     big = ~np.isfinite(residual).all(axis=1)
     if big.any():
         ends = big[vertex]
         residual[big] = 0.0
         np.add.at(residual, vertex[ends], (weights[ends] * 2.0**-64)[:, None] * away[ends])
         with np.errstate(over="ignore"):
-            norms[big] = _row_norms(residual[big]) * 2.0**64
+            norms[big] = _row_norms(residual[big])[0] * 2.0**64
         residual[big & (norms < math.inf)] *= 2.0**64
     return points[first], residual, norms
 
@@ -321,16 +321,8 @@ def vertex_residuals(v: DiscreteVarifold, tol: float = 1e-12) -> list[VariationA
         raise ValueError("tolerance must be nonnegative")
     points, residual, norms = _vertex_forces(v)
     keep = np.flatnonzero(norms > tol)
-    r, m = residual[keep], norms[keep]
-    omega = -r / m[:, None]
-    # a subnormal residual has too few bits to divide by its norm, and the
-    # row of an infinite one is its scaled re-sum; take their directions
-    # from the row scaled to its largest entry
-    sub = np.flatnonzero((m < _TINY) | (m == math.inf))
-    if sub.size:
-        scaled = r[sub] / np.max(np.abs(r[sub]), axis=1)[:, None]
-        omega[sub] = -scaled / np.sqrt(_rowdot(scaled, scaled))[:, None]
-    return [VariationAtom(x, o, mass) for x, o, mass in zip(points[keep], omega, m.tolist())]
+    omega = -_unit_rows(residual[keep])[0]
+    return [VariationAtom(x, o, m) for x, o, m in zip(points[keep], omega, norms[keep].tolist())]
 
 
 def is_stationary(v: DiscreteVarifold, tol: float) -> tuple[bool, float]:

@@ -296,6 +296,40 @@ def test_criterion_09_holds_at_random_piece_ends(seed, n, n_vertices):
         assert abs(mass(cd, np.zeros(n), r) - 2.0 * r * theta) <= 1e-12
 
 
+def _assert_same_pieces_in_order(v1, v2, tol):
+    """Piece i of v1 against piece i of v2: weighted_projection and dilate
+    keep piece order, and after a projection onto a line the rays of one
+    vertex tie in any sort by direction."""
+    for name in ("seg_a", "seg_b", "seg_w", "ray_o", "ray_d", "ray_w"):
+        a, b = getattr(v1, name), getattr(v2, name)
+        assert a.shape == b.shape, name
+        assert np.max(np.abs(a - b), initial=0.0) <= tol, name
+
+
+# Criterion 3 as a property at the benchmark's sizes: random pieces (up to
+# about 270) or stationary networks (up to 90 vertices) in R^2 to R^5, with
+# q a subspace of p.
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5), size=st.integers(1, 90),
+       network=st.booleans())
+def test_criterion_03_holds_at_workload_scale(seed, n, size, network):
+    rng = np.random.default_rng(seed)
+    if network:
+        v = random_stationary_network(rng, n, n_vertices=size)
+    else:
+        v = random_varifold(rng, n, n_segments=2 * size, n_rays=size)
+    p = random_subspace(rng, n, int(rng.integers(1, n)))
+    qdim = int(rng.integers(1, p.dim + 1))
+    q = Subspace(n, np.linalg.qr((rng.normal(size=(qdim, p.dim)) @ p.basis).T)[0].T)
+    _assert_same_pieces_in_order(
+        weighted_projection(v, q), weighted_projection(weighted_projection(v, p), q), 1e-12)
+    x = rng.uniform(-1, 1, n)
+    lam = float(rng.uniform(0.25, 4.0))
+    _assert_same_pieces_in_order(
+        weighted_projection(dilate(v, x, lam), p),
+        dilate(weighted_projection(v, p), p.project(x), lam), 1e-12)
+
+
 def test_criterion_10_first_variation_closed_form():
     with Budget("criterion 10: endpoint formula vs quadrature", 10.0):
         rng = np.random.default_rng(1010)

@@ -1,6 +1,8 @@
+import decimal
 import math
 import pickle
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -8,20 +10,27 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from varifold_lab import (
+    BandOracle,
     ConicVarifold,
     DiscreteVarifold,
     RayPiece,
     SampledDensity,
     SegmentPiece,
     Subspace,
+    band_marginal,
     circle_arc_mass,
     circle_grid,
     conic_atoms,
     conic_to_discrete,
+    default_normals,
     dense_lines_fixture,
     density,
     dilate,
+    gnomonic_pushforward,
+    halfline_multiplicity,
     mass,
+    radial_projection_cap_mass,
+    reconstruct_conic,
     restrict,
     sphere_grid,
 )
@@ -34,12 +43,19 @@ from varifold_lab.core import (
     _direction_distances,
     _piece_rows,
     _rowdot,
+    _unit_rows,
     incident_rays,
     piece_ends,
     split_at_point,
     unit,
 )
-from varifold_lab.fixtures import random_stationary_network, random_varifold, y_junction
+from varifold_lab.fixtures import (
+    full_line,
+    random_conic,
+    random_stationary_network,
+    random_varifold,
+    y_junction,
+)
 
 from piece_reference import ball_interval, piece_frame
 from tomography_reference import conic_atoms as reference_conic_atoms
@@ -188,6 +204,114 @@ def test_atom_validation_reads_the_merge_distances():
                     ConicVarifold(n, dirs, [1.0, 2.0])
                 seen.add(close)
     assert seen == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# the unit-vector rule
+# ---------------------------------------------------------------------------
+
+def _exact_unit(v):
+    """v / |v| from the exact values of v's entries, each entry rounded once."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        d = [decimal.Decimal(float(x)) for x in v]
+        norm = sum(x * x for x in d).sqrt()
+        return np.array([float(x / norm) for x in d])
+
+
+# entries across the float range: zero, subnormal, ordinary, near 1e-300 and 1e300
+_exponent = st.integers(-323, 307) | st.sampled_from([-323, -310, -300, -155, 154, 300, 307])
+_entry = st.one_of(
+    st.just(0.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-10.0, 10.0), _exponent),
+)
+
+
+@st.composite
+def _unit_batches(draw):
+    """One to four rows of 1 to 6 entries each."""
+    n = draw(st.integers(1, 6))
+    row = st.lists(_entry, min_size=n, max_size=n)
+    return np.array(draw(st.lists(row, min_size=1, max_size=4)), dtype=float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_unit_batches())
+@example(np.array([[1e200, 0.0, 0.0], [1e-200, 0.0, 0.0], [5e-324, 0.0, 0.0]]))
+@example(np.array([[1e308, -1e308], [3e-200, 4e-200], [1.2e-154, 1.2e-154]]))
+def test_unit_rule_over_the_float_range(rows):
+    nonzero = rows[rows.any(axis=1)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        units = [unit(v) for v in nonzero]
+        for v, u in zip(nonzero, units):
+            assert abs(math.sqrt(math.fsum(u * u)) - 1.0) <= 1e-15
+            assert np.max(np.abs(u - _exact_unit(v))) <= 1e-15  # parallel to v
+            with np.errstate(over="ignore"):
+                sq = float(np.dot(v, v))
+            if np.finfo(float).tiny <= sq < math.inf:
+                assert u.tobytes() == (v / math.sqrt(sq)).tobytes()
+        if len(nonzero):
+            assert _unit_rows(nonzero)[0].tobytes() == np.array(units).tobytes()
+        for v in rows:
+            with pytest.raises(ValueError, match="^cannot normalize the zero vector$"):
+                unit(np.zeros_like(v))
+            for bad in (math.inf, -math.inf, math.nan):
+                w = v.copy()
+                w[-1] = bad
+                with pytest.raises(ValueError):
+                    unit(w)
+                with pytest.raises(ValueError):
+                    _unit_rows(np.vstack((nonzero, w)))
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_scaled_directions_give_the_unit_result(scale):
+    rng = np.random.default_rng(23)
+    cone = random_conic(rng, 3, n_atoms=4)
+    v, xi = np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])
+    plane = random_conic(rng, 2, n_atoms=3)
+    net = random_stationary_network(rng, 3, n_vertices=5)
+    cap = np.array([1.0, 2.0, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        normals = default_normals(3)
+        got = reconstruct_conic(BandOracle(cone), 3, normals=[scale * nv for nv in normals])
+        want = reconstruct_conic(BandOracle(cone), 3, normals=[unit(scale * nv) for nv in normals])
+        assert got.atom_directions.tobytes() == want.atom_directions.tobytes()
+        assert got.atom_masses.tobytes() == want.atom_masses.tobytes()
+        # the signed axes scale exactly, so their charts are the unit normals' own
+        axes = reconstruct_conic(BandOracle(cone), 3, normals=normals[:6])
+        got = reconstruct_conic(BandOracle(cone), 3, normals=[scale * nv for nv in normals[:6]])
+        assert got.atom_directions.tobytes() == axes.atom_directions.tobytes()
+        assert got.atom_masses.tobytes() == axes.atom_masses.tobytes()
+        g = gnomonic_pushforward(cone, scale * v).measure
+        g1 = gnomonic_pushforward(cone, v).measure
+        assert g.points.tobytes() == g1.points.tobytes()
+        assert g.masses.tobytes() == g1.masses.tobytes()
+        m = band_marginal(cone, scale * v, scale * xi, [(-1.0, 1.0)])
+        m1 = band_marginal(cone, v, xi, [(-1.0, 1.0)])
+        assert m.coordinates.tobytes() == m1.coordinates.tobytes()
+        assert m.masses.tobytes() == m1.masses.tobytes()
+        u = np.array([3.0, 4.0])
+        assert halfline_multiplicity(plane, scale * u) == halfline_multiplicity(plane, u / 5.0)
+        assert math.isclose(radial_projection_cap_mass(net, scale * cap, 0.7),
+                            radial_projection_cap_mass(net, cap / 3.0, 0.7), rel_tol=1e-14)
+        line = full_line([0.0, 0.0], scale * u)
+        assert line.ray_d.tobytes() == full_line([0.0, 0.0], u).ray_d.tobytes()
+        atoms = conic_atoms(2, [(scale * u, 1.0)])
+        assert atoms.atom_directions.tobytes() == np.array([[0.6, 0.8]]).tobytes()
+    for bad in ([0.0, 0.0, 0.0], [0.0, math.nan, 1.0], [0.0, 1.0, math.inf]):
+        for call in (lambda d: reconstruct_conic(BandOracle(cone), 3, normals=[np.array(d)]),
+                     lambda d: gnomonic_pushforward(cone, d),
+                     lambda d: band_marginal(cone, d, xi, [(-1.0, 1.0)]),
+                     lambda d: halfline_multiplicity(plane, d[1:]),
+                     lambda d: radial_projection_cap_mass(net, d, 0.7),
+                     lambda d: full_line([0.0, 0.0], d[1:]),
+                     lambda d: conic_atoms(3, [(d, 1.0)])):
+            with pytest.raises(ValueError):
+                call(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,21 @@ def test_empty_bands_give_zero():
     assert np.all(got == 0.0)
 
 
+def test_band_marginal_checks_orthogonality_on_unit_vectors():
+    c = conic_atoms(3, [(unit([0.2, 0.1, 1.0]), 1.0), (unit([-0.5, 0.3, 1.0]), 0.7)])
+    v, bands = np.array([0.0, 0.0, 1.0]), [BandSpec(-1.0, 1.0)]
+    # v . xi is 1e-13, but xi lies at 45 degrees to v
+    with pytest.raises(ValueError, match="orthogonal"):
+        band_marginal(c, v, [1e-13, 0.0, 1e-13], bands)
+    # v . xi is 5e-7, but the cosine is 5e-13
+    xi = np.array([1e6, 0.0, 5e-7])
+    m = band_marginal(c, v, xi, bands)
+    assert m.direction.tobytes() == (xi / math.sqrt(float(np.dot(xi, xi)))).tobytes()
+    along_e1 = band_marginal(c, v, [1.0, 0.0, 0.0], bands)
+    assert np.allclose(m.coordinates, along_e1.coordinates, rtol=0.0, atol=1e-12)
+    assert np.allclose(m.masses, along_e1.masses, rtol=0.0, atol=1e-12)
+
+
 def test_band_marginal_matches_gnomonic_marginal():
     rng = np.random.default_rng(17)
     for _ in range(32):

@@ -15,7 +15,10 @@ small direction battery pins the atoms: that is the reconstruction run here.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -574,6 +577,56 @@ def _masked_sums(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
     return sums
 
 
+def _load_slsqplib():
+    """scipy's compiled `scipy/optimize/_slsqplib` extension, loaded without
+    importing `scipy.optimize`, whose first import dwarfs a cold CLI run;
+    None when this scipy has no such file.  find_spec does not import scipy.
+    The bare name matters: under the dotted one, a later
+    `import scipy.optimize` would find no `_slsqplib` attribute."""
+    spec = importlib.util.find_spec("scipy")
+    for folder in (spec and spec.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(folder, "optimize", "_slsqplib" + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader("_slsqplib", path)
+                module = importlib.util.module_from_spec(
+                    importlib.util.spec_from_file_location("_slsqplib", path, loader=loader))
+                loader.exec_module(module)
+                return module
+    return None
+
+
+@functools.cache
+def _nnls_kernel():
+    """The compiled kernel `nnls(A, b, maxiter) -> (x, rnorm, info)` behind
+    scipy.optimize.nnls, or None where it cannot be loaded directly."""
+    try:
+        return getattr(_load_slsqplib(), "nnls", None)
+    except (ImportError, OSError):
+        return None
+
+
+def _nnls(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """scipy.optimize.nnls(A, b), with its bits: its input checks and kernel
+    call run here where the kernel loads directly, and scipy.optimize.nnls
+    runs elsewhere.  Raises AmbiguousReconstruction where scipy raises
+    RuntimeError, when the active-set iteration does not converge."""
+    kernel = _nnls_kernel()
+    if kernel is not None:
+        A = np.asarray_chkfinite(A, dtype=np.float64, order="C")
+        b = np.asarray_chkfinite(b, dtype=np.float64, order="C")
+        x, rnorm, info = kernel(A, b, 3 * A.shape[1])
+        if info != 3:
+            return x, rnorm
+    else:
+        from scipy.optimize import nnls
+        try:
+            return nnls(A, b)
+        except RuntimeError:  # "Maximum number of iterations reached."
+            pass
+    raise AmbiguousReconstruction("nonnegative least squares did not converge")
+
+
 def reconstruct_plane_measure(
     plane: Subspace,
     marginals: Sequence[LineMeasure],
@@ -586,11 +639,10 @@ def reconstruct_plane_measure(
     least squares on the incidence system.  When more than dim + 1 marginals
     are supplied, the last one is held out and used only to verify the
     solution.  Raises AmbiguousReconstruction when the system is
-    rank-deficient, inconsistent, fails the held-out check, or needs more
-    than MAX_ATOMS atoms.
+    rank-deficient, inconsistent, fails the held-out check, needs more
+    than MAX_ATOMS atoms, or its nonnegative least squares does not
+    converge.
     """
-    from scipy.optimize import nnls  # deferred: `import varifold_lab` stays numpy-only
-
     d = plane.dim
     if len(marginals) < d:
         raise ValueError(f"need at least {d} marginal directions")
@@ -658,7 +710,7 @@ def reconstruct_plane_measure(
         raise AmbiguousReconstruction(
             "incidence system is rank-deficient; add a marginal direction"
         )
-    w, _ = nnls(A, b)
+    w, _ = _nnls(A, b)
     scale = max(1.0, float(np.max(np.abs(b))) if b.size else 1.0)
     if float(np.max(np.abs(A @ w - b))) > RESIDUAL_TOL * scale:
         raise AmbiguousReconstruction("marginals are mutually inconsistent")

@@ -173,6 +173,22 @@ def test_reconstruct_cli(tmp_path, monkeypatch, capsys):
     assert recon.n_atoms == 4
 
 
+def test_reconstruct_cli_nnls_non_convergence_exits_1(tmp_path, monkeypatch, capsys):
+    # the compiled kernel reports info 3, scipy's "Maximum number of
+    # iterations reached.": one domain-error line, no traceback, no file
+    from varifold_lab import tomography
+
+    monkeypatch.chdir(tmp_path)
+    save_varifold("cone.json", conic=conic_atoms(3, [([0.2, 0.1, 1.0], 1.0)]))
+    monkeypatch.setattr(tomography, "_nnls_kernel",
+                        lambda: lambda A, b, maxiter: (np.zeros(A.shape[1]), 0.0, 3))
+    status, _ = run(["reconstruct", "cone.json", "--report", "res.csv", "--out", "recon.json"])
+    assert status == 1
+    assert capsys.readouterr().err == (
+        "AmbiguousReconstruction: nonnegative least squares did not converge\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cone.json"]
+
+
 @pytest.mark.parametrize("recon_atoms,row", [
     # both reconstructed atoms lie sqrt(2) from the cone's: the first is taken
     ([([0.0, 1.0], 0.5), ([0.0, -1.0], 3.0)], "1,0,2,1.4142135623730951,1.5"),

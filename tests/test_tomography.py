@@ -1,5 +1,6 @@
 import functools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,11 +21,13 @@ from varifold_lab import (
     gnomonic_pushforward,
     hyperplane_of,
     lift_to_sphere,
+    load_varifold,
     locate_marginal_atoms,
     marginal_direction_battery,
     reconstruct_conic,
     reconstruct_from_marginals,
     reconstruct_plane_measure,
+    save_varifold,
 )
 from varifold_lab.fixtures import balanced_y_cone, random_conic
 from varifold_lab.tomography import CoverageGap, PlaneMeasure
@@ -764,3 +767,161 @@ def test_oracle_slopes_and_masses_beyond_the_float_range():
     pair = ConicVarifold(3, np.array([[0.6, 0.0, 0.8], [0.6, 0.8, 0.0]]), np.array([1e308, 1e308]))
     with pytest.raises(OverflowError):
         BandOracle(pair)(v, e3, bands)
+
+
+# ---------------------------------------------------------------------------
+# the NNLS kernel: scipy's compiled code, loaded without scipy.optimize
+# ---------------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture
+def fresh_kernel():
+    """The tomography module with its cached NNLS kernel cleared before and
+    after the test."""
+    from varifold_lab import tomography
+
+    tomography._nnls_kernel.cache_clear()
+    yield tomography
+    tomography._nnls_kernel.cache_clear()
+
+
+def _plane_outcome(solve, plane, marginals):
+    """(points, masses) bytes of a plane solve, or the error it raised."""
+    try:
+        gamma = solve(plane, marginals)
+    except AmbiguousReconstruction as exc:
+        return type(exc).__name__, str(exc)
+    return gamma.points.tobytes(), gamma.masses.tobytes()
+
+
+def _golden_charts():
+    """The located charts of the `reconstruct` golden's input cone."""
+    from varifold_lab.tomography import _locate_atoms
+
+    cone = load_varifold(ROOT / "perfbench/golden/inputs/cone.json").require_conic()
+    located = _locate_atoms(BandOracle(cone), _default_pairs(3), 2.0 / 1e-6)
+    normals = default_normals(3)
+    per_chart = len(located) // len(normals)
+    return cone, [(v, located[i * per_chart:(i + 1) * per_chart])
+                  for i, v in enumerate(normals)]
+
+
+def _golden_outcomes(tmp_path):
+    """Every plane solve of the golden input, and its full reconstruction as
+    the bytes of the file that `reconstruct --out` writes."""
+    cone, charts = _golden_charts()
+    planes = [_plane_outcome(reconstruct_plane_measure, hyperplane_of(v), ms)
+              for v, ms in charts]
+    save_varifold(tmp_path / "recon.json", conic=reconstruct_conic(BandOracle(cone), 3))
+    return planes, (tmp_path / "recon.json").read_bytes()
+
+
+def _assert_plane_solves_match_the_reference():
+    """The golden input's plane solves have the bits of the reference solve,
+    which calls scipy.optimize.nnls."""
+    for v, ms in _golden_charts()[1]:
+        plane = hyperplane_of(v)
+        assert (_plane_outcome(reconstruct_plane_measure, plane, ms)
+                == _plane_outcome(ref.reconstruct_plane_measure, plane, ms))
+
+
+def test_direct_kernel_reproduces_the_golden_and_the_references(fresh_kernel, tmp_path):
+    import scipy.optimize
+
+    if not hasattr(getattr(scipy.optimize, "_slsqplib", None), "nnls"):
+        pytest.skip("this scipy ships no compiled _slsqplib.nnls; the fallback runs")
+    assert fresh_kernel._nnls_kernel() is not None
+    _assert_plane_solves_match_the_reference()
+    golden = (ROOT / "perfbench/golden/reconstruct/recon.json").read_bytes()
+    assert _golden_outcomes(tmp_path)[1] == golden
+
+
+@pytest.mark.parametrize("failure", ["no file", "no nnls", "loader raises"])
+def test_fallback_gives_the_direct_bits(fresh_kernel, monkeypatch, tmp_path, failure):
+    import importlib.machinery
+    import types
+
+    direct = _golden_outcomes(tmp_path)
+    fresh_kernel._nnls_kernel.cache_clear()
+    if failure == "no file":
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".absent"])
+    elif failure == "no nnls":
+        monkeypatch.setattr(fresh_kernel, "_load_slsqplib",
+                            lambda: types.ModuleType("_slsqplib"))
+    else:
+        def refuse(self, module):
+            raise ImportError("cannot load")
+
+        monkeypatch.setattr(importlib.machinery.ExtensionFileLoader, "exec_module", refuse)
+    assert fresh_kernel._nnls_kernel() is None
+    assert _golden_outcomes(tmp_path) == direct
+    _assert_plane_solves_match_the_reference()
+
+
+@pytest.mark.parametrize("path", ["direct", "fallback"])
+def test_nnls_non_convergence_is_ambiguous(fresh_kernel, monkeypatch, path):
+    import scipy.optimize
+
+    if path == "direct":
+        monkeypatch.setattr(fresh_kernel, "_nnls_kernel",
+                            lambda: lambda A, b, maxiter: (np.zeros(A.shape[1]), 0.0, 3))
+    else:
+        def stalled(A, b):
+            raise RuntimeError("Maximum number of iterations reached.")
+
+        monkeypatch.setattr(fresh_kernel, "_nnls_kernel", lambda: None)
+        monkeypatch.setattr(scipy.optimize, "nnls", stalled)
+    gamma = PlaneMeasure(hyperplane_of([0.0, 0.0, 1.0]), np.array([[0.2, 0.1, 0.0]]),
+                         np.array([1.0]))
+    marginals = [LineMeasure(xi, gamma.points @ xi, gamma.masses)
+                 for xi in marginal_direction_battery(gamma.plane)]
+    with pytest.raises(AmbiguousReconstruction, match="did not converge"):
+        reconstruct_plane_measure(gamma.plane, marginals)
+
+
+@st.composite
+def _nnls_problems(draw):
+    """(A, b) up to 30 x 20: Gaussian, 0/1 incidence with a consistent b,
+    rank-deficient, nonnegative A with an all-negative b (solution 0), or a
+    single column."""
+    kind = draw(st.sampled_from(["gaussian", "incidence", "rank-deficient",
+                                 "negative b", "single column"]))
+    m = draw(st.integers(1, 30))
+    n = 1 if kind == "single column" else draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.normal(size=(m, n))
+    b = rng.normal(size=m)
+    if kind == "incidence":
+        A = (rng.random((m, n)) < 0.4).astype(float)
+        b = A @ rng.uniform(0.0, 2.0, size=n)
+    elif kind == "rank-deficient":
+        r = draw(st.integers(1, max(1, min(m, n) - 1)))
+        A = rng.normal(size=(m, r)) @ rng.normal(size=(r, n))
+        if n > 1:
+            A[:, -1] = A[:, 0]
+    elif kind == "negative b":
+        A = np.abs(A)
+        b = -rng.uniform(0.1, 1.0, size=m)
+    return kind, A, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(_nnls_problems())
+def test_direct_kernel_is_scipy_nnls_bitwise(problem):
+    import scipy.optimize
+    from varifold_lab.tomography import _nnls
+
+    def outcome(solve):
+        try:
+            x, rnorm = solve(A, b)
+        except (RuntimeError, AmbiguousReconstruction):
+            return "no convergence"
+        return x.tobytes(), float(rnorm).hex()
+
+    kind, A, b = problem
+    got = outcome(_nnls)
+    assert got == outcome(scipy.optimize.nnls)
+    if kind == "negative b":
+        assert not np.frombuffer(got[0]).any()

@@ -476,23 +476,37 @@ class ConicVarifold:
 
     def __post_init__(self):
         dirs = np.array(self.atom_directions, dtype=float)
-        masses = np.array(self.atom_masses, dtype=float)
         if dirs.size == 0:
             dirs = np.zeros((0, self.ambient_dim))
         if dirs.ndim != 2 or dirs.shape[1] != self.ambient_dim:
             raise ValueError("atom_directions must have shape (k, ambient_dim)")
+        self._set_atoms(dirs, np.array(self.atom_masses, dtype=float), rows_checked=False)
+
+    @classmethod
+    def _from_unit_rows(cls, ambient_dim: int, dirs: np.ndarray, masses: np.ndarray,
+                        density: SampledDensity | None) -> "ConicVarifold":
+        """A cone from fresh (k, ambient_dim) rows that conic_atoms has made
+        unit and pairwise distinct, by the constructor's tolerances: every
+        other check of the constructor still runs."""
+        cone = cls.__new__(cls)
+        cone.__dict__.update(ambient_dim=ambient_dim, density=density)
+        cone._set_atoms(dirs, masses, rows_checked=True)
+        return cone
+
+    def _set_atoms(self, dirs: np.ndarray, masses: np.ndarray, rows_checked: bool) -> None:
         if masses.shape != (dirs.shape[0],):
             raise ValueError("atom_masses must match atom_directions")
         if not (np.all(np.isfinite(dirs)) and np.all(np.isfinite(masses))):
             raise ValueError("atom directions and masses must be finite")
         if np.any(masses <= 0.0):
             raise ValueError("atom masses must be positive")
-        norms = np.linalg.norm(dirs, axis=1)
-        if dirs.shape[0] and np.max(np.abs(norms - 1.0)) > 1e-10:
-            raise ValueError("atom directions must be unit vectors")
-        # pairwise distinct: only the diagonal lies within the tolerance
-        if np.count_nonzero(_direction_distances(dirs) <= ATOM_SEPARATION_TOL) > len(dirs):
-            raise ValueError("atom directions must be pairwise distinct")
+        if not rows_checked:
+            norms = np.linalg.norm(dirs, axis=1)
+            if dirs.shape[0] and np.max(np.abs(norms - 1.0)) > 1e-10:
+                raise ValueError("atom directions must be unit vectors")
+            # pairwise distinct: only the diagonal lies within the tolerance
+            if np.count_nonzero(_direction_distances(dirs) <= ATOM_SEPARATION_TOL) > len(dirs):
+                raise ValueError("atom directions must be pairwise distinct")
         if self.density is not None and self.density.grid.ambient_dim != self.ambient_dim:
             raise ValueError("density grid dimension does not match ambient_dim")
         dirs.setflags(write=False)
@@ -556,7 +570,8 @@ def conic_atoms(ambient_dim: int, atoms: Iterable[tuple[Sequence[float], float]]
             kept.append(j)
         else:
             masses[i] += masses[j]
-    return ConicVarifold(ambient_dim, dirs[kept], [masses[i] for i in kept], density)
+    return ConicVarifold._from_unit_rows(
+        ambient_dim, dirs[kept], np.array([masses[i] for i in kept], dtype=float), density)
 
 
 @dataclass(frozen=True)

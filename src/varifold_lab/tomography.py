@@ -114,6 +114,13 @@ class PlaneMeasure:
         return float(np.sum(self.masses))
 
 
+def _check_line_atoms(coordinates: np.ndarray, masses: np.ndarray) -> None:
+    if not (np.isfinite(coordinates).all() and np.isfinite(masses).all()):
+        raise ValueError("atom coordinates and masses must be finite")
+    if (masses < 0.0).any():
+        raise ValueError("atom masses must be nonnegative")
+
+
 @dataclass(frozen=True)
 class LineMeasure:
     """Atoms on an oriented line.
@@ -131,14 +138,20 @@ class LineMeasure:
         ms = np.array(self.masses, dtype=float)
         if cs.shape != ms.shape or cs.ndim != 1:
             raise ValueError("coordinates and masses must be matching vectors")
-        if not (np.isfinite(cs).all() and np.isfinite(ms).all()):
-            raise ValueError("atom coordinates and masses must be finite")
-        if (ms < 0.0).any():
-            raise ValueError("atom masses must be nonnegative")
+        _check_line_atoms(cs, ms)
         cs.setflags(write=False)
         ms.setflags(write=False)
         object.__setattr__(self, "coordinates", cs)
         object.__setattr__(self, "masses", ms)
+
+    @classmethod
+    def _from_arrays(cls, direction: np.ndarray, coordinates: np.ndarray,
+                     masses: np.ndarray) -> "LineMeasure":
+        """A measure from a read-only unit direction and read-only atom
+        vectors that _check_line_atoms has passed."""
+        measure = cls.__new__(cls)
+        measure.__dict__.update(direction=direction, coordinates=coordinates, masses=masses)
+        return measure
 
     @property
     def n_atoms(self) -> int:
@@ -258,10 +271,12 @@ class BandOracle:
     An atom whose slope or weight overflows lies in no band; weights in
     front of v that sum past the float range raise OverflowError.
 
-    Slopes and weights are computed once per (v, xi) pair and cached.  A
-    shared vector is broadcast to one row per band, so both forms take
-    the same path and give the same bits.  Rows of one pair should be
-    consecutive: each run of equal pairs is one table row.
+    Slopes and weights are computed once per (v, xi) pair and cached: a
+    call computes all of its pairs not yet cached in one stacked pass,
+    with one finiteness check and one overflow check.  A shared vector is
+    broadcast to one row per band, so both forms take the same path and
+    give the same bits.  Rows of one pair should be consecutive: each run
+    of equal pairs is one table row.
 
     The mass of a band never grows when the band shrinks, bit for bit:
     every row sums the same positive weights in the same order, a
@@ -277,40 +292,36 @@ class BandOracle:
         self._tables: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
         self.query_count = 0
 
-    def _slopes(self, v: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(slopes, weights) of every atom; an atom behind v, or whose slope
-        or weight overflows, gets a NaN slope and weight 0."""
-        key = v.tobytes() + xi.tobytes()
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        # every row of a call reaches this on its pair's first use: a NaN
-        # row starts a run of equal pairs, since NaN != NaN
-        if not (np.isfinite(v).all() and np.isfinite(xi).all()):
-            raise ValueError("v and xi must be finite")
-        z1 = self._dirs @ v
-        z2 = self._dirs @ xi
-        front = z1 > 0.0
-        lam, weight = np.full(z1.shape, np.nan), np.zeros(z1.shape)
-        with np.errstate(over="ignore"):
-            lam[front] = z2[front] / z1[front]
-            weight[front] = self._masses[front] * (z1[front] ** 2 + z2[front] ** 2) / z1[front]
-            # an atom whose slope or weight overflows lies in no band, like
-            # one on the equator: no finite band mass can hold it
-            out = ~(np.isfinite(lam) & np.isfinite(weight))
-            lam[out], weight[out] = np.nan, 0.0
-            if not weight.sum() < math.inf:
-                raise OverflowError("the cone's band masses overflow the float range")
-        self._cache[key] = (lam, weight)
-        return lam, weight
-
     def _table(self, vs: np.ndarray, xis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(pairs x atoms) slopes and weights, cached per sequence of pairs."""
+        """(pairs x atoms) slopes and weights, cached per sequence of pairs;
+        an atom behind v, or whose slope or weight overflows, gets a NaN
+        slope and weight 0."""
         key = vs.tobytes() + xis.tobytes()
         hit = self._tables.get(key)
-        if hit is None:
-            rows = [self._slopes(v, xi) for v, xi in zip(vs, xis)]
-            hit = self._tables[key] = tuple(np.array(column) for column in zip(*rows))
+        if hit is not None:
+            return hit
+        keys = [v.tobytes() + xi.tobytes() for v, xi in zip(vs, xis)]
+        new = [i for i, k in enumerate(keys) if k not in self._cache]
+        if new:
+            # every row of a call reaches this on its pair's first use: a NaN
+            # row starts a run of equal pairs, since NaN != NaN
+            if not (np.isfinite(vs[new]).all() and np.isfinite(xis[new]).all()):
+                raise ValueError("v and xi must be finite")
+            # one product per vector: a stacked matmul sums in another order
+            z1 = np.array([self._dirs @ vs[i] for i in new])
+            z2 = np.array([self._dirs @ xis[i] for i in new])
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                lam = z2 / z1
+                weight = self._masses * (z1**2 + z2**2) / z1
+                # an atom whose slope or weight overflows lies in no band,
+                # like one on the equator: no finite band mass can hold it
+                out = ~((z1 > 0.0) & np.isfinite(lam) & np.isfinite(weight))
+                lam[out], weight[out] = np.nan, 0.0
+                if not (weight.sum(axis=1) < math.inf).all():
+                    raise OverflowError("the cone's band masses overflow the float range")
+            self._cache.update(zip((keys[i] for i in new), zip(lam, weight)))
+        rows = [self._cache[k] for k in keys]
+        hit = self._tables[key] = tuple(np.array(column) for column in zip(*rows))
         return hit
 
     def _rows(self, x, m: int) -> np.ndarray:
@@ -333,7 +344,8 @@ class BandOracle:
             return np.zeros(0)
         starts = np.ones(m, dtype=bool)
         starts[1:] = ((vs[1:] != vs[:-1]) | (xis[1:] != xis[:-1])).any(axis=1)
-        lam, weight = self._table(vs[starts], xis[starts])
+        first = np.flatnonzero(starts)
+        lam, weight = self._table(vs.take(first, axis=0), xis.take(first, axis=0))
         pair = np.cumsum(starts) - 1
         lam, weight = np.take(lam, pair, axis=0), np.take(weight, pair, axis=0)
         inband = (lam >= arr[:, :1]) & (lam <= arr[:, 1:2])
@@ -474,6 +486,8 @@ def _locate_atoms(
     and stay sorted by pair.  One final call re-measures the merged bands
     of every pair; its masses are the located ones.
     """
+    if len(pairs) == 0:
+        return []
     vs = np.array([v for v, _ in pairs], dtype=float)
     xis = np.array([xi for _, xi in pairs], dtype=float)
     owner = np.arange(len(pairs))
@@ -483,7 +497,9 @@ def _locate_atoms(
     while owner.size:
         stop = (depth >= max_depth) | _narrow(bands[:, 0], bands[:, 1], width_target)
         done.append((owner[stop], bands[stop]))
-        owner, bands, depth = owner[~stop], bands[~stop], depth[~stop]
+        # taking rows by index is faster than by mask
+        go = np.flatnonzero(~stop)
+        owner, bands, depth = owner.take(go), bands.take(go, axis=0), depth.take(go)
         if not owner.size:
             break
         # nested-midpoint edges: the children split at column 4, the
@@ -506,8 +522,8 @@ def _locate_atoms(
         owner, depth = np.repeat(owner, counts), np.repeat(depth + np.where(deep, 3, 1), counts)
         bands = np.column_stack((edges[:, :-1][used], edges[:, 1:][used]))
         rows_v, rows_xi = np.take(vs, owner, axis=0), np.take(xis, owner, axis=0)
-        alive = oracle(rows_v, rows_xi, bands) > LOCATE_MASS_TOL
-        owner, bands, depth = owner[alive], bands[alive], depth[alive]
+        alive = np.flatnonzero(oracle(rows_v, rows_xi, bands) > LOCATE_MASS_TOL)
+        owner, bands, depth = owner.take(alive), bands.take(alive, axis=0), depth.take(alive)
     owner = np.concatenate([o for o, _ in done])
     bands = np.concatenate([iv for _, iv in done])
 
@@ -529,9 +545,14 @@ def _locate_atoms(
     mids = 0.5 * (merged[:, 0] + merged[:, 1])[keep]
     gamma = totals[keep] / (1.0 + mids**2)
     kept = np.concatenate([[0], np.cumsum(keep)])[bounds].tolist()
-    return [
-        LineMeasure(xi, mids[a:b], gamma[a:b]) for (_, xi), a, b in zip(pairs, kept, kept[1:])
-    ]
+    # the checks and directions of LineMeasure(xi, mids[a:b], gamma[a:b]),
+    # taken once for all marginals
+    directions = _unit_rows(xis)[0]
+    _check_line_atoms(mids, gamma)
+    for arr in (mids, gamma, directions):
+        arr.setflags(write=False)
+    return [LineMeasure._from_arrays(u, mids[a:b], gamma[a:b])
+            for u, a, b in zip(directions, kept, kept[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -547,12 +568,12 @@ def _cluster_1d(values: np.ndarray, tol_of) -> np.ndarray:
     0.0, as the float sum here does, and pairwise from 8 up.
     """
     v = np.sort(values)
-    split = np.ones(len(v), dtype=bool)
-    split[1:] = ~(v[1:] - v[:-1] <= tol_of(v[1:]))
-    bounds = np.flatnonzero(split).tolist() + [len(v)]
-    sorted_values = v.tolist()
+    sorted_values, tols = v.tolist(), tol_of(v).tolist()
     means = []
-    for start, end in zip(bounds, bounds[1:]):
+    start = 0
+    for end in range(1, len(v) + 1):
+        if end < len(v) and sorted_values[end] - sorted_values[end - 1] <= tols[end]:
+            continue
         if end - start < 8:
             total = 0.0
             for x in sorted_values[start:end]:
@@ -560,6 +581,7 @@ def _cluster_1d(values: np.ndarray, tol_of) -> np.ndarray:
             means.append(total / (end - start))
         else:
             means.append(float(np.mean(v[start:end])))
+        start = end
     return np.array(means)
 
 
@@ -836,9 +858,9 @@ def reconstruct_from_marginals(
     # summed one by one from 0.0, atom by atom
     explained = np.add.accumulate(np.vstack([np.zeros(len(charts)), terms]))[-1]
     for (v, marginals), covered in zip(charts, explained.tolist()):
-        for m in marginals:
-            unaccounted = m.total_mass - covered
-            if unaccounted > COVERAGE_TOL * max(1.0, m.total_mass):
+        for total in (m.total_mass for m in marginals):
+            unaccounted = total - covered
+            if unaccounted > COVERAGE_TOL * max(1.0, total):
                 raise CoverageGap(
                     f"marginal mass {unaccounted:.3e} unaccounted for under "
                     f"normal {np.array2string(v, precision=3)}"

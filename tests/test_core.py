@@ -182,6 +182,68 @@ def test_conic_atoms_matches_pair_loop_bitwise(case):
     assert got.atom_masses.tobytes() == want.atom_masses.tobytes()
 
 
+@st.composite
+def _merged_cones(draw):
+    """(n, [(direction, mass)]) in R^2 to R^5: random rows; rows a fraction
+    or a multiple of ATOM_SEPARATION_TOL from an earlier unit row; rows
+    scaled by 1e-200 or 1e200."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 5))
+    units, pairs = [], []
+    for _ in range(draw(st.integers(0, 8))):
+        d = rng.normal(size=n)
+        d /= np.linalg.norm(d)
+        kind = draw(st.sampled_from(["fresh", "near", "scaled"]))
+        if kind == "near" and units:
+            step = ATOM_SEPARATION_TOL * draw(st.sampled_from([0.3, 0.999, 1.001, 3.0]))
+            d = units[draw(st.integers(0, len(units) - 1))] + step * d
+        units.append(d / np.linalg.norm(d))
+        if kind == "scaled":
+            d = d * draw(st.sampled_from([1e-200, 1e200]))
+        pairs.append((d, draw(st.floats(0.01, 10.0))))
+    return n, pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(_merged_cones())
+def test_the_constructor_accepts_every_conic_atoms_result(case):
+    # conic_atoms builds its cone without re-deriving unit norms and
+    # distances; the public constructor must agree with what it skipped
+    n, pairs = case
+    c = conic_atoms(n, pairs)
+    again = ConicVarifold(n, c.atom_directions, c.atom_masses)
+    for got, want in ((c.atom_directions, again.atom_directions),
+                      (c.atom_masses, again.atom_masses)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+
+
+@pytest.mark.parametrize("masses, merge", [
+    ([math.nan], False), ([math.inf], False), ([-math.inf], False), ([0.0], False),
+    ([-1.0], False), ([1.0, 0.0], False),
+    ([1e308, 1e308], True),  # merged into an infinite mass
+    ([-1.0, 0.5], True),     # merged into a negative one
+])
+def test_conic_atoms_rejects_masses_as_the_constructor(masses, merge):
+    rows = np.array([[0.6, 0.8, 0.0], [0.0, 0.0, 1.0]])
+    dirs = rows[[0] * len(masses)] if merge else rows[:len(masses)]
+    with pytest.raises(ValueError) as public:
+        if merge:
+            ConicVarifold(3, rows[:1], np.array([sum(masses)]))
+        else:
+            ConicVarifold(3, dirs, np.array(masses))
+    with pytest.raises(ValueError, match=re.escape(str(public.value))):
+        conic_atoms(3, zip(dirs, masses))
+
+
+def test_conic_atoms_rejects_a_density_of_another_dimension():
+    density_2d = SampledDensity(circle_grid(4), np.ones(4))
+    with pytest.raises(ValueError) as public:
+        ConicVarifold(3, np.array([[0.0, 0.0, 1.0]]), np.array([1.0]), density_2d)
+    with pytest.raises(ValueError, match=re.escape(str(public.value))):
+        conic_atoms(3, [([0.0, 0.0, 1.0], 1.0)], density_2d)
+
+
 def test_atom_validation_reads_the_merge_distances():
     # e1 and e1 + (0, d) with |d| within a few ulps of ATOM_SEPARATION_TOL:
     # ConicVarifold rejects exactly the pairs conic_atoms merges, where

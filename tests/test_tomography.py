@@ -770,6 +770,152 @@ def test_oracle_slopes_and_masses_beyond_the_float_range():
 
 
 # ---------------------------------------------------------------------------
+# one stacked slope pass per call, against the one-pair oracle
+# ---------------------------------------------------------------------------
+
+# on the equator of e3 and -e3; in front of e1 by 1e-310, or behind it, so
+# that under e1 the slope overflows; and on the equator of e2
+_SPECIAL_ATOMS = ((0.6, 0.8, 0.0), (1e-310, 0.6, 0.8), (-1e-310, 0.8, 0.6), (0.6, 0.0, 0.8))
+
+
+@st.composite
+def _oracle_sessions(draw):
+    """(cone, calls): special and random atoms, some heavy enough that their
+    weights, or the sums of their weights, overflow; each call is a list of
+    runs (default R^3 pair, rows) and one band per row, some infinite."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dirs = [d for d in _SPECIAL_ATOMS if draw(st.booleans())]
+    dirs += [tuple(unit(rng.normal(size=3))) for _ in range(draw(st.integers(not dirs, 10)))]
+    masses = [draw(st.sampled_from([0.5, 1.7, 1e307, 1e308])) for _ in dirs]
+    runs = st.lists(st.tuples(st.integers(0, 27), st.integers(1, 3)), min_size=1, max_size=6)
+    calls = []
+    for call in draw(st.lists(runs, min_size=1, max_size=4)):
+        m = sum(count for _, count in call)
+        s = np.where(rng.random(m) < 0.1, -np.inf, rng.uniform(-5.0, 5.0, m))
+        t = np.where(rng.random(m) < 0.1, np.inf, s + rng.uniform(0.0, 10.0, m))
+        calls.append((call, np.column_stack((s, t))))
+    return ConicVarifold(3, np.array(dirs), np.array(masses)), calls
+
+
+@settings(max_examples=150, deadline=None)
+@given(_oracle_sessions())
+def test_stacked_slope_pass_is_the_one_pair_oracle_bitwise(session):
+    # calls mix cached and new pairs; a call whose new pairs' weights sum
+    # past the float range raises, and caches nothing that differs
+    cone, calls = session
+    pairs = _default_pairs(3)
+    dirs, masses = cone.mass_rows()
+    oracle = BandOracle(cone)
+    for call, bands in calls:
+        rows = [pairs[p] for p, count in call for _ in range(count)]
+        vs, xis = np.array([v for v, _ in rows]), np.array([xi for _, xi in rows])
+        try:
+            want = []
+            for (v, xi), (s, t) in zip(rows, bands):
+                lam, weight = ref.pair_slopes(dirs, masses, v, xi)
+                want.append(np.sum(np.where((lam >= s) & (lam <= t), weight, 0.0)))
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                oracle(vs, xis, bands)
+            continue
+        assert oracle(vs, xis, bands).tobytes() == np.array(want).tobytes()
+    for key, (lam, weight) in oracle._cache.items():
+        want_lam, want_weight = ref.pair_slopes(dirs, masses, np.frombuffer(key[:24]),
+                                                np.frombuffer(key[24:]))
+        assert lam.tobytes() == want_lam.tobytes()
+        assert weight.tobytes() == want_weight.tobytes()
+
+
+@pytest.mark.parametrize("where", [0, 2, 4])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", ["v", "xi"])
+def test_a_non_finite_pair_anywhere_in_the_pass_raises(where, bad, side):
+    oracle = BandOracle(random_conic(np.random.default_rng(3), 3, n_atoms=4))
+    pairs = _default_pairs(3)[:5]
+    vs, xis = np.array([v for v, _ in pairs]), np.array([xi for _, xi in pairs])
+    bands = np.tile([-1.0, 1.0], (5, 1))
+    oracle(vs[:2], xis[:2], bands[:2])  # two pairs cached, three new
+    (vs if side == "v" else xis)[where, 1] = bad
+    with pytest.raises(ValueError, match="v and xi must be finite"):
+        oracle(vs, xis, bands)
+
+
+@pytest.mark.parametrize("where", [0, 2, 4])
+def test_summed_overflow_anywhere_in_the_pass_raises(where):
+    # under (e1, e3) the weights 1e308 / 0.6 and 1e308 * 0.36 / 0.6 sum past
+    # the float range; under the other pairs each weight is at most 1.25e308
+    e1, e2, e3 = np.eye(3)
+    cone = ConicVarifold(3, np.array([[0.6, 0.0, 0.8], [0.6, 0.8, 0.0]]), np.array([1e308, 1e308]))
+    finite = [(e3, e1), (e2, e1), (-e1, e2), (e3, e2)]
+    rows = finite[:where] + [(e1, e3)] + finite[where:]
+    bands = np.tile([-np.inf, np.inf], (5, 1))
+    oracle = BandOracle(cone)
+    with pytest.raises(OverflowError):
+        oracle(np.array([v for v, _ in rows]), np.array([xi for _, xi in rows]), bands)
+    got = oracle(np.array([v for v, _ in finite]), np.array([xi for _, xi in finite]), bands[:4])
+    dirs, masses = cone.mass_rows()
+    assert got.tolist() == [ref.pair_slopes(dirs, masses, v, xi)[1].sum() for v, xi in finite]
+
+
+# ---------------------------------------------------------------------------
+# located marginals, and reconstruct_conic against the reference pipeline
+# ---------------------------------------------------------------------------
+
+def test_located_marginals_are_the_public_measures_bitwise():
+    from varifold_lab.tomography import _locate_atoms
+
+    rng = np.random.default_rng(606)
+    cases = [(3, cone) for cone in _criterion_7_cones()[:20]]
+    cases += [(n, random_conic(rng, n, n_atoms=int(rng.integers(1, 6))))
+              for n in (2, 4) for _ in range(5)]
+    for n, cone in cases:
+        pairs = _default_pairs(n)
+        for (_, xi), got in zip(pairs, _locate_atoms(BandOracle(cone), pairs, 2.0 / 1e-6),
+                                strict=True):
+            want = LineMeasure(xi, got.coordinates, got.masses)
+            for name in ("direction", "coordinates", "masses"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+                assert not a.flags.writeable
+
+
+def test_an_oracle_measuring_inf_is_rejected():
+    # one atom at slope 0.5: mass 1 in a wide band, inf in a narrow one, so
+    # the bisection stays small and the re-measured band reads inf
+    def delta_at_half(v, xi, bands):
+        inside = (bands[:, 0] <= 0.5) & (0.5 <= bands[:, 1])
+        return np.where(inside, np.where(bands[:, 1] - bands[:, 0] < 1e-6, np.inf, 1.0), 0.0)
+
+    v, xi = np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="atom coordinates and masses must be finite"):
+        locate_marginal_atoms(delta_at_half, v, xi, 10.0)
+    with pytest.raises(ValueError, match="atom coordinates and masses must be finite"):
+        reconstruct_conic(delta_at_half, 3)
+
+
+def test_reconstruct_conic_is_the_reference_pipeline_bytewise():
+    # the reference locates one level per call and merges atom by atom;
+    # normals are normalised as reconstruct_conic normalises them
+    from varifold_lab.core import unit as core_unit
+
+    rng = np.random.default_rng(8080)
+    cases = [(3, cone) for cone in _criterion_7_cones()]
+    cases += [(n, random_conic(rng, n, n_atoms=int(rng.integers(1, 7))))
+              for n in (2, 4) for _ in range(20)]
+    outcomes = set()
+    for i, (n, cone) in enumerate(cases):
+        charts = [(v, marginal_direction_battery(hyperplane_of(v)))
+                  for v in map(core_unit, default_normals(n))]
+        pairs = [(v, xi) for v, battery in charts for xi in battery]
+        located = iter(ref.locate_atoms(BandOracle(cone), pairs, 2.0 / 1e-6))
+        want = _outcome(ref.reconstruct_from_marginals, n,
+                        [(v, [next(located) for _ in battery]) for v, battery in charts])
+        assert _outcome(reconstruct_conic, BandOracle(cone), n) == want, i
+        outcomes.add(type(want[0]).__name__)
+    assert "bytes" in outcomes
+
+
+# ---------------------------------------------------------------------------
 # the NNLS kernel: scipy's compiled code, loaded without scipy.optimize
 # ---------------------------------------------------------------------------
 

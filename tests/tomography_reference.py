@@ -1,7 +1,8 @@
 """The tomography solve as it ran level by level and atom by atom, kept as
 the reference for the array code in varifold_lab.tomography.
 
-Location bisected one level per oracle call and merged each pair's bands in
+The band oracle computed the slopes and weights of one (v, xi) pair at a
+time.  Location bisected one level per oracle call and merged each pair's bands in
 a Python loop; the plane solve clustered, eliminated and built incidence
 rows one representative at a time; the lift and the chart merge went atom
 by atom, and conic_atoms normalized and merged one (direction, mass) pair at
@@ -24,6 +25,28 @@ from varifold_lab.tomography import (
     PlaneMeasure,
     hyperplane_of,
 )
+
+
+def pair_slopes(dirs: np.ndarray, masses: np.ndarray, v: np.ndarray,
+                xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """BandOracle's (slopes, weights) of one (v, xi) pair, computed on its
+    own: an atom behind v, or whose slope or weight overflows, gets a NaN
+    slope and weight 0.  Raises as the oracle does on a non-finite pair and
+    on weights that sum past the float range."""
+    if not (np.isfinite(v).all() and np.isfinite(xi).all()):
+        raise ValueError("v and xi must be finite")
+    z1 = dirs @ v
+    z2 = dirs @ xi
+    front = z1 > 0.0
+    lam, weight = np.full(z1.shape, np.nan), np.zeros(z1.shape)
+    with np.errstate(over="ignore"):
+        lam[front] = z2[front] / z1[front]
+        weight[front] = masses[front] * (z1[front] ** 2 + z2[front] ** 2) / z1[front]
+        out = ~(np.isfinite(lam) & np.isfinite(weight))
+        lam[out], weight[out] = np.nan, 0.0
+        if not weight.sum() < math.inf:
+            raise OverflowError("the cone's band masses overflow the float range")
+    return lam, weight
 
 
 def conic_atoms(ambient_dim, atoms, density=None) -> ConicVarifold:

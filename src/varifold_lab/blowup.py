@@ -31,8 +31,7 @@ from .core import (
     as_vector,
     conic_atoms,
     conic_to_discrete,
-    incident_rays,
-    split_at_point,
+    _split,
     unit,
 )
 from .variation import _plateau
@@ -94,11 +93,11 @@ class BatteryTable:
         """Every sampled piece's weighted quadrature sum for every function,
         as a (pieces, functions) array, j-major.
 
-        The bits are those of w * np.dot(lens, lump * moment) piece by piece:
-        moments are squared with Python's float pow, lumps are evaluated in
-        chunks of whole pieces of about _LUMP_CHUNK cells, and a piece's
-        pairings are one stacked matmul of vector dots over its C-ordered
-        (lumps, moments, cells) products.
+        The bits are those of w * np.dot(lens, lump * moment) piece by piece,
+        whatever the other pieces: moments are squared with Python's float
+        pow, lumps are evaluated in chunks of whole pieces of about
+        _LUMP_CHUNK cells, and each piece's pairings are one stacked matmul of
+        vector dots over its own C-ordered (lumps, moments, cells) products.
         """
         counts = samples.counts
         out = np.zeros((len(counts), len(self.radii) * len(self.axes)))
@@ -210,19 +209,18 @@ _LUMP_CHUNK = 1024
 _DILATION_ROWS = 4096
 
 
-def _clip(rows, radius: float) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Rows (base, u, w, lo, up) of the pieces (base, u, hi, w) that meet
-    B(0, radius), with chord (lo, up) of base + t*u; and the mask of those."""
+def _clip(rows, radius: float, group: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The pieces (base, u, hi, w) meeting B(0, radius) as a table of rows
+    (base, u, w, lo, up), with chord (lo, up) of base + t*u, and their mask.
+    Given every piece's group, rows are sorted by group, then by their bits:
+    groups of equal bytes pair to equal bits, as pieces are sampled and
+    paired row by row and pairings are sorted sums; bytes keep a -0.0 apart."""
     base, u, hi, w = rows
     lo, up, meets = _ball_chords(base, u, hi, np.zeros(base.shape[1]), radius)
-    return tuple(col[meets] for col in (base, u, w, lo, up)), meets
-
-
-def _row_key(rows) -> bytes:
-    """The clipped rows' bytes in sorted order; equal keys pair to equal bits,
-    since pieces are sampled and paired row by row and pairings are sorted sums."""
-    table = np.column_stack(rows).view(np.uint64)
-    return table[np.lexsort(table.T)].tobytes()
+    table = np.column_stack((base, u, w, lo, up))[meets]
+    if group is not None:
+        table = table[np.lexsort((*table.view(np.uint64).T, group[meets]))]
+    return table, meets
 
 
 class _Samples(NamedTuple):
@@ -240,14 +238,12 @@ class _Samples(NamedTuple):
 
     def per_piece(self):
         """(points, direction, cell lengths, weight) of every piece, in order."""
-        ends = np.cumsum(self.counts).tolist()
-        starts = [0, *ends[:-1]]
-        for a, b, u, w in zip(starts, ends, self.u, self.w.tolist()):
-            yield self.points[a:b], u, self.lens[a:b], w
+        cuts = np.cumsum(self.counts)[:-1]
+        return zip(np.split(self.points, cuts), self.u, np.split(self.lens, cuts), self.w.tolist())
 
 
-def _piece_samples(rows, radius: float, cells: int) -> _Samples:
-    """Midpoint cells of the pieces clipped to B(0, radius), given as _clip's rows.
+def _piece_samples(table: np.ndarray, radius: float, cells: int) -> _Samples:
+    """Midpoint cells of the pieces clipped to B(0, radius), given as a _clip table.
 
     Cells sit on an absolute grid anchored at the piece line's closest
     approach to the origin, so subdividing a piece (or swapping a long
@@ -257,7 +253,8 @@ def _piece_samples(rows, radius: float, cells: int) -> _Samples:
     its length is positive.  A piece's cells depend on its row alone.
     """
     h = radius / cells
-    base, u, w, lo, up = rows
+    n = (table.shape[1] - 3) // 2
+    base, u, (w, lo, up) = table[:, :n], table[:, n:2 * n], table[:, 2 * n:].T
     foot = -_rowdot(base, u)
     k_lo = np.floor((lo - foot) / h).astype(np.int64)
     n_edges = np.ceil((up - foot) / h).astype(np.int64) - k_lo + 1
@@ -273,34 +270,32 @@ def _piece_samples(rows, radius: float, cells: int) -> _Samples:
     return _Samples(points, lens[keep], np.bincount(owner, minlength=len(w)), u, w)
 
 
-def _pair_all(samples: _Samples, battery: TestBattery) -> np.ndarray:
-    """Pairing of every battery function with the sampled pieces.
-
-    Piece p's contributions fill row p of a (pieces, functions) matrix; each
-    column is then summed in sorted order, so equal piece multisets pair
-    identically.  A battery with a table fills the matrix from its lumps in
-    one batched pass; any other calls each function's value piece by piece.
-    """
+def _contributions(table: np.ndarray, battery: TestBattery) -> np.ndarray:
+    """(pieces, functions) quadrature sums of a _clip table's pieces; a piece's
+    row depends on its table row alone.  A battery with a table fills the
+    matrix from its lumps in one batched pass; any other calls each
+    function's value piece by piece."""
+    samples = _piece_samples(table, battery.radius, PAIRING_CELLS)
     if battery.table is not None:
-        contribs = battery.table.contributions(samples)
-    else:
-        contribs = np.array([
-            [w * float(np.dot(lens, f.value(points, u))) for f in battery.functions]
-            for points, u, lens, w in samples.per_piece()
-        ]).reshape(len(samples.counts), len(battery.functions))
-    contribs.sort(axis=0)
-    return np.sum(np.ascontiguousarray(contribs.T), axis=1)
+        return battery.table.contributions(samples)
+    return np.array([
+        [w * float(np.dot(lens, f.value(points, u))) for f in battery.functions]
+        for points, u, lens, w in samples.per_piece()
+    ]).reshape(len(samples.counts), len(battery.functions))
 
 
-def _pairings(rows, battery: TestBattery) -> np.ndarray:
-    return _pair_all(_piece_samples(rows, battery.radius, PAIRING_CELLS), battery)
+def _pair_all(contribs: np.ndarray) -> np.ndarray:
+    """Pairings: each column of _contributions summed in sorted order, so
+    equal piece multisets pair identically."""
+    return np.sum(np.ascontiguousarray(np.sort(contribs, axis=0).T), axis=1)
 
 
 def weak_star_distance(v1: DiscreteVarifold, v2: DiscreteVarifold, battery: TestBattery) -> float:
     """Max pairing difference over the battery; zero for equal piece multisets."""
     if v1.ambient_dim != v2.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    p1, p2 = (_pairings(_clip(_piece_rows(v), battery.radius)[0], battery) for v in (v1, v2))
+    p1, p2 = (_pair_all(_contributions(_clip(_piece_rows(v), battery.radius)[0], battery))
+              for v in (v1, v2))
     return float(np.max(np.abs(p1 - p2)))
 
 
@@ -348,44 +343,48 @@ def tangent_estimate(
     factor beats the distance to every non-incident piece).  Diagnostics
     report the battery distance between each dilation and the cone; with
     power-of-two dilation factors the sequence hits exactly 0 at the
-    stabilization scale, with the floats weak_star_distance gives.  Every
-    dilation is clipped to the battery ball in one stacked pass (batches of
-    about _DILATION_ROWS pieces).  One whose clipped rows, sorted, have the
-    cone's bytes gets 0.0 unpaired, since it would pair to the cone's bits
-    (see _row_key); any other is paired, and then the cone, once.  Raises
-    ValueError unless the factors are finite, positive and strictly
-    decreasing, ZeroDensityError off the support, and errors as dilate.
+    stabilization scale, with the floats weak_star_distance gives.  x is
+    placed once (core._split).  Every dilation is clipped to the battery
+    ball in one stacked pass (batches of about _DILATION_ROWS pieces) that
+    sorts the batch once by dilation (see _clip).  A dilation with the
+    cone's bytes gets 0.0 unpaired; any other is paired, and then the cone,
+    once, a row with a cone row's bytes taking that row's contributions
+    unsampled.  Raises ValueError unless the factors are finite, positive and
+    strictly decreasing, ZeroDensityError off the support, errors as dilate.
     """
     lams = dilation_factors(lambdas)
     p = as_vector(x, dim=v.ambient_dim)
-    vs = split_at_point(v, p)
-    rays = incident_rays(vs, p)  # none exactly where density(v, x) is 0
+    vs, rays = _split(v, p)  # no rays exactly where density(v, x) is 0
     if not rays:
         raise ZeroDensityError("point carries no density; every blow-up is empty")
     cone = conic_atoms(v.ambient_dim, rays)
     if battery is None:
         battery = default_battery(v.ambient_dim)
-    cone_rows = _clip(_piece_rows(conic_to_discrete(cone)), battery.radius)[0]
-    cone_key, cone_pairings, dists = _row_key(cone_rows), None, []
     k, m = len(vs.seg_w), len(vs.ray_w)
+    cone_pieces, ref_contribs, dists = conic_to_discrete(cone), None, []
+    ref = _clip(_piece_rows(cone_pieces), battery.radius, np.zeros(cone.n_atoms, int))[0]
     per = max(1, _DILATION_ROWS // (k + m))
     for batch in (lams[j:j + per] for j in range(0, len(lams), per)):
-        # the stacked rows regrouped by dilation: its segments, then its rays
+        # the dilation of each stacked row: all segments, then all rays
         ids = np.arange(len(batch))
-        order = np.argsort(np.concatenate((ids.repeat(k), ids.repeat(m))), kind="stable")
-        stacked = _piece_rows(_dilations(vs, p, batch))
+        group = np.concatenate((ids.repeat(k), ids.repeat(m)))
         # a far piece of an extreme dilation may overflow its chord: the
         # non-finite chord is a miss
         with np.errstate(over="ignore", invalid="ignore"):
-            rows, meets = _clip([col[order] for col in stacked], battery.radius)
-        ends = np.cumsum(meets.reshape(len(batch), k + m).sum(axis=1)).tolist()
-        for part in (tuple(col[s:e] for col in rows) for s, e in zip([0, *ends], ends)):
-            if _row_key(part) == cone_key:
+            table, meets = _clip(_piece_rows(_dilations(vs, p, batch)), battery.radius, group)
+        counts = np.bincount(group[meets], minlength=len(batch))
+        for part in np.split(table, np.cumsum(counts)[:-1]):
+            if part.tobytes() == ref.tobytes():
                 dists.append(0.0)
                 continue
-            if cone_pairings is None:
-                cone_pairings = _pairings(cone_rows, battery)
-            dists.append(float(np.max(np.abs(_pairings(part, battery) - cone_pairings))))
+            if ref_contribs is None:
+                ref_contribs = _contributions(ref, battery)
+                ref_pairings = _pair_all(ref_contribs)
+            same = (part.view(np.uint64)[:, None, :] == ref.view(np.uint64)).all(axis=2)
+            new = ~same.any(axis=1)
+            contribs = np.concatenate((ref_contribs[same.argmax(axis=1)[~new]],
+                                       _contributions(part[new], battery)))
+            dists.append(float(np.max(np.abs(_pair_all(contribs) - ref_pairings))))
     return cone, TangentDiagnostics(tuple(lams), tuple(dists))
 
 

@@ -187,13 +187,14 @@ def _column(x) -> np.ndarray:
     return arr
 
 
-def _row_norms(r: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+def _row_norms(r: np.ndarray, sq=None) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """(|r|, i, u): |r| of every row, with np.linalg.norm's bits except on the
     rows i whose squared norm is not a normal float but whose largest entry
     magnitude s is finite and nonzero: s * |r / s| there (Blue's scaled norm),
-    u their directions (r / s) / |r / s|.  i = u = None when there are none."""
+    u their directions (r / s) / |r / s|.  i = u = None when there are none.
+    sq, if given, is _rowdot(r, r)."""
     with np.errstate(over="ignore"):
-        sq = _rowdot(r, r)
+        sq = _rowdot(r, r) if sq is None else sq
         norms = np.sqrt(sq)
         if _TINY <= sq.min(initial=math.inf) and sq.max(initial=0.0) < math.inf:
             return norms, None, None
@@ -207,10 +208,11 @@ def _row_norms(r: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, np.ndarray
     return norms, i, u
 
 
-def _unit_rows(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(r / |r|, |r|) of every row: the bits of r / sqrt(np.dot(r, r)) where that
-    squared norm is normal, else _row_norms'.  ValueError for a zero or non-finite row."""
-    norms, i, ui = _row_norms(r)
+def _unit_rows(r: np.ndarray, sq: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(r / |r|, |r|) of every row (sq as for _row_norms): the bits of
+    r / sqrt(np.dot(r, r)) where that squared norm is normal, else _row_norms'.
+    ValueError for a zero or non-finite row."""
+    norms, i, ui = _row_norms(r, sq)
     if i is None:
         return r / norms[:, None], norms
     _check_rows((np.isfinite(r).all(axis=1), "cannot normalize a non-finite vector"),
@@ -822,6 +824,37 @@ def circle_arc_mass(c: ConicVarifold, lo: float, hi: float) -> float:
 # Vertex bookkeeping shared by the variation and blow-up machinery
 # ---------------------------------------------------------------------------
 
+def _split(v: DiscreteVarifold, p: np.ndarray) -> tuple[DiscreteVarifold, list]:
+    """(split_at_point(v, p), incident_rays of it at p), placing p once: a
+    snapped or split piece starts at p, a segment with both ends at p also
+    ends there, and no other end of the split is within VERTEX_TOL of p."""
+    n, ns = v.ambient_dim, len(v.seg_w)
+    start, end, inside = _locate_point(v, p)
+    # a snapped end becomes the start: a -> x, or (a, b) -> (x, a) when
+    # only b snaps; (x, b) collapses where b is x itself
+    if (start[:ns] & (v.seg_b == p).all(axis=1)).any():
+        raise DegenerateGeometryError("a segment collapses onto the split point")
+    snap_b = end[:ns] & ~start[:ns]
+    a = np.where((start[:ns] | snap_b)[:, None], p, v.seg_a)
+    b = np.where(snap_b[:, None], v.seg_a, v.seg_b)
+    split, tail = inside[:ns], inside[ns:]
+    # segments in order, each as (a, b), or as (x, a) then (x, b) when split
+    starts = np.stack((np.where(split[:, None], p, a), np.broadcast_to(p, a.shape)), 1)
+    stops = np.stack((np.where(split[:, None], a, b), b), 1)
+    slots = np.stack((np.ones_like(split), split), 1)
+    # a split ray leaves the segment (x, o), after every segment, and the
+    # ray from x
+    at_o, twice, tails = start[ns:] | tail, 1 + split, np.ones(tail.sum(), bool)
+    vs = DiscreteVarifold._from_columns(
+        n, np.concatenate((starts[slots], np.broadcast_to(p, (len(tails), n)))),
+        np.concatenate((stops[slots], v.ray_o[tail])),
+        np.concatenate((np.repeat(v.seg_w, 2)[slots.ravel()], v.ray_w[tail])),
+        np.where(at_o[:, None], p, v.ray_o), v.ray_d, v.ray_w,
+    )
+    return vs, _ends_at(vs, np.concatenate((np.repeat((start | end)[:ns] | split, twice), tails)),
+                        np.concatenate((np.repeat((start & end)[:ns], twice), ~tails)), at_o)
+
+
 def split_at_point(v: DiscreteVarifold, x) -> DiscreteVarifold:
     """Split every piece whose relative interior holds x (by _locate_point)
     at x exactly.  Ends at x are snapped onto x, and every piece touching x
@@ -829,30 +862,7 @@ def split_at_point(v: DiscreteVarifold, x) -> DiscreteVarifold:
     at the exact origin.  Raises DegenerateGeometryError when a segment's
     start snaps onto x and its other end is x itself.
     """
-    n, ns = v.ambient_dim, len(v.seg_w)
-    p = as_vector(x, dim=n)
-    start, end, inside = _locate_point(v, p)
-    # a snapped end becomes the start: a -> x, or (a, b) -> (x, a) when
-    # only b snaps
-    snap_b = end[:ns] & ~start[:ns]
-    a = np.where((start[:ns] | snap_b)[:, None], p, v.seg_a)
-    b = np.where(snap_b[:, None], v.seg_a, v.seg_b)
-    if not _segment_lengths(a, b).all():
-        raise DegenerateGeometryError("a segment collapses onto the split point")
-    split, tail = inside[:ns], inside[ns:]
-    # segments in order, each as (a, b), or as (x, a) then (x, b) when split
-    starts = np.stack((np.where(split[:, None], p, a), np.broadcast_to(p, a.shape)), 1)
-    stops = np.stack((np.where(split[:, None], a, b), b), 1)
-    slots = np.stack((np.ones_like(split), split), 1)
-    o = np.where(start[ns:, None], p, v.ray_o)
-    # a split ray leaves the segment (x, o), after every segment, and the
-    # ray from x
-    return DiscreteVarifold._from_columns(
-        n, np.concatenate((starts[slots], np.broadcast_to(p, o[tail].shape))),
-        np.concatenate((stops[slots], o[tail])),
-        np.concatenate((np.repeat(v.seg_w, 2)[slots.ravel()], v.ray_w[tail])),
-        np.where(tail[:, None], p, o), v.ray_d, v.ray_w,
-    )
+    return _split(v, as_vector(x, dim=v.ambient_dim))[0]
 
 
 def piece_ends(v: DiscreteVarifold) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -863,8 +873,7 @@ def piece_ends(v: DiscreteVarifold) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     bits of unit(b - a) where |b - a|^2 is a normal float), its negation at
     b, the direction at a ray origin.
     """
-    ns = len(v.seg_w)
-    n = v.ambient_dim
+    ns, n = len(v.seg_w), v.ambient_dim
     points = np.concatenate((np.stack((v.seg_a, v.seg_b), 1).reshape(2 * ns, n), v.ray_o))
     away = np.concatenate((np.stack((v.seg_u, -v.seg_u), 1).reshape(2 * ns, n), v.ray_d))
     weights = np.concatenate((np.repeat(v.seg_w, 2), v.ray_w))
@@ -915,14 +924,16 @@ def group_ends(points: np.ndarray) -> np.ndarray:
     return out
 
 
-def incident_rays(v: DiscreteVarifold, x) -> list[tuple[np.ndarray, float]]:
-    """(away-direction, weight) for every piece end at x, by _locate_point.
+def _ends_at(v: DiscreteVarifold, at_a: np.ndarray, at_b: np.ndarray, at_o: np.ndarray) -> list:
+    """(away-direction, weight) of the marked ends of v, in the order of piece_ends(v)."""
+    _, away, weights = piece_ends(v)
+    hit = np.flatnonzero(np.concatenate((np.stack((at_a, at_b), 1).ravel(), at_o)))
+    return [(away[i], float(weights[i])) for i in hit]
 
-    The rows of piece_ends(v) at x, in their order.
-    """
+
+def incident_rays(v: DiscreteVarifold, x) -> list[tuple[np.ndarray, float]]:
+    """(away-direction, weight) for every piece end at x, by _locate_point:
+    the rows of piece_ends(v) at x, in their order."""
     start, end, _ = _locate_point(v, as_vector(x, dim=v.ambient_dim))
     ns = len(v.seg_w)
-    _, away, weights = piece_ends(v)
-    hit = np.flatnonzero(np.concatenate((np.stack((start[:ns], end[:ns]), 1).ravel(),
-                                         start[ns:])))
-    return [(away[i], float(weights[i])) for i in hit]
+    return _ends_at(v, start[:ns], end[:ns], start[ns:])

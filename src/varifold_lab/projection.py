@@ -42,22 +42,24 @@ def _project_rows(x: np.ndarray, p: Subspace) -> np.ndarray:
     return ((x[:, None, :] @ p.basis.T) @ p.basis)[:, 0, :]
 
 
-def _images(dirs: np.ndarray, p: Subspace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(keep, img, c): the image img = pi_P d of every unit row d of dirs, its
-    contraction c = |img|, and the mask of the rows with c above DROP_TOL."""
+def _images(dirs: np.ndarray, p: Subspace) -> tuple[np.ndarray, ...]:
+    """(keep, c, img, sq): the image img = pi_P d of every unit row d of dirs, its
+    squared norm sq (for _unit_rows) and contraction c = sqrt(sq), and the
+    mask of the rows with c above DROP_TOL."""
     img = _project_rows(dirs, p)
-    c = np.sqrt(_rowdot(img, img))
-    return c > DROP_TOL, img, c
+    sq = _rowdot(img, img)
+    c = np.sqrt(sq)
+    return c > DROP_TOL, c, img, sq
 
 
 def _project_pieces(v: DiscreteVarifold, p: Subspace, weighted: bool) -> DiscreteVarifold:
-    s, _, seg_c = _images(v.seg_u, p)
-    r, ray_img, ray_c = _images(v.ray_d, p)
+    s, seg_c, _, _ = _images(v.seg_u, p)
+    r, ray_c, ray_img, ray_sq = _images(v.ray_d, p)
     seg_w = v.seg_w[s] * seg_c[s] if weighted else v.seg_w[s]
     ray_w = v.ray_w[r] * ray_c[r] if weighted else v.ray_w[r]
     return DiscreteVarifold._from_columns(
         v.ambient_dim, _project_rows(v.seg_a[s], p), _project_rows(v.seg_b[s], p), seg_w,
-        _project_rows(v.ray_o[r], p), _unit_rows(ray_img[r])[0], ray_w,
+        _project_rows(v.ray_o[r], p), _unit_rows(ray_img[r], ray_sq[r])[0], ray_w,
     )
 
 
@@ -145,8 +147,8 @@ def weighted_projection_conic(c: ConicVarifold, p: Subspace) -> ConicVarifold:
     # circle to line: the density's two half-line masses are taken mode-exactly
     halfline = c.density is not None and c.ambient_dim == 2 and p.dim == 1
     dirs, masses = (c.atom_directions, c.atom_masses) if halfline else c.mass_rows()
-    keep, img, contraction = _images(dirs, p)
-    images = list(zip(_unit_rows(img[keep])[0], masses[keep] * contraction[keep]))
+    keep, contraction, img, sq = _images(dirs, p)
+    images = list(zip(_unit_rows(img[keep], sq[keep])[0], masses[keep] * contraction[keep]))
     if halfline:
         u = unit(p.basis[0])
         for sign in (1.0, -1.0):

@@ -119,44 +119,32 @@ def _bump_prime(t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
     m = np.abs(t) < 1.0
-    tm = t[m]
-    out[m] = np.exp(-1.0 / (1.0 - tm**2)) * (-2.0 * tm / (1.0 - tm**2) ** 2)
-    return out
-
-
-def _half_exp(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    m = u > 0.0
-    out[m] = np.exp(-1.0 / u[m])
+    out[m] = _bump(t[m]) * (-2.0 * t[m] / (1.0 - t[m] ** 2) ** 2)
     return out
 
 
 def _plateau(t: np.ndarray) -> np.ndarray:
-    """Smooth lump: 1 for |t| <= PLATEAU, 0 for |t| >= 1."""
+    """Smooth lump: 1 for |t| <= PLATEAU, 0 for |t| >= 1 and for NaN."""
     t = np.abs(np.asarray(t, dtype=float))
-    u = (1.0 - t) / (1.0 - PLATEAU)
-    a = _half_exp(u)
-    b = _half_exp(1.0 - u)
-    out = np.where(t >= 1.0, 0.0, a / np.where(a + b == 0.0, 1.0, a + b))
-    return np.where(t <= PLATEAU, 1.0, out)
+    out = np.where(t <= PLATEAU, 1.0, 0.0)
+    # the smooth step only where it is neither 0 nor 1: there 0 < u < 1
+    mid = (PLATEAU < t) & (t < 1.0)
+    u = (1.0 - t[mid]) / (1.0 - PLATEAU)
+    a = np.exp(-1.0 / u)
+    out[mid] = a / (a + np.exp(-1.0 / (1.0 - u)))
+    return out
 
 
 def _plateau_prime(t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=float)
-    sign = np.sign(t)
+    out = np.zeros_like(t)
     ta = np.abs(t)
-    u = (1.0 - ta) / (1.0 - PLATEAU)
-    a = _half_exp(u)
-    b = _half_exp(1.0 - u)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ap = np.where(u > 0.0, a / np.maximum(u, 1e-300) ** 2, 0.0)
-        bp = np.where(1.0 - u > 0.0, b / np.maximum(1.0 - u, 1e-300) ** 2, 0.0)
-        s_prime = np.where(
-            (a + b) > 0.0, (ap * b + a * bp) / np.maximum((a + b) ** 2, 1e-300), 0.0
-        )
-    inner = (ta > PLATEAU) & (ta < 1.0)
-    return np.where(inner, -sign * s_prime / (1.0 - PLATEAU), 0.0)
+    mid = (PLATEAU < ta) & (ta < 1.0)
+    u = (1.0 - ta[mid]) / (1.0 - PLATEAU)
+    a, b = np.exp(-1.0 / u), np.exp(-1.0 / (1.0 - u))
+    s_prime = (a / u ** 2 * b + a * (b / (1.0 - u) ** 2)) / (a + b) ** 2
+    out[mid] = -np.sign(t[mid]) * s_prime / (1.0 - PLATEAU)
+    return out
 
 
 def _profile_field(center, radius: float, matrix_or_vector, profile, profile_prime) -> TestField:

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from varifold_lab import (
@@ -34,14 +34,15 @@ from varifold_lab.blowup import (
     _PLATEAU_SLOPE,
     BatteryFunction,
     _clip,
-    _pair_all,
+    _contributions,
     _piece_samples,
-    _row_key,
 )
 from varifold_lab.core import (
+    VERTEX_TOL,
     DegenerateGeometryError,
     RayPiece,
     _piece_rows,
+    _split,
     as_vector,
     incident_rays,
     split_at_point,
@@ -341,6 +342,56 @@ def _incident_varifold(rng, n, x):
     return DiscreteVarifold(n, tuple(segs), tuple(rays)) + others
 
 
+def _near_x_varifold(x, *pieces):
+    """Pieces given relative to x: ("seg", a, b) or ("ray", o, d), weight 1.5."""
+    x = np.asarray(x, float)
+    segs = [SegmentPiece(x + np.array(a), x + np.array(b), 1.5) for kind, a, b in pieces
+            if kind == "seg"]
+    rays = [RayPiece(x + np.array(o), core_unit(np.array(d, float)), 1.5) for kind, o, d in pieces
+            if kind == "ray"]
+    return DiscreteVarifold(len(x), tuple(segs), tuple(rays)), x
+
+
+@st.composite
+def _incident_cases(draw):
+    """_incident_varifold's pieces plus ends moved by up to twice VERTEX_TOL off x."""
+    n = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.uniform(-1.0, 1.0, n)
+    v = _incident_varifold(rng, n, x)
+    near = []
+    for off, kind in draw(st.lists(st.tuples(st.floats(0.0, 2.0 * VERTEX_TOL),
+                                             st.sampled_from(["a", "b", "ray"])), max_size=3)):
+        e, arm = off * fixtures.random_unit_vector(rng, n), fixtures.random_unit_vector(rng, n)
+        if kind == "ray":
+            near.append(RayPiece(x + e, arm, 0.7))
+        else:
+            a, b = x + e, x + 2.0 * arm
+            near.append(SegmentPiece(*((a, b) if kind == "a" else (b, a)), 0.7))
+    return v + DiscreteVarifold(n, [p for p in near if isinstance(p, SegmentPiece)],
+                                [p for p in near if isinstance(p, RayPiece)]), x
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_incident_cases())
+@example(case=_near_x_varifold([0.3, -0.2], ("seg", [0.0, 0.0], [0.5e-9, 0.0]),
+                               ("seg", [0.0, 0.0], [1.0, 1.0])))  # both ends at x
+@example(case=_near_x_varifold([0.3, -0.2], ("seg", [1.0, 0.5], [0.3e-9, -0.2e-9])))  # b snaps
+@example(case=_near_x_varifold([0.3, -0.2, 0.1], ("ray", [-1.0, 0.5, 0.0], [2.0, -1.0, 0.0]),
+                               ("seg", [0.0, 0.0, 0.0], [0.0, 1.0, 0.0])))  # a split ray
+@example(case=_near_x_varifold([0.3, -0.2], ("seg", [0.9e-9, 0.0], [1.0, 1.0]),
+                               ("ray", [0.0, 1.2e-9], [0.0, 1.0]),
+                               ("seg", [-1.0, 0.9e-9], [1.0, 0.9e-9])))  # 0.9e-9 and 1.2e-9 off
+def test_split_places_the_incident_rows_of_split_at_point(case):
+    # the ends at x follow from the masks on v: the rows incident_rays finds
+    # on the split, bit for bit and in order
+    v, x = case
+    _, rows = _split(v, as_vector(x, dim=v.ambient_dim))
+    ref = incident_rays(split_at_point(v, x), x)
+    assert [(d.tobytes(), w) for d, w in rows] == [(d.tobytes(), w) for d, w in ref]
+    assert rows
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     n=st.integers(2, 4),
@@ -364,7 +415,8 @@ def test_tangent_skip_matches_pairing_every_dilation(n, seed, exponents, others,
 
 def test_rows_differing_by_a_negative_zero_pair_to_zero(monkeypatch):
     # the cone's rays start at -0.0: its clipped rows differ from every
-    # dilation's only in those sign bits, so each dilation is paired
+    # dilation's only in those sign bits, so each dilation is paired, and
+    # each dilation row is sampled, since none has a cone row's bytes
     def signed_zero_cone(c):
         d = conic_to_discrete(c)
         return DiscreteVarifold._from_columns(d.ambient_dim, d.seg_a, d.seg_b, d.seg_w,
@@ -372,14 +424,45 @@ def test_rows_differing_by_a_negative_zero_pair_to_zero(monkeypatch):
 
     lambdas = [2.0 ** -k for k in range(4)]
     cone, _ = tangent_estimate(y_junction(3), np.zeros(3), lambdas)
-    rows = [_clip(_piece_rows(f(cone)), 1.0)[0] for f in (conic_to_discrete, signed_zero_cone)]
-    assert _row_key(rows[0]) != _row_key(rows[1])
-    assert all(np.array_equal(a, b) for a, b in zip(*rows))
+    one_group = np.zeros(cone.n_atoms, int)
+    rows = [_clip(_piece_rows(f(cone)), 1.0, one_group)[0]
+            for f in (conic_to_discrete, signed_zero_cone)]
+    assert rows[0].tobytes() != rows[1].tobytes()
+    assert np.array_equal(rows[0], rows[1])
     monkeypatch.setattr(blowup, "conic_to_discrete", signed_zero_cone)
     calls = _count_pairings(monkeypatch)
+    sampled = []
+    real = blowup._contributions
+    monkeypatch.setattr(blowup, "_contributions",
+                        lambda table, battery: sampled.append(len(table)) or real(table, battery))
     _, diag = tangent_estimate(y_junction(3), np.zeros(3), lambdas)
     assert len(calls) == 1 + len(lambdas)
+    assert sampled == [3] * (1 + len(lambdas))
     assert np.array(diag.distances).tobytes() == np.zeros(len(lambdas)).tobytes()
+
+
+def test_dilation_rows_with_a_cone_rows_bytes_are_not_sampled_again(monkeypatch):
+    # a paired dilation's row with the bytes of a cone row takes that row's
+    # contributions; only the other rows are sampled
+    sampled, paired = [], []
+    real_contributions, real_pair_all = blowup._contributions, blowup._pair_all
+    monkeypatch.setattr(blowup, "_contributions",
+                        lambda table, battery: sampled.append(table)
+                        or real_contributions(table, battery))
+    monkeypatch.setattr(blowup, "_pair_all",
+                        lambda contribs: paired.append(len(contribs)) or real_pair_all(contribs))
+    reused = 0
+    for _, v, x in CATALOGUE:
+        sampled.clear()
+        paired.clear()
+        cone, _ = tangent_estimate(v, x, REFERENCE_LAMBDAS)
+        if not sampled:
+            continue
+        cone_rows = {row.tobytes() for row in _clip(_piece_rows(conic_to_discrete(cone)), 1.0)[0]}
+        assert {row.tobytes() for row in sampled[0]} == cone_rows  # the cone, once
+        assert not any(row.tobytes() in cone_rows for table in sampled[1:] for row in table)
+        reused += sum(paired[1:]) - sum(len(table) for table in sampled[1:])
+    assert reused > 0
 
 
 @pytest.mark.parametrize("rows", [1, 100, 250])
@@ -437,8 +520,9 @@ def test_opaque_battery_pairs_bitwise_equal_table(label, v, x):
     _, fast = tangent_estimate(v, x, REFERENCE_LAMBDAS, battery=battery)
     _, generic = tangent_estimate(v, x, REFERENCE_LAMBDAS, battery=_opaque(battery))
     assert np.array(fast.distances).tobytes() == np.array(generic.distances).tobytes()
-    samples = _samples(dilate(v, x, 0.5), 1.0, 256)
-    assert _pair_all(samples, battery).tobytes() == _pair_all(samples, _opaque(battery)).tobytes()
+    table = _clip(_piece_rows(dilate(v, x, 0.5)), 1.0)[0]
+    assert (_contributions(table, battery).tobytes()
+            == _contributions(table, _opaque(battery)).tobytes())
 
 
 _coord = st.floats(-1.5, 1.5, allow_nan=False)
@@ -521,8 +605,8 @@ def test_piece_samples_match_reference_bitwise():
 
 
 def test_table_contributions_match_piece_loop_bitwise():
-    # cells=1500 spreads a varifold's pieces over several lump chunks, and
-    # pieces of equal cell count share one stacked matmul
+    # cells=1500 spreads a varifold's pieces over several lump chunks; each
+    # piece's pairings are one stacked matmul of its own
     for v in _sampling_cases():
         table = default_battery(v.ambient_dim).table
         for cells in (256, 1500):

@@ -316,6 +316,10 @@ def test_unit_rule_over_the_float_range(rows):
                 assert u.tobytes() == (v / math.sqrt(sq)).tobytes()
         if len(nonzero):
             assert _unit_rows(nonzero)[0].tobytes() == np.array(units).tobytes()
+            with np.errstate(over="ignore"):
+                squares = _rowdot(nonzero, nonzero)
+            # squared norms taken already, as a projection passes them in
+            assert _unit_rows(nonzero, squares)[0].tobytes() == np.array(units).tobytes()
         for v in rows:
             with pytest.raises(ValueError, match="^cannot normalize the zero vector$"):
                 unit(np.zeros_like(v))

@@ -31,7 +31,14 @@ from varifold_lab.fixtures import (
     random_varifold,
     y_junction,
 )
-from varifold_lab.variation import VariationAtom, rotation_field
+from varifold_lab.variation import (
+    PLATEAU,
+    VariationAtom,
+    _plateau,
+    _plateau_prime,
+    _profile_field,
+    rotation_field,
+)
 
 from piece_reference import ball_interval
 
@@ -67,6 +74,79 @@ def test_field_validation_checks_the_divergence():
         f, divergence_batch=lambda points, s: 2.0 * f.divergence_batch(points, s))
     with pytest.raises(ValueError, match="divergence_batch"):
         doubled.validate(np.random.default_rng(3))
+
+
+def _reference_half_exp(u):
+    out = np.zeros_like(u)
+    m = u > 0.0
+    out[m] = np.exp(-1.0 / u[m])
+    return out
+
+
+def _reference_plateau(t):
+    """The lump over the whole array, as it was written before it skipped its
+    exact 0 and 1 regions."""
+    t = np.abs(np.asarray(t, dtype=float))
+    u = (1.0 - t) / (1.0 - PLATEAU)
+    a = _reference_half_exp(u)
+    b = _reference_half_exp(1.0 - u)
+    out = np.where(t >= 1.0, 0.0, a / np.where(a + b == 0.0, 1.0, a + b))
+    return np.where(t <= PLATEAU, 1.0, out)
+
+
+def _reference_plateau_prime(t):
+    t = np.asarray(t, dtype=float)
+    sign = np.sign(t)
+    ta = np.abs(t)
+    u = (1.0 - ta) / (1.0 - PLATEAU)
+    a = _reference_half_exp(u)
+    b = _reference_half_exp(1.0 - u)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ap = np.where(u > 0.0, a / np.maximum(u, 1e-300) ** 2, 0.0)
+        bp = np.where(1.0 - u > 0.0, b / np.maximum(1.0 - u, 1e-300) ** 2, 0.0)
+        s_prime = np.where(
+            (a + b) > 0.0, (ap * b + a * bp) / np.maximum((a + b) ** 2, 1e-300), 0.0
+        )
+    inner = (ta > PLATEAU) & (ta < 1.0)
+    return np.where(inner, -sign * s_prime / (1.0 - PLATEAU), 0.0)
+
+
+def _plateau_grid():
+    edges = [PLATEAU, 1.0]
+    near = [np.nextafter(e, d) for e in edges for d in (0.0, 2.0)]
+    sub = [5e-324, np.nextafter(0.0, 1.0) * 3, np.finfo(float).tiny * 0.5]
+    inner = np.linspace(PLATEAU, 1.0, 2001)
+    # just inside 1, where exp(-1/u) underflows to 0 or a subnormal
+    tail = 1.0 - np.geomspace(1e-16, 1e-2, 200)
+    t = np.concatenate((edges, near, sub, [0.0, 2.0, 1e300, np.inf], inner, tail))
+    return np.concatenate((t, -t, [np.nan]))
+
+
+def test_plateau_matches_its_whole_array_formula_bitwise():
+    # the lump and its slope skip the regions where they are exactly 0 or 1
+    t = _plateau_grid()
+    assert _plateau(t).tobytes() == _reference_plateau(t).tobytes()
+    assert _plateau_prime(t).tobytes() == _reference_plateau_prime(t).tobytes()
+    block = t[: t.size - t.size % 8].reshape(8, -1)  # as a battery table evaluates it
+    assert _plateau(block).tobytes() == _reference_plateau(block).tobytes()
+    assert _plateau(np.array([PLATEAU, 1.0, np.nan, -np.inf])).tolist() == [1.0, 0.0, 0.0, 0.0]
+
+
+def test_plateau_fields_are_unchanged_bitwise():
+    rng = np.random.default_rng(12)
+    for n in (2, 3):
+        c = rng.normal(size=n)
+        points = c + rng.normal(size=(400, n)) * 1.2
+        points[:n] = c  # r = 0
+        for f, matrix in ((plateau_field, rng.normal(size=n)),
+                          (linear_field, rng.normal(size=(n, n)))):
+            got = f(c, 1.3, matrix)
+            ref = _profile_field(c, 1.3, matrix, _reference_plateau, _reference_plateau_prime)
+            s = unit(rng.normal(size=n))
+            assert (got.divergence_batch(points, s).tobytes()
+                    == ref.divergence_batch(points, s).tobytes())
+            for x in points[:40]:
+                assert got.evaluate(x).tobytes() == ref.evaluate(x).tobytes()
 
 
 def test_plateau_is_one_inside():

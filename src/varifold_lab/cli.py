@@ -51,7 +51,9 @@ from .tomography import (
     BandOracle,
     CoverageGap,
     LineMeasure,
+    _off_plane,
     default_normals,
+    hyperplane_of,
     reconstruct_conic,
     reconstruct_from_marginals,
 )
@@ -260,7 +262,7 @@ def _reconstruct_from_measurements(args, manifest: RunManifest) -> int:
             with np.errstate(over="ignore"):  # x.x must be a normal float
                 if not _TINY <= float(np.dot(x, x)) < math.inf:
                     raise SchemaError(f"line {lineno}: {name} is zero or cannot be normalized")
-        if abs(float(np.dot(unit(v), unit(xi)))) > 1e-12:
+        if _off_plane(hyperplane_of(unit(v)), unit(xi)[None]):  # the plane solve's rule
             raise SchemaError(f"line {lineno}: the direction xi is not orthogonal to v")
         s, t, m = vals[2 * n :]
         if not s < t:

@@ -17,6 +17,7 @@ import numpy as np
 
 # Absolute tolerances for geometric predicates (double-precision headroom).
 UNIT_TOL = 1e-12
+UNIT_NORM_TOL = 1e-10  # a unit direction d has |d.d - 1| <= UNIT_NORM_TOL (_is_unit)
 ATOM_SEPARATION_TOL = 1e-9
 VERTEX_TOL = 1e-9
 
@@ -51,6 +52,26 @@ def unit(v: np.ndarray) -> np.ndarray:
     return u
 
 
+def _set_fields(obj, **values) -> None:
+    """Set fields of a frozen value, making every array among them read-only."""
+    for name, value in values.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+
+
+class _Trusted:
+    """Base of the frozen value dataclasses that library code builds unchecked."""
+
+    @classmethod
+    def _trusted(cls, *values):
+        """An instance holding values, one per field in order, with no check
+        run: only for values that pass every check of cls by construction."""
+        obj = cls.__new__(cls)
+        _set_fields(obj, **dict(zip(cls.__dataclass_fields__, values)))
+        return obj
+
+
 @dataclass(frozen=True)
 class Subspace:
     """A k-dimensional linear subspace of R^n given by an orthonormal basis.
@@ -71,8 +92,7 @@ class Subspace:
         gram = b @ b.T
         if not np.allclose(gram, np.eye(k), rtol=0.0, atol=UNIT_TOL):
             raise ValueError("basis rows must be orthonormal within 1e-12")
-        b.setflags(write=False)
-        object.__setattr__(self, "basis", b)
+        _set_fields(self, basis=b)
 
     @property
     def dim(self) -> int:
@@ -107,9 +127,8 @@ class SegmentPiece:
     weight: float
 
     def __post_init__(self):
-        object.__setattr__(self, "a", as_vector(self.a))
-        object.__setattr__(self, "b", as_vector(self.b, dim=self.a.shape[0]))
-        object.__setattr__(self, "weight", float(self.weight))
+        a = as_vector(self.a)
+        _set_fields(self, a=a, b=as_vector(self.b, dim=a.shape[0]), weight=float(self.weight))
         if not 0.0 < self.weight < math.inf:
             raise ValueError("segment weight must be positive and finite")
         # a NaN or infinite endpoint makes the length NaN or infinite
@@ -136,17 +155,14 @@ class RayPiece:
     weight: float
 
     def __post_init__(self):
-        object.__setattr__(self, "origin", as_vector(self.origin))
-        object.__setattr__(
-            self, "direction", as_vector(self.direction, dim=self.origin.shape[0])
-        )
-        object.__setattr__(self, "weight", float(self.weight))
+        origin = as_vector(self.origin)
+        _set_fields(self, origin=origin, direction=as_vector(self.direction, dim=origin.shape[0]),
+                    weight=float(self.weight))
         if not 0.0 < self.weight < math.inf:
             raise ValueError("ray weight must be positive and finite")
         if not np.isfinite(self.origin).all():
             raise ValueError("ray origin must be finite")
-        # written so that a NaN direction fails too
-        if not abs(float(np.dot(self.direction, self.direction)) - 1.0) <= 1e-10:
+        if not _is_unit(self.direction):
             raise ValueError("ray direction must be a unit vector")
 
 
@@ -168,6 +184,12 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+def _is_unit(d: np.ndarray) -> np.ndarray:
+    """|d.d - 1| <= UNIT_NORM_TOL for each row of d (or one vector); NaN and inf fail."""
+    with np.errstate(over="ignore"):
+        return np.abs(_rowdot(d, d) - 1.0) <= UNIT_NORM_TOL
+
+
 def _direction_distances(dirs: np.ndarray) -> np.ndarray:
     """(k, k) distances |dirs[i] - dirs[j]|, each with np.linalg.norm's bits."""
     diff = dirs[:, None, :] - dirs[None, :, :]
@@ -175,16 +197,12 @@ def _direction_distances(dirs: np.ndarray) -> np.ndarray:
 
 
 def _rows(x, n: int) -> np.ndarray:
-    """A read-only C-ordered (k, n) float array."""
-    arr = np.ascontiguousarray(x, dtype=float).reshape(-1, n)
-    arr.setflags(write=False)
-    return arr
+    """A C-ordered (k, n) float array."""
+    return np.ascontiguousarray(x, dtype=float).reshape(-1, n)
 
 
 def _column(x) -> np.ndarray:
-    arr = np.ascontiguousarray(x, dtype=float).reshape(-1)
-    arr.setflags(write=False)
-    return arr
+    return np.ascontiguousarray(x, dtype=float).reshape(-1)
 
 
 def _row_norms(r: np.ndarray, sq=None) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
@@ -225,9 +243,7 @@ def _unit_rows(r: np.ndarray, sq: np.ndarray | None = None) -> tuple[np.ndarray,
 def _segment_lengths(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """|b - a| by _row_norms: inf where b - a leaves the float range."""
     with np.errstate(over="ignore"):
-        length = _row_norms(b - a)[0]
-    length.setflags(write=False)
-    return length
+        return _row_norms(b - a)[0]
 
 
 def _check_rows(*checks: tuple[np.ndarray, str]) -> None:
@@ -281,20 +297,20 @@ class DiscreteVarifold:
             _rows([r.origin for r in rays], n), _rows([r.direction for r in rays], n),
             _column([r.weight for r in rays]),
         )
-        object.__setattr__(self, "_segments", segments)
-        object.__setattr__(self, "_rays", rays)
+        _set_fields(self, _segments=segments, _rays=rays)
 
     def _assemble(self, n, seg_a, seg_b, seg_w, seg_len, ray_o, ray_d, ray_w):
-        """Store the columns, given as read-only arrays; derive seg_u; return self."""
-        seg_u = (seg_b - seg_a) / seg_len[:, None]
-        seg_u.setflags(write=False)
-        for name, value in (
-            ("ambient_dim", n), ("seg_a", seg_a), ("seg_b", seg_b), ("seg_w", seg_w),
-            ("seg_u", seg_u), ("seg_len", seg_len), ("ray_o", ray_o), ("ray_d", ray_d),
-            ("ray_w", ray_w), ("_segments", None), ("_rays", None), ("_stacked", None),
-        ):
-            object.__setattr__(self, name, value)
+        """Store the columns read-only; derive seg_u; return self."""
+        _set_fields(self, ambient_dim=n, seg_a=seg_a, seg_b=seg_b, seg_w=seg_w,
+                    seg_u=(seg_b - seg_a) / seg_len[:, None], seg_len=seg_len, ray_o=ray_o,
+                    ray_d=ray_d, ray_w=ray_w, _segments=None, _rays=None, _stacked=None)
         return self
+
+    @classmethod
+    def _trusted(cls, n, seg_a, seg_b, seg_w, seg_len, ray_o, ray_d, ray_w) -> "DiscreteVarifold":
+        """Unchecked: C-ordered float columns that pass _from_columns' checks
+        by construction, and seg_len = _segment_lengths(seg_a, seg_b)."""
+        return cls.__new__(cls)._assemble(n, seg_a, seg_b, seg_w, seg_len, ray_o, ray_d, ray_w)
 
     @classmethod
     def _from_columns(cls, ambient_dim: int, seg_a, seg_b, seg_w,
@@ -314,10 +330,9 @@ class DiscreteVarifold:
         _check_rows(
             ((0.0 < rw) & (rw < math.inf), "ray weight must be positive and finite"),
             (np.isfinite(o).all(axis=1), "ray origin must be finite"),
-            # written so that a NaN direction fails too
-            (np.abs(_rowdot(u, u) - 1.0) <= 1e-10, "ray direction must be a unit vector"),
+            (_is_unit(u), "ray direction must be a unit vector"),
         )
-        return cls.__new__(cls)._assemble(n, a, b, w, length, o, u, rw)
+        return cls._trusted(n, a, b, w, length, o, u, rw)
 
     def __reduce__(self):
         return (DiscreteVarifold._from_columns, (
@@ -357,9 +372,9 @@ class DiscreteVarifold:
     def __add__(self, other: "DiscreteVarifold") -> "DiscreteVarifold":
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimensions differ")
-        return DiscreteVarifold._from_columns(self.ambient_dim, *(
+        return DiscreteVarifold._trusted(self.ambient_dim, *(
             np.concatenate((getattr(self, name), getattr(other, name)))
-            for name in ("seg_a", "seg_b", "seg_w", "ray_o", "ray_d", "ray_w")
+            for name in ("seg_a", "seg_b", "seg_w", "seg_len", "ray_o", "ray_d", "ray_w")
         ))
 
 
@@ -382,14 +397,17 @@ class SphereGrid:
     angles: np.ndarray | None = None  # S^1 grids keep their angles
 
     def __post_init__(self):
-        for name in ("nodes", "weights"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if self.angles is not None:
-            a = np.array(self.angles, dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, "angles", a)
+        nodes, weights = np.array(self.nodes, dtype=float), np.array(self.weights, dtype=float)
+        angles = None if self.angles is None else np.array(self.angles, dtype=float)
+        if nodes.ndim != 2 or weights.shape != (nodes.shape[0],):
+            raise ValueError("grid nodes must be (k, n) rows with one weight each")
+        if not _is_unit(nodes).all():
+            raise ValueError("grid nodes must be finite unit vectors")
+        if not (np.isfinite(weights).all() and (weights >= 0.0).all()):
+            raise ValueError("grid weights must be finite and nonnegative")
+        if angles is not None and not (angles.shape == weights.shape and np.isfinite(angles).all()):
+            raise ValueError("grid angles must be finite, one per node")
+        _set_fields(self, nodes=nodes, weights=weights, angles=angles)
 
     @property
     def size(self) -> int:
@@ -454,8 +472,10 @@ class SampledDensity:
             raise ValueError("density values must be finite")
         if np.any(v < 0.0):
             raise ValueError("density values must be nonnegative")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        with np.errstate(over="ignore"):
+            if not np.isfinite(self.grid.weights * v).all():
+                raise ValueError("density node masses must be finite")
+        _set_fields(self, values=v)
 
     @property
     def total_mass(self) -> float:
@@ -463,7 +483,7 @@ class SampledDensity:
 
 
 @dataclass(frozen=True)
-class ConicVarifold:
+class ConicVarifold(_Trusted):
     """A conic 1-varifold: a measure mu on S^{n-1}, rays weighted by d(mu).
 
     atom_directions has shape (k, n) with pairwise-distinct unit rows and
@@ -478,43 +498,18 @@ class ConicVarifold:
 
     def __post_init__(self):
         dirs = np.array(self.atom_directions, dtype=float)
+        masses = np.array(self.atom_masses, dtype=float)
         if dirs.size == 0:
             dirs = np.zeros((0, self.ambient_dim))
         if dirs.ndim != 2 or dirs.shape[1] != self.ambient_dim:
             raise ValueError("atom_directions must have shape (k, ambient_dim)")
-        self._set_atoms(dirs, np.array(self.atom_masses, dtype=float), rows_checked=False)
-
-    @classmethod
-    def _from_unit_rows(cls, ambient_dim: int, dirs: np.ndarray, masses: np.ndarray,
-                        density: SampledDensity | None) -> "ConicVarifold":
-        """A cone from fresh (k, ambient_dim) rows that conic_atoms has made
-        unit and pairwise distinct, by the constructor's tolerances: every
-        other check of the constructor still runs."""
-        cone = cls.__new__(cls)
-        cone.__dict__.update(ambient_dim=ambient_dim, density=density)
-        cone._set_atoms(dirs, masses, rows_checked=True)
-        return cone
-
-    def _set_atoms(self, dirs: np.ndarray, masses: np.ndarray, rows_checked: bool) -> None:
-        if masses.shape != (dirs.shape[0],):
-            raise ValueError("atom_masses must match atom_directions")
-        if not (np.all(np.isfinite(dirs)) and np.all(np.isfinite(masses))):
-            raise ValueError("atom directions and masses must be finite")
-        if np.any(masses <= 0.0):
-            raise ValueError("atom masses must be positive")
-        if not rows_checked:
-            norms = np.linalg.norm(dirs, axis=1)
-            if dirs.shape[0] and np.max(np.abs(norms - 1.0)) > 1e-10:
-                raise ValueError("atom directions must be unit vectors")
-            # pairwise distinct: only the diagonal lies within the tolerance
-            if np.count_nonzero(_direction_distances(dirs) <= ATOM_SEPARATION_TOL) > len(dirs):
-                raise ValueError("atom directions must be pairwise distinct")
-        if self.density is not None and self.density.grid.ambient_dim != self.ambient_dim:
-            raise ValueError("density grid dimension does not match ambient_dim")
-        dirs.setflags(write=False)
-        masses.setflags(write=False)
-        object.__setattr__(self, "atom_directions", dirs)
-        object.__setattr__(self, "atom_masses", masses)
+        _check_atoms(self.ambient_dim, dirs, masses, self.density)
+        if not _is_unit(dirs).all():
+            raise ValueError("atom directions must be unit vectors")
+        # pairwise distinct: only the diagonal lies within the tolerance
+        if np.count_nonzero(_direction_distances(dirs) <= ATOM_SEPARATION_TOL) > len(dirs):
+            raise ValueError("atom directions must be pairwise distinct")
+        _set_fields(self, atom_directions=dirs, atom_masses=masses)
 
     @property
     def n_atoms(self) -> int:
@@ -545,6 +540,19 @@ class ConicVarifold:
         return m
 
 
+def _check_atoms(ambient_dim: int, dirs: np.ndarray, masses: np.ndarray,
+                 density: SampledDensity | None) -> None:
+    """The checks of a cone's masses and density, given (k, ambient_dim) directions."""
+    if masses.shape != (dirs.shape[0],):
+        raise ValueError("atom_masses must match atom_directions")
+    if not (np.all(np.isfinite(dirs)) and np.all(np.isfinite(masses))):
+        raise ValueError("atom directions and masses must be finite")
+    if np.any(masses <= 0.0):
+        raise ValueError("atom masses must be positive")
+    if density is not None and density.grid.ambient_dim != ambient_dim:
+        raise ValueError("density grid dimension does not match ambient_dim")
+
+
 def conic_atoms(ambient_dim: int, atoms: Iterable[tuple[Sequence[float], float]],
                 density: SampledDensity | None = None) -> ConicVarifold:
     """Build a ConicVarifold from (direction, mass) pairs, merging duplicates.
@@ -572,8 +580,10 @@ def conic_atoms(ambient_dim: int, atoms: Iterable[tuple[Sequence[float], float]]
             kept.append(j)
         else:
             masses[i] += masses[j]
-    return ConicVarifold._from_unit_rows(
-        ambient_dim, dirs[kept], np.array([masses[i] for i in kept], dtype=float), density)
+    dirs, masses = dirs[kept], np.array([masses[i] for i in kept], dtype=float)
+    # the rows are unit and distinct by now; merged masses may still fail
+    _check_atoms(ambient_dim, dirs, masses, density)
+    return ConicVarifold._trusted(ambient_dim, dirs, masses, density)
 
 
 @dataclass(frozen=True)
@@ -704,9 +714,8 @@ def _dilations(v: DiscreteVarifold, c: np.ndarray, lams: Sequence[float]) -> Dis
         raise OverflowError("a dilation leaves the float range")
     if not length.all():
         raise DegenerateGeometryError("a dilated segment collapses onto a point")
-    return DiscreteVarifold.__new__(DiscreteVarifold)._assemble(
-        n, a, b, _column(np.tile(v.seg_w, k)), length,
-        o, _rows(np.tile(v.ray_d, (k, 1)), n), _column(np.tile(v.ray_w, k)))
+    return DiscreteVarifold._trusted(
+        n, a, b, np.tile(v.seg_w, k), length, o, np.tile(v.ray_d, (k, 1)), np.tile(v.ray_w, k))
 
 
 def dilate(v: DiscreteVarifold, x, lam: float) -> DiscreteVarifold:
@@ -768,9 +777,8 @@ def conic_to_discrete(c: ConicVarifold) -> DiscreteVarifold:
         raise ValueError("conic varifold has neither atoms nor density")
     dirs, masses = c.mass_rows()
     empty = np.zeros((0, c.ambient_dim))
-    return DiscreteVarifold._from_columns(
-        c.ambient_dim, empty, empty, (), np.zeros(dirs.shape), dirs, masses
-    )
+    return DiscreteVarifold._trusted(
+        c.ambient_dim, empty, empty, np.zeros(0), np.zeros(0), np.zeros(dirs.shape), dirs, masses)
 
 
 # ---------------------------------------------------------------------------
@@ -845,11 +853,13 @@ def _split(v: DiscreteVarifold, p: np.ndarray) -> tuple[DiscreteVarifold, list]:
     # a split ray leaves the segment (x, o), after every segment, and the
     # ray from x
     at_o, twice, tails = start[ns:] | tail, 1 + split, np.ones(tail.sum(), bool)
-    vs = DiscreteVarifold._from_columns(
-        n, np.concatenate((starts[slots], np.broadcast_to(p, (len(tails), n)))),
-        np.concatenate((stops[slots], v.ray_o[tail])),
-        np.concatenate((np.repeat(v.seg_w, 2)[slots.ravel()], v.ray_w[tail])),
-        np.where(at_o[:, None], p, v.ray_o), v.ray_d, v.ray_w,
+    # the stacking of broadcast rows may leave a column in Fortran order
+    seg_a = _rows(np.concatenate((starts[slots], np.broadcast_to(p, (len(tails), n)))), n)
+    seg_b = _rows(np.concatenate((stops[slots], v.ray_o[tail])), n)
+    vs = DiscreteVarifold._trusted(
+        n, seg_a, seg_b, np.concatenate((np.repeat(v.seg_w, 2)[slots.ravel()], v.ray_w[tail])),
+        _segment_lengths(seg_a, seg_b), _rows(np.where(at_o[:, None], p, v.ray_o), n),
+        v.ray_d, v.ray_w,
     )
     return vs, _ends_at(vs, np.concatenate((np.repeat((start | end)[:ns] | split, twice), tails)),
                         np.concatenate((np.repeat((start & end)[:ns], twice), ~tails)), at_o)

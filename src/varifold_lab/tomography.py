@@ -27,13 +27,16 @@ import numpy as np
 from .core import (
     ConicVarifold,
     Subspace,
+    _Trusted,
     _direction_distances,
     _rowdot,
+    _set_fields,
     _unit_rows,
     as_vector,
     conic_atoms,
     unit,
 )
+from .projection import _project_rows
 
 
 # Atoms whose pole component is at or below this are near-equatorial: no
@@ -48,10 +51,12 @@ LOCATE_MAX_DEPTH = 80
 LOCATE_MASS_TOL = 1e-9
 # Plane solve: coordinates closer than MATCH_TOL (1 + |coordinate|) are one
 # atom, residuals above RESIDUAL_TOL times the mass scale are inconsistent,
-# and a solution may hold at most MAX_ATOMS atoms.
+# and a solution may hold at most MAX_ATOMS atoms.  A PlaneMeasure atom p
+# lies within PLANE_TOL (1 + |p|) of its plane.
 MATCH_TOL = 1e-7
 RESIDUAL_TOL = 1e-8
 MAX_ATOMS = 32
+PLANE_TOL = 1e-12
 # Chart merge: an atom counts when its pole component reaches KEEP_FRACTION;
 # two charts' atoms are one when their directions are MERGE_ANGLE apart or
 # less and their masses agree within MERGE_MASS_TOL max(1, mass).  Marginal
@@ -75,7 +80,7 @@ class CoverageGap(ValueError):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PlaneMeasure:
+class PlaneMeasure(_Trusted):
     """Atoms on a hyperplane of R^n."""
 
     plane: Subspace
@@ -95,15 +100,10 @@ class PlaneMeasure:
             raise ValueError("atom points and masses must be finite")
         if np.any(ms <= 0.0):
             raise ValueError("atom masses must be positive")
-        if pts.shape[0]:
-            drift = np.linalg.norm(pts - self.plane.project(pts), axis=1)
-            scale = 1.0 + np.linalg.norm(pts, axis=1)
-            if np.max(drift / scale) > 1e-12:
-                raise ValueError("atom points must lie in the plane")
-        pts.setflags(write=False)
-        ms.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "masses", ms)
+        drift = np.linalg.norm(pts - self.plane.project(pts), axis=1)
+        if np.max(drift / (1.0 + np.linalg.norm(pts, axis=1)), initial=0.0) > PLANE_TOL:
+            raise ValueError("atom points must lie in the plane")
+        _set_fields(self, points=pts, masses=ms)
 
     @property
     def n_atoms(self) -> int:
@@ -122,7 +122,7 @@ def _check_line_atoms(coordinates: np.ndarray, masses: np.ndarray) -> None:
 
 
 @dataclass(frozen=True)
-class LineMeasure:
+class LineMeasure(_Trusted):
     """Atoms on an oriented line.
 
     Atom positions are scalar coordinates along the unit direction.
@@ -133,25 +133,13 @@ class LineMeasure:
     masses: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "direction", unit(as_vector(self.direction)))
+        direction = unit(as_vector(self.direction))
         cs = np.array(self.coordinates, dtype=float)
         ms = np.array(self.masses, dtype=float)
         if cs.shape != ms.shape or cs.ndim != 1:
             raise ValueError("coordinates and masses must be matching vectors")
         _check_line_atoms(cs, ms)
-        cs.setflags(write=False)
-        ms.setflags(write=False)
-        object.__setattr__(self, "coordinates", cs)
-        object.__setattr__(self, "masses", ms)
-
-    @classmethod
-    def _from_arrays(cls, direction: np.ndarray, coordinates: np.ndarray,
-                     masses: np.ndarray) -> "LineMeasure":
-        """A measure from a read-only unit direction and read-only atom
-        vectors that _check_line_atoms has passed."""
-        measure = cls.__new__(cls)
-        measure.__dict__.update(direction=direction, coordinates=coordinates, masses=masses)
-        return measure
+        _set_fields(self, direction=direction, coordinates=cs, masses=ms)
 
     @property
     def n_atoms(self) -> int:
@@ -406,21 +394,11 @@ def gnomonic_pushforward(c: ConicVarifold, v) -> GnomonicResult:
     v = unit(as_vector(v, dim=c.ambient_dim))
     plane = hyperplane_of(v)
     dirs, masses = c.mass_rows()
-    points: list[np.ndarray] = []
-    out_masses: list[float] = []
-    excluded: list[tuple[np.ndarray, float]] = []
-    for i in range(dirs.shape[0]):
-        h = float(np.dot(dirs[i], v))
-        if abs(h) <= CHART_CUTOFF:
-            excluded.append((dirs[i], float(masses[i])))
-            continue
-        if h < 0.0:
-            continue
-        points.append(plane.project(dirs[i] / h))
-        out_masses.append(float(masses[i]) * h)
-    pts = np.array(points) if points else np.zeros((0, c.ambient_dim))
-    measure = PlaneMeasure(plane, pts, np.array(out_masses))
-    return GnomonicResult(measure, tuple(excluded))
+    h = _rowdot(dirs, v)
+    front, out = h > CHART_CUTOFF, np.abs(h) <= CHART_CUTOFF
+    points = _project_rows(dirs[front] / h[front, None], plane)
+    measure = PlaneMeasure(plane, points, masses[front] * h[front])
+    return GnomonicResult(measure, tuple(zip(dirs[out], masses[out].tolist())))
 
 
 def lift_to_sphere(gamma: PlaneMeasure, v) -> ConicVarifold:
@@ -546,12 +524,10 @@ def _locate_atoms(
     gamma = totals[keep] / (1.0 + mids**2)
     kept = np.concatenate([[0], np.cumsum(keep)])[bounds].tolist()
     # the checks and directions of LineMeasure(xi, mids[a:b], gamma[a:b]),
-    # taken once for all marginals
+    # taken once for all marginals: the oracle's masses come from outside
     directions = _unit_rows(xis)[0]
     _check_line_atoms(mids, gamma)
-    for arr in (mids, gamma, directions):
-        arr.setflags(write=False)
-    return [LineMeasure._from_arrays(u, mids[a:b], gamma[a:b])
+    return [LineMeasure._trusted(u, mids[a:b], gamma[a:b])
             for u, a, b in zip(directions, kept, kept[1:])]
 
 
@@ -649,6 +625,13 @@ def _nnls(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     raise AmbiguousReconstruction("nonnegative least squares did not converge")
 
 
+def _off_plane(plane: Subspace, dirs: np.ndarray) -> bool:
+    """Whether a unit row of dirs is over PLANE_TOL / (2 sqrt(dim)) off the plane; rows
+    within it keep a plane-solve candidate, a sum of dim of them, within PLANE_TOL."""
+    r = dirs - plane.project(dirs)
+    return bool((r * r).sum(axis=1).max() * plane.dim > (0.5 * PLANE_TOL) ** 2)
+
+
 def reconstruct_plane_measure(
     plane: Subspace,
     marginals: Sequence[LineMeasure],
@@ -668,6 +651,8 @@ def reconstruct_plane_measure(
     d = plane.dim
     if len(marginals) < d:
         raise ValueError(f"need at least {d} marginal directions")
+    if _off_plane(plane, np.array([m.direction for m in marginals])):
+        raise ValueError("marginal directions must lie in the plane")
     held_out = None
     solving = list(marginals)
     if len(marginals) > d + 1:
@@ -694,7 +679,7 @@ def reconstruct_plane_measure(
                 raise AmbiguousReconstruction(
                     "an axis marginal is empty while others carry mass"
                 )
-            return PlaneMeasure(plane, np.zeros((0, plane.ambient_dim)), np.zeros(0))
+            return PlaneMeasure._trusted(plane, np.zeros((0, plane.ambient_dim)), np.zeros(0))
         axis_coord_lists.append(reps)
     shape = [len(c) for c in axis_coord_lists]
     n_candidates = math.prod(shape)
@@ -752,7 +737,10 @@ def reconstruct_plane_measure(
             raise AmbiguousReconstruction(
                 "held-out marginal disagrees with the reconstruction"
             )
-    return PlaneMeasure(plane, candidates, w)
+    # huge masses can overflow the solve (a non-finite candidate fails the rank check)
+    if not np.isfinite(w).all():
+        raise ValueError("atom points and masses must be finite")
+    return PlaneMeasure._trusted(plane, candidates, w)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from .core import (
     DiscreteVarifold,
     _ball_chords,
     _chord_rows,
+    _is_unit,
     _piece_rows,
     _row_norms,
     _rowdot,
@@ -50,8 +51,7 @@ class VariationAtom:
         object.__setattr__(self, "location", as_vector(self.location))
         object.__setattr__(self, "omega", as_vector(self.omega, dim=self.location.shape[0]))
         object.__setattr__(self, "mass", float(self.mass))
-        # written so that a NaN omega fails too
-        if not abs(float(np.dot(self.omega, self.omega)) - 1.0) <= 1e-10:
+        if not _is_unit(self.omega):
             raise ValueError("omega must be a unit vector")
         if self.mass <= 0.0:
             raise ValueError("atom mass must be positive")

@@ -16,6 +16,7 @@ from varifold_lab import (
     RayPiece,
     SampledDensity,
     SegmentPiece,
+    SphereGrid,
     Subspace,
     band_marginal,
     circle_arc_mass,
@@ -49,6 +50,8 @@ from varifold_lab.core import (
     split_at_point,
     unit,
 )
+from varifold_lab.tomography import LineMeasure, PlaneMeasure
+from varifold_lab.variation import VariationAtom
 from varifold_lab.fixtures import (
     full_line,
     random_conic,
@@ -1077,3 +1080,126 @@ def test_piece_rows_are_built_once_and_read_only():
     clone = pickle.loads(pickle.dumps(v))
     assert _piece_rows(clone) is not rows
     assert all(a.tobytes() == b.tobytes() for a, b in zip(_piece_rows(clone), rows))
+
+
+# ---------------------------------------------------------------------------
+# One construction rule: public constructors check, _trusted builds do not
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("scale", [1 + 4e-11, 1 + 9e-11, 1 - 4e-11, 1 - 9e-11])
+def test_one_unit_rule_for_every_direction(scale):
+    # |d.d - 1| <= 1e-10 everywhere; by |d| - 1 the constructor of a cone
+    # used to accept 1 + 9e-11, which conic_to_discrete then refused
+    d = [scale, 0.0, 0.0]
+    unit_ok = abs(scale * scale - 1.0) <= 1e-10
+    makes = {
+        "atom directions must be unit vectors":
+            lambda: ConicVarifold(3, [d, [0.0, 1.0, 0.0]], [1.0, 2.0]),
+        "ray direction must be a unit vector": lambda: RayPiece(np.zeros(3), d, 1.0),
+        "omega must be a unit vector": lambda: VariationAtom(np.zeros(3), d, 1.0),
+        "grid nodes must be finite unit vectors":
+            lambda: SphereGrid("x", [d, [0.0, 1.0, 0.0]], [1.0, 1.0]),
+    }
+    for message, make in makes.items():
+        if unit_ok:
+            make()
+        else:
+            with pytest.raises(ValueError, match=message):
+                make()
+    if unit_ok:
+        cone = ConicVarifold(3, [d, [0.0, 1.0, 0.0]], [1.0, 2.0])
+        assert conic_to_discrete(cone).ray_d.tobytes() == cone.atom_directions.tobytes()
+
+
+@pytest.mark.parametrize("nodes,weights,angles,message", [
+    ([[2.0, 0.0], [0.0, 1.0], [math.nan, 0.0]], [1.0, -1.0, math.inf], None,
+     "grid nodes must be finite unit vectors"),
+    ([[1.0, 0.0], [0.0, 1.0], [math.inf, 0.0]], [1.0, 1.0, 1.0], None,
+     "grid nodes must be finite unit vectors"),
+    ([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]], [1.0, 1.0, 1.0, 1.0], None, "one weight each"),
+    ([1.0, 0.0], [1.0], None, "one weight each"),
+    ([[1.0, 0.0], [0.0, 1.0]], [1.0, -1.0], None, "grid weights must be finite and nonnegative"),
+    ([[1.0, 0.0], [0.0, 1.0]], [1.0, math.inf], None, "finite and nonnegative"),
+    ([[1.0, 0.0], [0.0, 1.0]], [1.0, math.nan], None, "finite and nonnegative"),
+    ([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], [0.0], "grid angles must be finite, one per node"),
+    ([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], [0.0, math.nan], "one per node"),
+])
+def test_sphere_grid_checks_its_nodes_weights_and_angles(nodes, weights, angles, message):
+    with pytest.raises(ValueError, match=message):
+        SphereGrid("x", nodes, weights, angles)
+
+
+def test_sampled_density_node_masses_must_be_finite():
+    grid = SphereGrid("x", [[1.0, 0.0], [0.0, 1.0]], [1e300, 1.0])
+    SampledDensity(grid, [1e8, 1e300])
+    with pytest.raises(ValueError, match="density node masses must be finite"):
+        SampledDensity(grid, [1e10, 1.0])
+
+
+def test_grids_of_descriptors_pass_their_own_checks():
+    for grid in (circle_grid(4), circle_grid(720), sphere_grid(2, 4), sphere_grid()):
+        again = SphereGrid(grid.descriptor, grid.nodes, grid.weights, grid.angles)
+        assert again.nodes.tobytes() == grid.nodes.tobytes()
+
+
+@pytest.mark.parametrize("atoms,density,message", [
+    ([([1.0, 0.0], math.nan)], None, "atom directions and masses must be finite"),
+    ([([1.0, 0.0], -1.0)], None, "atom masses must be positive"),
+    # two finite masses merge into an infinite one
+    ([([1.0, 0.0], 1e308), ([1.0, 0.0], 1e308)], None, "must be finite"),
+    ([([1.0, 0.0], 1.0)], "s2", "density grid dimension does not match ambient_dim"),
+])
+def test_conic_atoms_checks_its_masses_and_density(atoms, density, message):
+    dens = SampledDensity(sphere_grid(2, 4), np.ones(8)) if density else None
+    with pytest.raises(ValueError, match=message):
+        conic_atoms(2, atoms, dens)
+
+
+def test_restrict_keeps_its_checks_where_clipped_ends_round_together():
+    # 1e17 + 95.1 and 1e17 + 96.9 both round to 1e17 + 96: the clipped
+    # segment has no length, so restrict must build through the checks
+    v = DiscreteVarifold(2, (SegmentPiece([1e17, 0.0], [1e17 + 1000.0, 0.0], 1.0),))
+    with pytest.raises(ValueError, match="segment endpoints must be finite and distinct"):
+        restrict(v, [1e17 + 100.0, 0.5], 1.0)
+
+
+_NO_SEGMENTS = (np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0), np.zeros(0))
+_XY = Subspace(3, np.eye(3)[:2])
+
+
+@pytest.mark.parametrize("cls,args,message", [
+    (DiscreteVarifold, (2, *_NO_SEGMENTS, np.zeros((1, 2)), np.array([[1.0, 0.0]]),
+                        np.array([math.nan])), "ray weight must be positive and finite"),
+    (DiscreteVarifold, (2, *_NO_SEGMENTS, np.zeros((1, 2)), np.array([[2.0, 0.0]]), np.ones(1)),
+     "ray direction must be a unit vector"),
+    # a seg_len that is not |b - a|
+    (DiscreteVarifold, (2, np.zeros((1, 2)), np.array([[3.0, 4.0]]), np.ones(1), np.array([4.0]),
+                        np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0)), "seg_len differs"),
+    (ConicVarifold, (2, np.array([[1.0, 0.0]]), np.array([math.nan]), None),
+     "atom directions and masses must be finite"),
+    (ConicVarifold, (2, np.array([[0.6, 0.6]]), np.ones(1), None),
+     "atom directions must be unit vectors"),
+    (PlaneMeasure, (_XY, np.array([[0.0, 1.0, 1e-3]]), np.ones(1)),
+     "atom points must lie in the plane"),
+    (PlaneMeasure, (_XY, np.array([[0.0, 1.0, 0.0]]), np.array([math.nan])),
+     "atom points and masses must be finite"),
+    (LineMeasure, (np.array([1.0, 0.0]), np.zeros(1), np.array([math.nan])),
+     "atom coordinates and masses must be finite"),
+    (LineMeasure, (np.array([0.6, 0.6]), np.zeros(1), np.ones(1)),
+     "direction must be a unit vector"),
+])
+def test_recheck_fixture_fails_an_invalid_trusted_build(cls, args, message):
+    with pytest.raises(AssertionError, match=message):
+        cls._trusted(*args)
+
+
+def test_every_trusted_constructor_is_rechecked():
+    import varifold_lab
+    from varifold_lab.core import _Trusted
+
+    classes = {
+        obj for mod in (varifold_lab.core, varifold_lab.tomography) for obj in vars(mod).values()
+        if isinstance(obj, type) and hasattr(obj, "_trusted") and obj is not _Trusted
+    }
+    assert classes == {DiscreteVarifold, ConicVarifold, PlaneMeasure, LineMeasure}
+    assert all(c._trusted.__func__.__module__ == "conftest" for c in classes)

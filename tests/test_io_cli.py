@@ -260,6 +260,30 @@ def test_reconstruct_from_measurements_merges_normals(tmp_path, monkeypatch):
     assert got.atom_masses[0] == pytest.approx(1.5, abs=1e-8)
 
 
+def test_reconstruct_from_measurements_rejects_xi_off_the_plane(tmp_path, monkeypatch, capsys):
+    # xi is 6e-13 off v-perp: within the old 1e-12 cosine, but off by more
+    # than the plane solve allows its marginal directions in R^3
+    monkeypatch.chdir(tmp_path)
+    from varifold_lab import BandOracle, conic_atoms, hyperplane_of, marginal_direction_battery
+    from varifold_lab.core import unit
+    from varifold_lab.io import write_csv
+
+    z, v = unit(np.array([0.3, 0.4, 1.0])), np.array([0.0, 0.0, 1.0])
+    oracle = BandOracle(conic_atoms(3, [(z, 1.5)]))
+    battery = marginal_direction_battery(hyperplane_of(v))
+    rows = []
+    for xi in [unit(battery[0] + np.array([0.0, 0.0, 6e-13]))] + battery[1:]:
+        lam = float(z @ xi / (z @ v))
+        band = (lam - 1e-9, lam + 1e-9)
+        rows.append(tuple(v) + tuple(xi) + band + (oracle(v, xi, [band])[0],))
+    write_csv("bands.csv", ["v1", "v2", "v3", "xi1", "xi2", "xi3", "s", "t", "band_mass"], rows)
+    status, _ = run(["reconstruct", "--from-measurements", "bands.csv",
+                     "--ambient-dim", "3", "--out", "got.json"])
+    assert status == 2
+    assert capsys.readouterr().err == (
+        "SchemaError: line 2: the direction xi is not orthogonal to v\n")
+
+
 def test_blowup_cli(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     save_varifold("y.json", discrete=y_junction())

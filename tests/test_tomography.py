@@ -29,6 +29,7 @@ from varifold_lab import (
     reconstruct_plane_measure,
     save_varifold,
 )
+from varifold_lab.core import unit
 from varifold_lab.fixtures import balanced_y_cone, random_conic
 from varifold_lab.tomography import CoverageGap, PlaneMeasure
 
@@ -1025,6 +1026,29 @@ def test_nnls_non_convergence_is_ambiguous(fresh_kernel, monkeypatch, path):
                  for xi in marginal_direction_battery(gamma.plane)]
     with pytest.raises(AmbiguousReconstruction, match="did not converge"):
         reconstruct_plane_measure(gamma.plane, marginals)
+
+
+def test_plane_solve_rejects_a_marginal_direction_off_the_plane():
+    # every atom sits at coordinate 0, so each candidate is the origin, which
+    # lies in the plane whatever the directions: only the direction check fails
+    plane = hyperplane_of([0.0, 0.0, 1.0])
+    battery = marginal_direction_battery(plane)
+    off = unit(battery[-1] + np.array([0.0, 0.0, 1e-3]))
+    marginals = [LineMeasure(xi, np.zeros(1), np.ones(1)) for xi in battery[:-1] + [off]]
+    assert reconstruct_plane_measure(plane, marginals[:-1]).n_atoms == 1
+    with pytest.raises(ValueError, match="marginal directions must lie in the plane"):
+        reconstruct_plane_measure(plane, marginals)
+
+
+def test_plane_solve_that_overflows_raises():
+    # three marginals, none held out, of an atom of mass 1.5e308 and one of
+    # mass 1: the solve overflows to inf, and the residual check reads NaN
+    plane = hyperplane_of([0.0, 0.0, 1.0])
+    points = np.array([[0.1, 0.2, 0.0], [-0.3, 0.5, 0.0]])
+    marginals = [LineMeasure(xi, points @ xi, [1.5e308, 1.0])
+                 for xi in marginal_direction_battery(plane)[:3]]
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="must be finite"):
+        reconstruct_plane_measure(plane, marginals)
 
 
 @st.composite

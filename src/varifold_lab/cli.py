@@ -51,6 +51,7 @@ from .tomography import (
     BandOracle,
     CoverageGap,
     LineMeasure,
+    _grid_axes,
     _off_plane,
     default_normals,
     hyperplane_of,
@@ -283,6 +284,11 @@ def _reconstruct_from_measurements(args, manifest: RunManifest) -> int:
             coords.append(lam)
             masses.append(m / (1.0 + lam**2))
         marginals.append(LineMeasure(g["xi"], np.array(coords), np.array(masses)))
+    for v, marginals in per_normal.values():
+        try:  # the plane solve's rule for a chart's directions
+            _grid_axes(hyperplane_of(v), [m.direction for m in marginals])
+        except ValueError as exc:
+            raise SchemaError(f"normal {np.array2string(v, precision=3)}: {exc}") from exc
     recon = reconstruct_from_marginals(n, list(per_normal.values()))
     out = args.out or (path.stem + ".reconstructed.json")
     save_varifold(out, conic=recon)

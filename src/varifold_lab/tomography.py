@@ -266,6 +266,16 @@ class BandOracle:
     give the same bits.  Rows of one pair should be consecutive: each run
     of equal pairs is one table row.
 
+    A call checks its input, finds those runs, and hands the distinct pairs
+    and each row's index into them to _measure, which counts the rows and
+    sums the bands.  reconstruct_conic and locate_marginal_atoms hold that
+    index already, so for an oracle whose call is BandOracle.__call__ they
+    call _measure directly, with all of their pairs as one table (see
+    _pair_measure).  A subclass that overrides __call__, and any other
+    callable, is still called as oracle(v, xi, bands).  The public call
+    protocol is unchanged, and both routes give the same bits and the same
+    query_count.
+
     The mass of a band never grows when the band shrinks, bit for bit:
     every row sums the same positive weights in the same order, a
     sub-band only turns some of them into 0, and rounded addition is
@@ -327,16 +337,24 @@ class BandOracle:
         arr = _bands_array(bands)
         m = len(arr)
         vs, xis = self._rows(v, m), self._rows(xi, m)
-        self.query_count += m
         if m == 0:
             return np.zeros(0)
         starts = np.ones(m, dtype=bool)
         starts[1:] = ((vs[1:] != vs[:-1]) | (xis[1:] != xis[:-1])).any(axis=1)
         first = np.flatnonzero(starts)
-        lam, weight = self._table(vs.take(first, axis=0), xis.take(first, axis=0))
-        pair = np.cumsum(starts) - 1
+        return self._measure(vs.take(first, axis=0), xis.take(first, axis=0),
+                             np.cumsum(starts) - 1, arr)
+
+    def _measure(self, vs: np.ndarray, xis: np.ndarray, pair: np.ndarray,
+                 bands: np.ndarray) -> np.ndarray:
+        """Band masses of the (s, t) rows of bands, row i on the pair
+        (vs[pair[i]], xis[pair[i]]).  Only the table's checks run here: vs
+        and xis must be (pairs, n) arrays, pair must index them, and no band
+        bound may be NaN."""
+        self.query_count += len(bands)
+        lam, weight = self._table(vs, xis)
         lam, weight = np.take(lam, pair, axis=0), np.take(weight, pair, axis=0)
-        inband = (lam >= arr[:, :1]) & (lam <= arr[:, 1:2])
+        inband = (lam >= bands[:, :1]) & (lam <= bands[:, 1:2])
         return np.where(inband, weight, 0.0).sum(axis=1)
 
 
@@ -444,6 +462,37 @@ def _narrow(lo: np.ndarray, hi: np.ndarray, width_target: float) -> np.ndarray:
     return hi - lo <= _width_bound(lo, hi, width_target)
 
 
+def _pair_measure(oracle, vs: np.ndarray, xis: np.ndarray, lam_max: float):
+    """measure(owner, bands): the oracle's masses of band rows on the pairs
+    (vs[owner], xis[owner]).  A BandOracle whose call is BandOracle.__call__
+    takes owner itself when vs and xis have its dimension and lam_max is
+    finite, so that no bisection edge is NaN; any other oracle or input
+    goes through oracle(v, xi, bands), which checks what it is given."""
+    if (type(oracle).__call__ is BandOracle.__call__ and math.isfinite(lam_max)
+            and vs.shape[1:] == xis.shape[1:] == (oracle.ambient_dim,)):
+        return functools.partial(oracle._measure, vs, xis)
+    return lambda owner, bands: oracle(
+        np.take(vs, owner, axis=0), np.take(xis, owner, axis=0), bands)
+
+
+def _children(owner: np.ndarray, edges: np.ndarray, depth: np.ndarray,
+              deep: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(owner, band, depth) rows of the next bisection call: the 8 slots
+    between the 9 nested-midpoint edges of a deep band, and the two children
+    of any other, whose edges 1 and 2 are overwritten."""
+    if deep.all():
+        slots = np.stack((edges[:, :-1], edges[:, 1:]), axis=2).reshape(-1, 2)
+        return np.repeat(owner, 8), slots, np.repeat(depth + 3, 8)
+    # a band taking one level keeps its edges 0, 4 and 8 as 0, 1 and 2, so
+    # its two children are its first two of 8 slots
+    edges[~deep, 1:3] = edges[~deep][:, 4::4]
+    slots = np.stack((edges[:, :-1], edges[:, 1:]), axis=2)
+    used = deep[:, None] | (np.arange(8) < 2)
+    counts = np.where(deep, 8, 2)
+    return (np.repeat(owner, counts), slots[used],
+            np.repeat(depth + np.where(deep, 3, 1), counts))
+
+
 def _locate_atoms(
     oracle: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     pairs: Sequence[tuple[np.ndarray, np.ndarray]],
@@ -460,26 +509,33 @@ def _locate_atoms(
     shrinks, these are exactly the survivors of three one-level steps.  A
     band takes one level only when one of its children or grandchildren is
     narrow or fewer than 3 levels of max_depth remain, so the narrow rule
-    and max_depth act as in a one-level loop.  Rows carry their own (v, xi)
-    and stay sorted by pair.  One final call re-measures the merged bands
-    of every pair; its masses are the located ones.
+    and max_depth act as in a one-level loop.  Rows stay sorted by pair,
+    and owner holds each row's index into pairs.  One final call re-measures
+    the merged bands of every pair; its masses are the located ones.
+
+    Every call goes through _pair_measure: a BandOracle whose call is
+    BandOracle.__call__ takes owner as its pair index and skips the search
+    for runs of equal rows; any other oracle gets each row's own (v, xi)
+    through the public call, as before.  Both give the same bits.
     """
     if len(pairs) == 0:
         return []
     vs = np.array([v for v, _ in pairs], dtype=float)
     xis = np.array([xi for _, xi in pairs], dtype=float)
+    measure = _pair_measure(oracle, vs, xis, lam_max)
     owner = np.arange(len(pairs))
     bands = np.tile([-lam_max, lam_max], (len(pairs), 1))
     depth = np.zeros(len(pairs), dtype=int)
     done = [(owner[:0], bands[:0])]
     while owner.size:
         stop = (depth >= max_depth) | _narrow(bands[:, 0], bands[:, 1], width_target)
-        done.append((owner[stop], bands[stop]))
-        # taking rows by index is faster than by mask
-        go = np.flatnonzero(~stop)
-        owner, bands, depth = owner.take(go), bands.take(go, axis=0), depth.take(go)
-        if not owner.size:
-            break
+        if stop.any():
+            done.append((owner[stop], bands[stop]))
+            # taking rows by index is faster than by mask
+            go = np.flatnonzero(~stop)
+            owner, bands, depth = owner.take(go), bands.take(go, axis=0), depth.take(go)
+            if not owner.size:
+                break
         # nested-midpoint edges: the children split at column 4, the
         # grandchildren at 2 and 6, the great-grandchildren at the odd ones
         edges = np.empty((len(owner), 9))
@@ -492,15 +548,8 @@ def _locate_atoms(
         # wider, so the grandchildren's test covers the children's
         deep = (depth + 3 <= max_depth) & ~_narrow(
             edges[:, :-2:2], edges[:, 2::2], width_target).any(axis=1)
-        # a band taking one level keeps its edges 0, 4 and 8 as 0, 1 and 2,
-        # so its two children are its first two of 8 slots
-        edges[~deep, 1:3] = edges[~deep][:, 4::4]
-        used = deep[:, None] | (np.arange(8) < 2)
-        counts = np.where(deep, 8, 2)
-        owner, depth = np.repeat(owner, counts), np.repeat(depth + np.where(deep, 3, 1), counts)
-        bands = np.column_stack((edges[:, :-1][used], edges[:, 1:][used]))
-        rows_v, rows_xi = np.take(vs, owner, axis=0), np.take(xis, owner, axis=0)
-        alive = np.flatnonzero(oracle(rows_v, rows_xi, bands) > LOCATE_MASS_TOL)
+        owner, bands, depth = _children(owner, edges, depth, deep)
+        alive = np.flatnonzero(measure(owner, bands) > LOCATE_MASS_TOL)
         owner, bands, depth = owner.take(alive), bands.take(alive, axis=0), depth.take(alive)
     owner = np.concatenate([o for o, _ in done])
     bands = np.concatenate([iv for _, iv in done])
@@ -518,7 +567,7 @@ def _locate_atoms(
     bounds = np.searchsorted(owner[first], np.arange(len(pairs) + 1)).tolist()
 
     # one re-measure of every merged band: its bits are the located masses
-    totals = oracle(vs[owner[first]], xis[owner[first]], merged) if len(merged) else np.zeros(0)
+    totals = measure(owner[first], merged) if len(merged) else np.zeros(0)
     keep = totals > LOCATE_MASS_TOL
     mids = 0.5 * (merged[:, 0] + merged[:, 1])[keep]
     gamma = totals[keep] / (1.0 + mids**2)
@@ -632,6 +681,28 @@ def _off_plane(plane: Subspace, dirs: np.ndarray) -> bool:
     return bool((r * r).sum(axis=1).max() * plane.dim > (0.5 * PLANE_TOL) ** 2)
 
 
+def _grid_axes(plane: Subspace, directions: Sequence[np.ndarray]) -> list[int]:
+    """Indices of the marginal directions that span the plane solve's
+    candidate grid: the first plane.dim of them that are mutually orthogonal
+    (|cos| <= 1e-9), in order, leaving out the held-out last direction when
+    there are more than plane.dim + 1.  Raises ValueError when there are
+    fewer than plane.dim directions, one lies off the plane, or no such
+    subset exists."""
+    d = plane.dim
+    if len(directions) < d:
+        raise ValueError(f"need at least {d} marginal directions")
+    if _off_plane(plane, np.array(directions)):
+        raise ValueError("marginal directions must lie in the plane")
+    solving = directions[:-1] if len(directions) > d + 1 else directions
+    axes: list[int] = []
+    for i, u in enumerate(solving):
+        if all(abs(float(np.dot(u, solving[j]))) <= 1e-9 for j in axes):
+            axes.append(i)
+        if len(axes) == d:
+            return axes
+    raise ValueError("marginals do not contain an orthogonal direction subset")
+
+
 def reconstruct_plane_measure(
     plane: Subspace,
     marginals: Sequence[LineMeasure],
@@ -649,10 +720,7 @@ def reconstruct_plane_measure(
     converge.
     """
     d = plane.dim
-    if len(marginals) < d:
-        raise ValueError(f"need at least {d} marginal directions")
-    if _off_plane(plane, np.array([m.direction for m in marginals])):
-        raise ValueError("marginal directions must lie in the plane")
+    axes = _grid_axes(plane, [m.direction for m in marginals])
     held_out = None
     solving = list(marginals)
     if len(marginals) > d + 1:
@@ -660,16 +728,6 @@ def reconstruct_plane_measure(
 
     def tol_of(val):
         return MATCH_TOL * (1.0 + np.abs(val))
-
-    # orthogonal subset used for the candidate grid
-    axes: list[int] = []
-    for i, m in enumerate(solving):
-        if all(abs(float(np.dot(m.direction, solving[j].direction))) <= 1e-9 for j in axes):
-            axes.append(i)
-        if len(axes) == d:
-            break
-    if len(axes) < d:
-        raise ValueError("marginals do not contain an orthogonal direction subset")
 
     axis_coord_lists = []
     for i in axes:

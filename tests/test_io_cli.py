@@ -284,6 +284,21 @@ def test_reconstruct_from_measurements_rejects_xi_off_the_plane(tmp_path, monkey
         "SchemaError: line 2: the direction xi is not orthogonal to v\n")
 
 
+@pytest.mark.parametrize("rows, message", [
+    (["0,0,1,1,0,0,0.1,0.2,1.0"], "need at least 2 marginal directions"),
+    (["0,0,1,1,0,0,0.1,0.2,1.0", "0,0,1,0.6,0.8,0,0.1,0.2,1.0"],
+     "marginals do not contain an orthogonal direction subset"),
+], ids=["one-direction", "no-orthogonal-pair"])
+def test_reconstruct_from_measurements_rejects_a_thin_chart(tmp_path, monkeypatch, capsys,
+                                                            rows, message):
+    # the plane solve of normal e3 would raise ValueError on either file
+    monkeypatch.chdir(tmp_path)
+    Path("bands.csv").write_text("v1,v2,v3,xi1,xi2,xi3,s,t,band_mass\n" + "\n".join(rows) + "\n")
+    status, _ = run(["reconstruct", "--from-measurements", "bands.csv", "--ambient-dim", "3"])
+    assert status == 2
+    assert capsys.readouterr().err == f"SchemaError: normal [0. 0. 1.]: {message}\n"
+
+
 def test_blowup_cli(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     save_varifold("y.json", discrete=y_junction())

@@ -500,16 +500,16 @@ def test_batched_location_is_bitwise_the_per_marginal_loop():
 # three-level location and the array solve, against the level-by-level code
 # ---------------------------------------------------------------------------
 
-class _WidthRecorder:
+class _WidthRecorder(BandOracle):
     """A BandOracle that records the band widths of every call."""
 
     def __init__(self, cone):
-        self.oracle = BandOracle(cone)
+        super().__init__(cone)
         self.widths = []
 
     def __call__(self, v, xi, bands):
         self.widths.append(np.diff(bands, axis=1)[:, 0])
-        return self.oracle(v, xi, bands)
+        return super().__call__(v, xi, bands)
 
 
 # From [-2e6, 2e6] a band is 4e6 / 2^depth wide.  Width targets 2e5 and 4e5
@@ -520,23 +520,73 @@ class _WidthRecorder:
     (1, 1e-10), (2, 1e-10), (4, 1e-10), (5, 1e-10), (80, 1e-10),
     (80, 2e5), (80, 4e5), (5, 4e5), (80, 0.0),
 ])
-def test_three_level_location_matches_level_by_level(max_depth, width_target):
+def test_three_level_location_matches_level_by_level(max_depth, width_target, monkeypatch):
+    from varifold_lab import tomography
     from varifold_lab.tomography import _locate_atoms
 
+    # the rows of a call are built one way when every band goes three levels
+    # deep and another when some band takes one level: record which ran
+    shapes = set()
+    children = tomography._children
+
+    def recording_children(owner, edges, depth, deep):
+        shapes.add("all deep" if deep.all() else "mixed" if deep.any() else "none deep")
+        return children(owner, edges, depth, deep)
+
+    monkeypatch.setattr(tomography, "_children", recording_children)
     pairs = _default_pairs(3)
     lam_max = 2.0 / 1e-6
     mixed = False
     for i, cone in enumerate(_criterion_7_cones()):
         oracle = _WidthRecorder(cone)
         got = _locate_atoms(oracle, pairs, lam_max, width_target, max_depth=max_depth)
+        # a BandOracle itself takes the pair index in place of (v, xi) rows
+        direct = _locate_atoms(BandOracle(cone), pairs, lam_max, width_target,
+                               max_depth=max_depth)
         want = ref.locate_atoms(BandOracle(cone), pairs, lam_max, width_target,
                                 max_depth=max_depth)
-        for g, w in zip(got, want, strict=True):
-            assert g.coordinates.tobytes() == w.coordinates.tobytes(), i
-            assert g.masses.tobytes() == w.masses.tobytes(), i
+        for g, d, w in zip(got, direct, want, strict=True):
+            for located in (g, d):
+                assert located.coordinates.tobytes() == w.coordinates.tobytes(), i
+                assert located.masses.tobytes() == w.masses.tobytes(), i
         # the last call re-measures the merged bands, of any widths
         mixed |= any(width.max() >= 2.0 * width.min() for width in oracle.widths[:-1])
     assert mixed == (width_target == 0.0)
+    # a band first goes three levels deep when 3 levels of max_depth remain;
+    # only the float-resolution rule stops bands of one call at different depths
+    assert ("all deep" in shapes) == (max_depth >= 3)
+    assert ("mixed" in shapes) == (width_target == 0.0)
+
+
+def test_pair_index_route_is_the_call_route_bitwise():
+    # a BandOracle is handed the pair index; the same oracle behind a plain
+    # function, and a subclass that overrides __call__, get (v, xi) rows
+    from varifold_lab.tomography import _locate_atoms
+
+    rng = np.random.default_rng(2207)
+    cases = [(3, cone) for cone in _criterion_7_cones()]
+    cases += [(n, random_conic(rng, n, n_atoms=int(rng.integers(1, 6))))
+              for n in (2, 4) for _ in range(20)]
+    for i, (n, cone) in enumerate(cases):
+        pairs = _default_pairs(n)
+        direct, behind, recorder = BandOracle(cone), BandOracle(cone), _WidthRecorder(cone)
+        rows = []
+
+        def plain(v, xi, bands):
+            rows.append(len(bands))
+            return behind(v, xi, bands)
+
+        got = _locate_atoms(direct, pairs, 2.0 / 1e-6)
+        for oracle in (plain, recorder):
+            want = _locate_atoms(oracle, pairs, 2.0 / 1e-6)
+            for g, w in zip(got, want, strict=True):
+                for name in ("direction", "coordinates", "masses"):
+                    assert getattr(g, name).tobytes() == getattr(w, name).tobytes(), i
+        assert direct.query_count == behind.query_count == recorder.query_count == sum(rows), i
+        # the subclass saw every call, row for row
+        assert [len(width) for width in recorder.widths] == rows, i
+        # every call of the pair-index route reads one table of all pairs
+        assert len(direct._tables) == 1, i
 
 
 def test_nothing_to_locate_reconstructs_the_empty_cone():

@@ -259,22 +259,21 @@ class BandOracle:
     An atom whose slope or weight overflows lies in no band; weights in
     front of v that sum past the float range raise OverflowError.
 
-    Slopes and weights are computed once per (v, xi) pair and cached: a
-    call computes all of its pairs not yet cached in one stacked pass,
-    with one finiteness check and one overflow check.  A shared vector is
-    broadcast to one row per band, so both forms take the same path and
-    give the same bits.  Rows of one pair should be consecutive: each run
-    of equal pairs is one table row.
+    Slopes and weights are cached per sequence of (v, xi) pairs: a call
+    whose sequence is new computes its whole (pairs x atoms) table in one
+    pass, with one finiteness check and one overflow check.  A shared
+    vector is broadcast to one row per band, so both forms give the same
+    bits.  Rows of one pair should be consecutive: each run of equal pairs
+    is one table row.
 
     A call checks its input, finds those runs, and hands the distinct pairs
     and each row's index into them to _measure, which counts the rows and
     sums the bands.  reconstruct_conic and locate_marginal_atoms hold that
-    index already, so for an oracle whose call is BandOracle.__call__ they
-    call _measure directly, with all of their pairs as one table (see
-    _pair_measure).  A subclass that overrides __call__, and any other
-    callable, is still called as oracle(v, xi, bands).  The public call
-    protocol is unchanged, and both routes give the same bits and the same
-    query_count.
+    index already: for an oracle whose call is BandOracle.__call__ they call
+    _measure directly, and all their calls read one table of all their
+    pairs (see _pair_measure).  Any other callable, a subclass that
+    overrides __call__ included, is called as oracle(v, xi, bands); both
+    routes give the same bits and the same query_count.
 
     The mass of a band never grows when the band shrinks, bit for bit:
     every row sums the same positive weights in the same order, a
@@ -286,40 +285,34 @@ class BandOracle:
     def __init__(self, cone: ConicVarifold):
         self._dirs, self._masses = cone.mass_rows()
         self.ambient_dim = cone.ambient_dim
-        self._cache: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
         self._tables: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
         self.query_count = 0
 
     def _table(self, vs: np.ndarray, xis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(pairs x atoms) slopes and weights, cached per sequence of pairs;
-        an atom behind v, or whose slope or weight overflows, gets a NaN
-        slope and weight 0."""
+        """(pairs x atoms) slopes and weights of the pairs (vs[i], xis[i]),
+        cached per sequence of pairs; an atom behind v, or whose slope or
+        weight overflows, gets a NaN slope and weight 0."""
         key = vs.tobytes() + xis.tobytes()
         hit = self._tables.get(key)
         if hit is not None:
             return hit
-        keys = [v.tobytes() + xi.tobytes() for v, xi in zip(vs, xis)]
-        new = [i for i, k in enumerate(keys) if k not in self._cache]
-        if new:
-            # every row of a call reaches this on its pair's first use: a NaN
-            # row starts a run of equal pairs, since NaN != NaN
-            if not (np.isfinite(vs[new]).all() and np.isfinite(xis[new]).all()):
-                raise ValueError("v and xi must be finite")
-            # one product per vector: a stacked matmul sums in another order
-            z1 = np.array([self._dirs @ vs[i] for i in new])
-            z2 = np.array([self._dirs @ xis[i] for i in new])
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                lam = z2 / z1
-                weight = self._masses * (z1**2 + z2**2) / z1
-                # an atom whose slope or weight overflows lies in no band,
-                # like one on the equator: no finite band mass can hold it
-                out = ~((z1 > 0.0) & np.isfinite(lam) & np.isfinite(weight))
-                lam[out], weight[out] = np.nan, 0.0
-                if not (weight.sum(axis=1) < math.inf).all():
-                    raise OverflowError("the cone's band masses overflow the float range")
-            self._cache.update(zip((keys[i] for i in new), zip(lam, weight)))
-        rows = [self._cache[k] for k in keys]
-        hit = self._tables[key] = tuple(np.array(column) for column in zip(*rows))
+        # every row of a call has its values here: a NaN row starts a run of
+        # equal pairs, since NaN != NaN
+        if not (np.isfinite(vs).all() and np.isfinite(xis).all()):
+            raise ValueError("v and xi must be finite")
+        # one product per vector: a stacked matmul sums in another order
+        z1 = np.array([self._dirs @ v for v in vs])
+        z2 = np.array([self._dirs @ xi for xi in xis])
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            lam = z2 / z1
+            weight = self._masses * (z1**2 + z2**2) / z1
+            # an atom whose slope or weight overflows lies in no band, like
+            # one on the equator: no finite band mass can hold it
+            out = ~((z1 > 0.0) & np.isfinite(lam) & np.isfinite(weight))
+            lam[out], weight[out] = np.nan, 0.0
+            if not (weight.sum(axis=1) < math.inf).all():
+                raise OverflowError("the cone's band masses overflow the float range")
+        hit = self._tables[key] = lam, weight
         return hit
 
     def _rows(self, x, m: int) -> np.ndarray:
@@ -447,8 +440,11 @@ def locate_marginal_atoms(
     call carries one (v, xi) row per band, and each bisection call takes
     three levels at once.  The result is that of one level per call when
     the oracle's band mass does not grow as a band shrinks (see
-    BandOracle).
+    BandOracle).  Raises ValueError unless lam_max > 0 and 2 * lam_max is
+    finite, so that every band edge and midpoint is a finite float.
     """
+    if not 0.0 < lam_max <= np.finfo(float).max / 2.0:
+        raise ValueError("lam_max must be positive, with 2 * lam_max finite")
     (located,) = _locate_atoms(oracle, [(v, xi)], lam_max)
     return located
 
@@ -462,13 +458,13 @@ def _narrow(lo: np.ndarray, hi: np.ndarray, width_target: float) -> np.ndarray:
     return hi - lo <= _width_bound(lo, hi, width_target)
 
 
-def _pair_measure(oracle, vs: np.ndarray, xis: np.ndarray, lam_max: float):
+def _pair_measure(oracle, vs: np.ndarray, xis: np.ndarray):
     """measure(owner, bands): the oracle's masses of band rows on the pairs
     (vs[owner], xis[owner]).  A BandOracle whose call is BandOracle.__call__
-    takes owner itself when vs and xis have its dimension and lam_max is
-    finite, so that no bisection edge is NaN; any other oracle or input
-    goes through oracle(v, xi, bands), which checks what it is given."""
-    if (type(oracle).__call__ is BandOracle.__call__ and math.isfinite(lam_max)
+    takes owner itself when vs and xis have its dimension; any other oracle
+    or input goes through oracle(v, xi, bands), which checks what it is
+    given.  Bands are not checked: lam_max is, where it enters."""
+    if (type(oracle).__call__ is BandOracle.__call__
             and vs.shape[1:] == xis.shape[1:] == (oracle.ambient_dim,)):
         return functools.partial(oracle._measure, vs, xis)
     return lambda owner, bands: oracle(
@@ -511,18 +507,14 @@ def _locate_atoms(
     narrow or fewer than 3 levels of max_depth remain, so the narrow rule
     and max_depth act as in a one-level loop.  Rows stay sorted by pair,
     and owner holds each row's index into pairs.  One final call re-measures
-    the merged bands of every pair; its masses are the located ones.
-
-    Every call goes through _pair_measure: a BandOracle whose call is
-    BandOracle.__call__ takes owner as its pair index and skips the search
-    for runs of equal rows; any other oracle gets each row's own (v, xi)
-    through the public call, as before.  Both give the same bits.
+    the merged bands of every pair; its masses are the located ones.  Every
+    call goes through _pair_measure, which routes it by the oracle's type.
     """
     if len(pairs) == 0:
         return []
     vs = np.array([v for v, _ in pairs], dtype=float)
     xis = np.array([xi for _, xi in pairs], dtype=float)
-    measure = _pair_measure(oracle, vs, xis, lam_max)
+    measure = _pair_measure(oracle, vs, xis)
     owner = np.arange(len(pairs))
     bands = np.tile([-lam_max, lam_max], (len(pairs), 1))
     depth = np.zeros(len(pairs), dtype=int)
@@ -610,9 +602,13 @@ def _cluster_1d(values: np.ndarray, tol_of) -> np.ndarray:
     return np.array(means)
 
 
-def _near(coords: np.ndarray, reps: np.ndarray, tol_of) -> np.ndarray:
-    """(reps x coords) mask of |coord - rep| <= tol_of(rep)."""
-    return np.abs(coords[None, :] - reps[:, None]) <= tol_of(reps)[:, None]
+def _match_tol(val):
+    return MATCH_TOL * (1.0 + np.abs(val))
+
+
+def _near(coords: np.ndarray, reps: np.ndarray) -> np.ndarray:
+    """(reps x coords) mask of |coord - rep| <= _match_tol(rep)."""
+    return np.abs(coords[None, :] - reps[:, None]) <= _match_tol(reps)[:, None]
 
 
 def _masked_sums(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -622,6 +618,15 @@ def _masked_sums(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
     for i in np.flatnonzero(mask.sum(axis=1) > 1):
         sums[i] = np.sum(values[mask[i]])
     return sums
+
+
+def _incidence(candidates: np.ndarray, m: LineMeasure) -> tuple[np.ndarray, np.ndarray]:
+    """The plane solve's incidence rule for marginal m: the candidates' and
+    m's coordinates along m are clustered together, and each cluster gives
+    a row of (clusters x candidates) members and the mass m measures there."""
+    proj = candidates @ m.direction
+    reps = _cluster_1d(np.concatenate([proj, m.coordinates]), _match_tol)
+    return _near(proj, reps), _masked_sums(_near(m.coordinates, reps), m.masses)
 
 
 def _load_slsqplib():
@@ -726,12 +731,9 @@ def reconstruct_plane_measure(
     if len(marginals) > d + 1:
         held_out = solving.pop()
 
-    def tol_of(val):
-        return MATCH_TOL * (1.0 + np.abs(val))
-
     axis_coord_lists = []
     for i in axes:
-        reps = _cluster_1d(solving[i].coordinates, tol_of)
+        reps = _cluster_1d(solving[i].coordinates, _match_tol)
         if not reps.size:
             if any(m.n_atoms for m in marginals):
                 raise AmbiguousReconstruction(
@@ -754,21 +756,18 @@ def reconstruct_plane_measure(
     alive = np.ones(candidates.shape[0], dtype=bool)
     for i, m in enumerate(solving):
         if i not in axes:
-            reps = _cluster_1d(m.coordinates, tol_of)
-            alive &= _near(candidates @ m.direction, reps, tol_of).any(axis=0)
+            reps = _cluster_1d(m.coordinates, _match_tol)
+            alive &= _near(candidates @ m.direction, reps).any(axis=0)
     candidates = candidates[alive]
     if candidates.shape[0] == 0:
         raise AmbiguousReconstruction("no candidate is compatible with all marginals")
 
-    rows: list[np.ndarray] = []
-    rhs: list[np.ndarray] = []
+    rows, rhs = [], []
     for m in solving:
-        proj = candidates @ m.direction
-        reps = _cluster_1d(np.concatenate([proj, m.coordinates]), tol_of)
-        members = _near(proj, reps, tol_of)
+        members, measured = _incidence(candidates, m)
         hit = members.any(axis=1)
         rows.append(members[hit])
-        rhs.append(_masked_sums(_near(m.coordinates, reps[hit], tol_of), m.masses))
+        rhs.append(measured[hit])
     A = np.concatenate(rows).astype(float)
     b = np.concatenate(rhs)
     if np.linalg.matrix_rank(A) < candidates.shape[0]:
@@ -787,10 +786,8 @@ def reconstruct_plane_measure(
             f"solution uses {candidates.shape[0]} atoms, above the budget {MAX_ATOMS}"
         )
     if held_out is not None and candidates.shape[0]:
-        proj = candidates @ held_out.direction
-        reps = _cluster_1d(np.concatenate([proj, held_out.coordinates]), tol_of)
-        predicted = _masked_sums(_near(proj, reps, tol_of), w)
-        measured = _masked_sums(_near(held_out.coordinates, reps, tol_of), held_out.masses)
+        members, measured = _incidence(candidates, held_out)
+        predicted = _masked_sums(members, w)
         if (np.abs(predicted - measured) > RESIDUAL_TOL * np.maximum(1.0, measured)).any():
             raise AmbiguousReconstruction(
                 "held-out marginal disagrees with the reconstruction"

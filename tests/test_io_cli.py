@@ -16,6 +16,7 @@ from varifold_lab import (
     conic_atoms,
     load_varifold,
     save_varifold,
+    sphere_grid,
 )
 from varifold_lab.cli import run
 from varifold_lab.fixtures import random_varifold, y_junction
@@ -52,6 +53,19 @@ def test_conic_round_trip_with_density(tmp_path):
     assert np.array_equal(back.atom_masses, c.atom_masses)
     assert back.density.grid.descriptor == "s1:64"
     assert np.array_equal(back.density.values, c.density.values)
+
+
+def test_conic_round_trip_with_a_sphere_density(tmp_path):
+    grid = sphere_grid(8, 16)
+    c = ConicVarifold(3, np.array([[0.6, 0.0, 0.8]]), np.array([1.3]),
+                      SampledDensity(grid, 1.0 + 0.5 * grid.nodes[:, 2] ** 2))
+    save_varifold(tmp_path / "c.json", conic=c)
+    back = load_varifold(tmp_path / "c.json").require_conic()
+    assert back.density.grid.descriptor == "s2:8x16"
+    assert back.density.grid.nodes.tobytes() == grid.nodes.tobytes()
+    assert back.density.values.tobytes() == c.density.values.tobytes()
+    save_varifold(tmp_path / "again.json", conic=back)
+    assert (tmp_path / "again.json").read_bytes() == (tmp_path / "c.json").read_bytes()
 
 
 def test_schema_errors(tmp_path):
@@ -260,6 +274,33 @@ def test_reconstruct_from_measurements_merges_normals(tmp_path, monkeypatch):
     assert got.atom_masses[0] == pytest.approx(1.5, abs=1e-8)
 
 
+def test_reconstruct_from_measurements_skips_zero_mass_bands(tmp_path, monkeypatch):
+    # a band that measured no mass adds no marginal atom: counted as one, its
+    # midpoint 5e-8 from the atom's slope would move the atom's cluster mean
+    monkeypatch.chdir(tmp_path)
+    from varifold_lab import BandOracle, conic_atoms, hyperplane_of, marginal_direction_battery
+    from varifold_lab.io import write_csv
+
+    z, v = np.array([0.6, 0.0, 0.8]), np.array([0.0, 0.0, 1.0])
+    oracle = BandOracle(conic_atoms(3, [(z, 1.5)]))
+    battery = marginal_direction_battery(hyperplane_of(v))
+    rows = []
+    for xi in battery:
+        lam = float(z @ xi / (z @ v))
+        band = (lam - 1e-9, lam + 1e-9)
+        rows.append(tuple(v) + tuple(xi) + band + (oracle(v, xi, [band])[0],))
+    header = ["v1", "v2", "v3", "xi1", "xi2", "xi3", "s", "t", "band_mass"]
+    write_csv("bands.csv", header, rows)
+    s, t = rows[0][6:8]
+    write_csv("zero.csv", header, rows[:1] + [rows[0][:6] + (s + 5e-8, t + 5e-8, 0.0)] + rows[1:])
+    for name in ("bands", "zero"):
+        status, _ = run(["reconstruct", "--from-measurements", f"{name}.csv",
+                         "--ambient-dim", "3", "--out", f"{name}.json"])
+        assert status == 0
+    assert load_varifold("bands.json").require_conic().n_atoms == 1
+    assert Path("zero.json").read_bytes() == Path("bands.json").read_bytes()
+
+
 def test_reconstruct_from_measurements_rejects_xi_off_the_plane(tmp_path, monkeypatch, capsys):
     # xi is 6e-13 off v-perp: within the old 1e-12 cosine, but off by more
     # than the plane solve allows its marginal directions in R^3
@@ -370,6 +411,10 @@ def test_fixture_cli(tmp_path, monkeypatch):
         status, _ = run(["fixture", name])
         assert status == 0
         assert Path(out).exists()
+    # the parser's choices reject any other name before the command runs
+    files = sorted(Path().iterdir())
+    assert run(["fixture", "y_cone"])[0] == 2
+    assert sorted(Path().iterdir()) == files
 
 
 @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
@@ -411,16 +456,27 @@ _BAD_INPUTS = {
     "one.csv": "v1,xi1,s,t,band_mass\n1,1,0.1,0.2,1.0\n",
     "c1.json": '{"ambient_dim": 1, "conic": {"atoms": [{"dir": [1.0], "mass": 1.0}]}}',
     "p3.json": '{"ambient_dim": 3, "basis": [[1.0, 0.0, 0.0]]}',
+    "s3.json": '{"ambient_dim": 3, "conic": {"atoms": [{"dir": [0.0, 0.0, 1.0], "mass": 1.0}], '
+               '"density": {"grid": "s3:4", "values": [1.0, 1.0, 1.0, 1.0]}}}',
 }
 
 
-@pytest.mark.parametrize("argv", [
-    ["reconstruct", "--from-measurements", "empty.csv", "--ambient-dim", "3"],
-    ["reconstruct", "--from-measurements", "one.csv", "--ambient-dim", "1"],
-    ["reconstruct", "c1.json"],
-    ["project", "y.json", "--subspace", "p3.json"],  # a subspace of R^3 for a varifold in R^2
-], ids=["empty-measurements", "ambient-dim-1", "cone-in-R1", "subspace-dimension"])
-def test_reconstruct_and_project_bad_inputs_exit_2(tmp_path, monkeypatch, capsys, argv):
+@pytest.mark.parametrize("argv, message", [
+    (["reconstruct", "--from-measurements", "empty.csv", "--ambient-dim", "3"], "empty.csv: empty"),
+    (["reconstruct", "--from-measurements", "one.csv", "--ambient-dim", "1"],
+     "--ambient-dim must be at least 2"),
+    (["reconstruct", "c1.json"], "reconstruct needs an ambient dimension"),
+    # a subspace of R^3 for a varifold in R^2
+    (["project", "y.json", "--subspace", "p3.json"], "--subspace: ambient dimension 3"),
+    (["reconstruct"], "reconstruct needs an input cone or --from-measurements"),
+    (["reconstruct", "--from-measurements", "one.csv"], "--from-measurements requires"),
+    # an R^1 header for R^3
+    (["reconstruct", "--from-measurements", "one.csv", "--ambient-dim", "3"],
+     "expected CSV columns"),
+    (["reconstruct", "s3.json"], "malformed varifold document: unknown sphere grid"),
+], ids=["empty-measurements", "ambient-dim-1", "cone-in-R1", "subspace-dimension", "no-input",
+        "no-ambient-dim", "wrong-header", "unknown-grid"])
+def test_reconstruct_and_project_bad_inputs_exit_2(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
     for name, text in _BAD_INPUTS.items():
         Path(name).write_text(text)
@@ -429,7 +485,7 @@ def test_reconstruct_and_project_bad_inputs_exit_2(tmp_path, monkeypatch, capsys
     assert status == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("SchemaError: ")
+    assert len(err.splitlines()) == 1 and err.startswith("SchemaError: " + message)
     assert "Traceback" not in err
     assert sorted(p.name for p in Path().iterdir()) == sorted([*_BAD_INPUTS, "y.json"])
 

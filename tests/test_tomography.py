@@ -246,6 +246,80 @@ def test_diagonal_pair_is_ambiguous_with_axes_only():
     assert sorted(got.masses) == pytest.approx([1.0, 2.0], abs=1e-10)
 
 
+# The exits of the plane solve, each on hand-built marginals in the plane
+# orthogonal to e3.  The battery there holds two axes, one diagonal and the
+# held-out generic direction.
+
+def _e3_battery():
+    plane = hyperplane_of([0.0, 0.0, 1.0])
+    return plane, marginal_direction_battery(plane)
+
+
+def _generic_plane_measure(n_atoms):
+    plane = hyperplane_of([0.0, 0.0, 1.0])
+    rng = np.random.default_rng(2301)
+    points = rng.uniform(-1.0, 1.0, (n_atoms, 2)) @ plane.basis
+    return PlaneMeasure(plane, points, rng.uniform(0.5, 2.0, n_atoms))
+
+
+def test_plane_solve_of_empty_axis_marginals():
+    plane, battery = _e3_battery()
+    empty = [LineMeasure(xi, [], []) for xi in battery]
+    assert reconstruct_plane_measure(plane, empty).n_atoms == 0
+    origin = [LineMeasure(xi, [0.0], [1.0]) for xi in battery]
+    with pytest.raises(AmbiguousReconstruction, match="an axis marginal is empty while others"):
+        reconstruct_plane_measure(plane, empty[:1] + origin[1:])
+
+
+def test_plane_solve_refuses_a_candidate_grid_above_200_000():
+    plane, battery = _e3_battery()
+    coords = np.arange(500.0)
+    marginals = [LineMeasure(xi, coords, np.ones(500)) for xi in battery]
+    with pytest.raises(AmbiguousReconstruction, match=r"candidate grid too large \(250000\)"):
+        reconstruct_plane_measure(plane, marginals)
+
+
+def test_plane_solve_with_no_compatible_candidate():
+    # the axes allow only the origin, which the diagonal puts at 0, not 5
+    plane, battery = _e3_battery()
+    marginals = [LineMeasure(battery[0], [0.0], [1.0]), LineMeasure(battery[1], [0.0], [1.0]),
+                 LineMeasure(battery[2], [5.0], [1.0])]
+    with pytest.raises(AmbiguousReconstruction, match="no candidate is compatible"):
+        reconstruct_plane_measure(plane, marginals)
+
+
+def test_plane_solve_of_inconsistent_marginals():
+    # one candidate, the origin, seen with mass 1, 2 and 1
+    plane, battery = _e3_battery()
+    marginals = [LineMeasure(xi, [0.0], [m]) for xi, m in zip(battery[:3], (1.0, 2.0, 1.0))]
+    with pytest.raises(AmbiguousReconstruction, match="mutually inconsistent"):
+        reconstruct_plane_measure(plane, marginals)
+
+
+def test_plane_solve_holds_at_most_max_atoms():
+    # the battery's three solving directions pin generic atoms one by one
+    gamma = _generic_plane_measure(33)
+    battery = marginal_direction_battery(gamma.plane)
+    first = PlaneMeasure(gamma.plane, gamma.points[:32], gamma.masses[:32])
+    got = reconstruct_plane_measure(gamma.plane, _marginals_of(first, battery))
+    order, want = np.lexsort(got.points.T[::-1]), np.lexsort(first.points.T[::-1])
+    assert np.allclose(got.points[order], first.points[want], atol=1e-9)
+    assert np.allclose(got.masses[order], first.masses[want], atol=1e-9)
+    with pytest.raises(AmbiguousReconstruction, match="33 atoms, above the budget 32"):
+        reconstruct_plane_measure(gamma.plane, _marginals_of(gamma, battery))
+
+
+def test_plane_solve_checks_the_held_out_marginal():
+    gamma = _generic_plane_measure(3)
+    marginals = _marginals_of(gamma, marginal_direction_battery(gamma.plane))
+    assert reconstruct_plane_measure(gamma.plane, marginals).n_atoms == 3
+    held_out = marginals[-1]
+    marginals[-1] = LineMeasure(held_out.direction, held_out.coordinates,
+                                held_out.masses * [1.0, 1.0, 1.5])
+    with pytest.raises(AmbiguousReconstruction, match="held-out marginal disagrees"):
+        reconstruct_plane_measure(gamma.plane, marginals)
+
+
 # ---------------------------------------------------------------------------
 # end-to-end conic reconstruction
 # ---------------------------------------------------------------------------
@@ -264,6 +338,23 @@ def test_locate_marginal_atoms_finds_slopes():
     assert np.allclose(np.sort(located.coordinates), expect_lam, atol=1e-9)
     expect_gamma = np.sort(masses * z1)
     assert np.allclose(np.sort(located.masses), expect_gamma, atol=1e-9)
+
+
+@pytest.mark.parametrize("lam_max", [math.inf, math.nan, 0.0, -1.0, 1e308, np.float64(1e308)])
+def test_locate_marginal_atoms_checks_lam_max(lam_max):
+    # without the check, inf ends in a non-finite atom after a warning, and
+    # 1e308 and 0 each locate one atom of the two; reconstruct_conic's fixed
+    # 2 / CHART_CUTOFF is unaffected
+    cone = conic_atoms(3, [([0.6, 0.0, 0.8], 1.0), ([0.0, 0.6, 0.8], 2.0)])
+    e1, _, e3 = np.eye(3)
+    for oracle in (BandOracle(cone), lambda v, xi, bands: BandOracle(cone)(v, xi, bands)):
+        with pytest.raises(ValueError, match="lam_max must be positive"):
+            locate_marginal_atoms(oracle, e3, e1, lam_max)
+    located = locate_marginal_atoms(BandOracle(cone), e3, e1, 20.0)
+    assert located.coordinates == pytest.approx([0.0, 0.75], abs=1e-9)
+    assert located.masses == pytest.approx([1.6, 0.8], abs=1e-9)
+    recon = reconstruct_conic(BandOracle(cone), 3)
+    assert recon.atom_masses == pytest.approx([1.0, 2.0], abs=1e-9)
 
 
 def test_single_atom_roundtrip():
@@ -870,11 +961,14 @@ def test_stacked_slope_pass_is_the_one_pair_oracle_bitwise(session):
                 oracle(vs, xis, bands)
             continue
         assert oracle(vs, xis, bands).tobytes() == np.array(want).tobytes()
-    for key, (lam, weight) in oracle._cache.items():
-        want_lam, want_weight = ref.pair_slopes(dirs, masses, np.frombuffer(key[:24]),
-                                                np.frombuffer(key[24:]))
-        assert lam.tobytes() == want_lam.tobytes()
-        assert weight.tobytes() == want_weight.tobytes()
+    # every row of every cached table: the key is the table's vs, then its xis
+    for key, (lams, weights) in oracle._tables.items():
+        vs, xis = np.frombuffer(key).reshape(2, -1, 3)
+        assert len(lams) == len(weights) == len(vs)
+        for v, xi, lam, weight in zip(vs, xis, lams, weights):
+            want_lam, want_weight = ref.pair_slopes(dirs, masses, v, xi)
+            assert lam.tobytes() == want_lam.tobytes()
+            assert weight.tobytes() == want_weight.tobytes()
 
 
 @pytest.mark.parametrize("where", [0, 2, 4])

@@ -28,6 +28,7 @@ from .core import (
     _dilations,
     _piece_rows,
     _rowdot,
+    _set_fields,
     as_vector,
     conic_atoms,
     conic_to_discrete,
@@ -76,10 +77,8 @@ class BatteryTable:
     axes: np.ndarray
 
     def __post_init__(self):
-        for name in ("radii", "amps", "axes"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _set_fields(self, **{name: np.array(getattr(self, name), dtype=float)
+                             for name in ("radii", "amps", "axes")})
 
     def functions(self) -> tuple[BatteryFunction, ...]:
         """The table's functions as opaque BatteryFunctions, j-major."""
@@ -127,14 +126,20 @@ class BatteryTable:
 class TestBattery:
     """Lipschitz test functions supported in the ball of a common radius.
 
-    When table is given, functions must be table.functions(); pairings are
-    then evaluated from the table.
+    Given a table, functions are filled in as table.functions() (passing
+    both raises ValueError), and pairings are evaluated from the table.
     """
 
     ambient_dim: int
     radius: float
-    functions: tuple[BatteryFunction, ...]
+    functions: tuple[BatteryFunction, ...] = ()
     table: BatteryTable | None = None
+
+    def __post_init__(self):
+        if self.table is not None:
+            if self.functions:
+                raise ValueError("a battery with a table takes its functions from the table")
+            _set_fields(self, functions=self.table.functions())
 
     def validate(self, rng: np.random.Generator) -> None:
         """Sampled checks at BATTERY_CHECK_SAMPLES points each: support
@@ -200,7 +205,7 @@ def default_battery(ambient_dim: int) -> TestBattery:
     radii = [BATTERY_RADIUS * (j + 1) / BATTERY_SCALES for j in range(BATTERY_SCALES)]
     amps = [1.0 / (_PLATEAU_SLOPE / rj + 2.0) for rj in radii]
     table = BatteryTable(np.array(radii), np.array(amps), np.array(axes).reshape(-1, ambient_dim))
-    return TestBattery(ambient_dim, BATTERY_RADIUS, table.functions(), table)
+    return TestBattery(ambient_dim, BATTERY_RADIUS, table=table)
 
 
 # Cells per lump evaluation: bounds the temporaries of a pairing.

@@ -119,7 +119,7 @@ class Subspace:
 
 
 @dataclass(frozen=True)
-class SegmentPiece:
+class SegmentPiece(_Trusted):
     """A weighted straight segment [a, b] with multiplicity weight > 0."""
 
     a: np.ndarray
@@ -129,11 +129,7 @@ class SegmentPiece:
     def __post_init__(self):
         a = as_vector(self.a)
         _set_fields(self, a=a, b=as_vector(self.b, dim=a.shape[0]), weight=float(self.weight))
-        if not 0.0 < self.weight < math.inf:
-            raise ValueError("segment weight must be positive and finite")
-        # a NaN or infinite endpoint makes the length NaN or infinite
-        if not 0.0 < self.length < math.inf:
-            raise ValueError("segment endpoints must be finite and distinct")
+        _check_pieces(seg_w=np.array([self.weight]), seg_len=np.array([self.length]))
 
     @property
     def length(self) -> float:
@@ -141,13 +137,13 @@ class SegmentPiece:
 
     @property
     def direction(self) -> np.ndarray:
-        u = (self.b - self.a) / self.length
+        u = _segment_units(self.b[None] - self.a[None], np.array([self.length]))[0]
         u.setflags(write=False)
         return u
 
 
 @dataclass(frozen=True)
-class RayPiece:
+class RayPiece(_Trusted):
     """A weighted half line from origin along a unit direction."""
 
     origin: np.ndarray
@@ -158,12 +154,8 @@ class RayPiece:
         origin = as_vector(self.origin)
         _set_fields(self, origin=origin, direction=as_vector(self.direction, dim=origin.shape[0]),
                     weight=float(self.weight))
-        if not 0.0 < self.weight < math.inf:
-            raise ValueError("ray weight must be positive and finite")
-        if not np.isfinite(self.origin).all():
-            raise ValueError("ray origin must be finite")
-        if not _is_unit(self.direction):
-            raise ValueError("ray direction must be a unit vector")
+        _check_pieces(ray_o=self.origin[None], ray_d=self.direction[None],
+                      ray_w=np.array([self.weight]))
 
 
 class DegenerateGeometryError(ValueError):
@@ -246,6 +238,17 @@ def _segment_lengths(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return _row_norms(b - a)[0]
 
 
+def _segment_units(d: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """d / length by rows, length = _row_norms(d)[0], but _unit_rows' direction
+    on short rows: it has the division's bits where d.d is a normal float,
+    and stays unit where d.d is not, which a division by length may not."""
+    u = d / length[:, None]
+    short = length < 2.0 * math.sqrt(_TINY)  # every row whose d.d is below _TINY
+    if short.any():
+        u[short] = _unit_rows(d[short])[0]
+    return u
+
+
 def _check_rows(*checks: tuple[np.ndarray, str]) -> None:
     """ValueError with the message of the first failing check of the first
     row that fails any, as checking the rows one by one would raise."""
@@ -253,6 +256,21 @@ def _check_rows(*checks: tuple[np.ndarray, str]) -> None:
     if bad.any():
         i = int(np.argmax(bad))
         raise ValueError(next(msg for ok, msg in checks if not ok[i]))
+
+
+def _check_pieces(seg_w=(), seg_len=(), ray_o=(), ray_d=(), ray_w=()) -> None:
+    """The checks of SegmentPiece and RayPiece on piece rows, segments first;
+    a NaN or infinite endpoint makes a segment's length NaN or infinite."""
+    if len(seg_w):
+        _check_rows(
+            ((0.0 < seg_w) & (seg_w < math.inf), "segment weight must be positive and finite"),
+            ((0.0 < seg_len) & (seg_len < math.inf),
+             "segment endpoints must be finite and distinct"))
+    if len(ray_w):
+        _check_rows(
+            ((0.0 < ray_w) & (ray_w < math.inf), "ray weight must be positive and finite"),
+            (np.isfinite(ray_o).all(axis=1), "ray origin must be finite"),
+            (_is_unit(ray_d), "ray direction must be a unit vector"))
 
 
 class DiscreteVarifold:
@@ -285,9 +303,7 @@ class DiscreteVarifold:
         if not all(isinstance(r, RayPiece) for r in rays):
             raise TypeError("rays must be RayPiece objects")
         n = ambient_dim
-        if any(s.a.shape[0] != n for s in segments) or any(
-            r.origin.shape[0] != n for r in rays
-        ):
+        if any(s.a.shape[0] != n for s in segments) or any(r.origin.shape[0] != n for r in rays):
             raise ValueError("piece dimension does not match ambient_dim")
         # every piece is validated already; only the columns are built here
         a = _rows([s.a for s in segments], n)
@@ -302,7 +318,7 @@ class DiscreteVarifold:
     def _assemble(self, n, seg_a, seg_b, seg_w, seg_len, ray_o, ray_d, ray_w):
         """Store the columns read-only; derive seg_u; return self."""
         _set_fields(self, ambient_dim=n, seg_a=seg_a, seg_b=seg_b, seg_w=seg_w,
-                    seg_u=(seg_b - seg_a) / seg_len[:, None], seg_len=seg_len, ray_o=ray_o,
+                    seg_u=_segment_units(seg_b - seg_a, seg_len), seg_len=seg_len, ray_o=ray_o,
                     ray_d=ray_d, ray_w=ray_w, _segments=None, _rays=None, _stacked=None)
         return self
 
@@ -320,18 +336,8 @@ class DiscreteVarifold:
         n = ambient_dim
         a, b, w = _rows(seg_a, n), _rows(seg_b, n), _column(seg_w)
         length = _segment_lengths(a, b)
-        _check_rows(
-            ((0.0 < w) & (w < math.inf), "segment weight must be positive and finite"),
-            # a NaN or infinite endpoint makes the length NaN or infinite
-            ((0.0 < length) & (length < math.inf),
-             "segment endpoints must be finite and distinct"),
-        )
         o, u, rw = _rows(ray_o, n), _rows(ray_d, n), _column(ray_w)
-        _check_rows(
-            ((0.0 < rw) & (rw < math.inf), "ray weight must be positive and finite"),
-            (np.isfinite(o).all(axis=1), "ray origin must be finite"),
-            (_is_unit(u), "ray direction must be a unit vector"),
-        )
+        _check_pieces(w, length, o, u, rw)
         return cls._trusted(n, a, b, w, length, o, u, rw)
 
     def __reduce__(self):
@@ -350,19 +356,15 @@ class DiscreteVarifold:
     @property
     def segments(self) -> tuple[SegmentPiece, ...]:
         if self._segments is None:
-            object.__setattr__(self, "_segments", tuple(
-                SegmentPiece(a, b, w)
-                for a, b, w in zip(self.seg_a, self.seg_b, self.seg_w.tolist())
-            ))
+            _set_fields(self, _segments=tuple(map(
+                SegmentPiece._trusted, self.seg_a, self.seg_b, self.seg_w.tolist())))
         return self._segments
 
     @property
     def rays(self) -> tuple[RayPiece, ...]:
         if self._rays is None:
-            object.__setattr__(self, "_rays", tuple(
-                RayPiece(o, d, w)
-                for o, d, w in zip(self.ray_o, self.ray_d, self.ray_w.tolist())
-            ))
+            _set_fields(self, _rays=tuple(map(
+                RayPiece._trusted, self.ray_o, self.ray_d, self.ray_w.tolist())))
         return self._rays
 
     @property
@@ -619,7 +621,7 @@ def _piece_rows(v: DiscreteVarifold) -> tuple[np.ndarray, ...]:
         )
         for arr in rows:
             arr.setflags(write=False)
-        object.__setattr__(v, "_stacked", rows)
+        _set_fields(v, _stacked=rows)
     return v._stacked
 
 
@@ -629,7 +631,10 @@ def _chord_rows(base: np.ndarray, u: np.ndarray, center: np.ndarray,
     vector) through the open ball: the line meets the ball on
     (-bh - sqrt(disc), -bh + sqrt(disc)) when disc > 0 and misses it
     otherwise, and -bh is its closest approach to the center.  Every chord
-    of a piece in the library is taken here."""
+    of a piece in the library is taken here, except in
+    blowup._projected_localized_density: it takes r^2 - |y - (y.z) z|^2 for
+    unit rays z from the origin and balls of radius below 1e-5 about a
+    unit y, where the form here cancels about six digits."""
     d = base - center
     bh = _rowdot(d, u)
     return bh, bh * bh - (_rowdot(d, d) - radius * radius)

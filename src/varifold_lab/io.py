@@ -13,8 +13,9 @@ Document schema (all sections optional except ambient_dim):
     }
 
 Floats are serialized in decimal with enough digits to round-trip exactly.
-Pieces are sorted lexicographically by coordinates before emission so that
-identical inputs always produce byte-identical files.
+Segments, rays and cone atoms are sorted lexicographically by their fields
+before emission, so that identical inputs always produce byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -60,16 +61,11 @@ class VarifoldDocument:
         return self.conic
 
 
-def _vec(x) -> list[float]:
-    return [float(t) for t in np.asarray(x, dtype=float)]
-
-
-def _sorted_segments(segments: Iterable[SegmentPiece]) -> list[SegmentPiece]:
-    return sorted(segments, key=lambda s: (tuple(s.a), tuple(s.b), s.weight))
-
-
-def _sorted_rays(rays: Iterable[RayPiece]) -> list[RayPiece]:
-    return sorted(rays, key=lambda r: (tuple(r.origin), tuple(r.direction), r.weight))
+def _sorted_records(**columns: np.ndarray) -> list[dict]:
+    """One {name: value} record per row of the (k, n) or (k,) columns, in the
+    stable order sorted() gives the rows' tuples of fields (-0.0 ties 0.0)."""
+    order = np.lexsort(np.column_stack(list(columns.values())).T[::-1])
+    return [dict(zip(columns, row)) for row in zip(*(c[order].tolist() for c in columns.values()))]
 
 
 def document_to_dict(
@@ -83,27 +79,17 @@ def document_to_dict(
         raise ValueError("discrete and conic parts disagree on the dimension")
     doc: dict = {"ambient_dim": n}
     if discrete is not None:
-        doc["segments"] = [
-            {"a": _vec(s.a), "b": _vec(s.b), "weight": s.weight}
-            for s in _sorted_segments(discrete.segments)
-        ]
-        doc["rays"] = [
-            {"origin": _vec(r.origin), "direction": _vec(r.direction), "weight": r.weight}
-            for r in _sorted_rays(discrete.rays)
-        ]
+        doc["segments"] = _sorted_records(a=discrete.seg_a, b=discrete.seg_b,
+                                          weight=discrete.seg_w)
+        doc["rays"] = _sorted_records(origin=discrete.ray_o, direction=discrete.ray_d,
+                                      weight=discrete.ray_w)
     if conic is not None:
-        order = sorted(range(conic.n_atoms), key=lambda i: tuple(conic.atom_directions[i]))
-        section: dict = {
-            "atoms": [
-                {"dir": _vec(conic.atom_directions[i]), "mass": float(conic.atom_masses[i])}
-                for i in order
-            ]
-        }
+        # atom directions are distinct, so their masses never decide the order
+        section: dict = {"atoms": _sorted_records(dir=conic.atom_directions,
+                                                  mass=conic.atom_masses)}
         if conic.density is not None:
-            section["density"] = {
-                "grid": conic.density.grid.descriptor,
-                "values": _vec(conic.density.values),
-            }
+            section["density"] = {"grid": conic.density.grid.descriptor,
+                                  "values": conic.density.values.tolist()}
         doc["conic"] = section
     return doc
 
@@ -189,10 +175,7 @@ def load_subspace(path: str | Path) -> Subspace:
 
 
 def save_subspace(path: str | Path, subspace: Subspace) -> None:
-    doc = {
-        "ambient_dim": subspace.ambient_dim,
-        "basis": [_vec(row) for row in subspace.basis],
-    }
+    doc = {"ambient_dim": subspace.ambient_dim, "basis": subspace.basis.tolist()}
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 

@@ -45,6 +45,7 @@ def cut_and_paste(v: DiscreteVarifold, y, r: float) -> SurgeryResult:
     c = as_vector(y, dim=v.ambient_dim)
     atoms = boundary_variation(v, c, r)
     inner = restrict(v, c, r, "inside")
+    # checked: a crossing of extreme-coordinate input can leave the float range
     pasted = tuple(RayPiece(a.location, a.omega, a.mass) for a in atoms)
     combined = inner + DiscreteVarifold(v.ambient_dim, (), pasted)
     return SurgeryResult(inner, pasted, combined, tuple(atoms))

@@ -440,11 +440,12 @@ def locate_marginal_atoms(
     call carries one (v, xi) row per band, and each bisection call takes
     three levels at once.  The result is that of one level per call when
     the oracle's band mass does not grow as a band shrinks (see
-    BandOracle).  Raises ValueError unless lam_max > 0 and 2 * lam_max is
-    finite, so that every band edge and midpoint is a finite float.
-    """
-    if not 0.0 < lam_max <= np.finfo(float).max / 2.0:
-        raise ValueError("lam_max must be positive, with 2 * lam_max finite")
+    BandOracle).  Raises ValueError unless 0 < lam_max <= LOCATE_WIDTH *
+    2**(LOCATE_MAX_DEPTH - 1), about 6.04e13: past that, the depth limit
+    stops bands before they narrow to LOCATE_WIDTH."""
+    if not 0.0 < lam_max <= LOCATE_WIDTH * 2.0 ** (LOCATE_MAX_DEPTH - 1):
+        raise ValueError("lam_max must be positive and at most "
+                         "LOCATE_WIDTH * 2**(LOCATE_MAX_DEPTH - 1), about 6.04e13")
     (located,) = _locate_atoms(oracle, [(v, xi)], lam_max)
     return located
 

@@ -18,12 +18,14 @@ import numpy as np
 from .core import (
     DegenerateGeometryError,
     DiscreteVarifold,
+    _Trusted,
     _ball_chords,
     _chord_rows,
     _is_unit,
     _piece_rows,
     _row_norms,
     _rowdot,
+    _set_fields,
     _unit_rows,
     as_vector,
     group_ends,
@@ -40,7 +42,7 @@ FIELD_CHECK_SAMPLES = 32
 
 
 @dataclass(frozen=True)
-class VariationAtom:
+class VariationAtom(_Trusted):
     """One point force of the first variation: location, direction, mass."""
 
     location: np.ndarray
@@ -48,9 +50,9 @@ class VariationAtom:
     mass: float
 
     def __post_init__(self):
-        object.__setattr__(self, "location", as_vector(self.location))
-        object.__setattr__(self, "omega", as_vector(self.omega, dim=self.location.shape[0]))
-        object.__setattr__(self, "mass", float(self.mass))
+        location = as_vector(self.location)
+        _set_fields(self, location=location, omega=as_vector(self.omega, dim=location.shape[0]),
+                    mass=float(self.mass))
         if not _is_unit(self.omega):
             raise ValueError("omega must be a unit vector")
         if self.mass <= 0.0:
@@ -73,8 +75,8 @@ class TestField:
     divergence_batch: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def __post_init__(self):
-        object.__setattr__(self, "support_center", as_vector(self.support_center))
-        object.__setattr__(self, "support_radius", float(self.support_radius))
+        _set_fields(self, support_center=as_vector(self.support_center),
+                    support_radius=float(self.support_radius))
         if not math.isfinite(self.support_radius) or self.support_radius <= 0.0:
             raise ValueError("support radius must be finite and positive")
 
@@ -309,8 +311,9 @@ def vertex_residuals(v: DiscreteVarifold, tol: float = 1e-12) -> list[VariationA
         raise ValueError("tolerance must be nonnegative")
     points, residual, norms = _vertex_forces(v)
     keep = np.flatnonzero(norms > tol)
+    # trusted: omega is unit by _unit_rows, and each mass a norm above tol >= 0
     omega = -_unit_rows(residual[keep])[0]
-    return [VariationAtom(x, o, m) for x, o, m in zip(points[keep], omega, norms[keep].tolist())]
+    return list(map(VariationAtom._trusted, points[keep], omega, norms[keep].tolist()))
 
 
 def is_stationary(v: DiscreteVarifold, tol: float) -> tuple[bool, float]:
@@ -361,5 +364,6 @@ def boundary_variation(v: DiscreteVarifold, y, r: float) -> list[VariationAtom]:
     # row-major order: pieces in order, each entry crossing before its exit
     rows, side = np.nonzero(hit[:, None] & (0.0 < t) & (t < hi[:, None]))
     x = base[rows] + t[rows, side][:, None] * u[rows]
+    # trusted: omega is a unit seg_u or ray_d, or its negation; mass a piece weight
     omega = np.where(side == 0, -1.0, 1.0)[:, None] * u[rows]
-    return [VariationAtom(xi, oi, wi) for xi, oi, wi in zip(x, omega, w[rows].tolist())]
+    return list(map(VariationAtom._trusted, x, omega, w[rows].tolist()))

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from varifold_lab import ConicVarifold, SampledDensity, circle_grid, sphere_grid
-from varifold_lab.core import DiscreteVarifold, _is_unit
+from varifold_lab.core import DiscreteVarifold, RayPiece, SegmentPiece, _is_unit
 from varifold_lab.fixtures import random_conic
 from varifold_lab.tomography import LineMeasure, PlaneMeasure
+from varifold_lab.variation import VariationAtom
 
 
 def _same_arrays(built, again, names):
@@ -39,6 +40,17 @@ def _recheck_line(m):
     _same_arrays(m, again, ("coordinates", "masses"))
 
 
+def _recheck_fields(obj):
+    """Rebuild a value from its fields through its public constructor; every
+    field must come back with the same bits."""
+    names = list(type(obj).__dataclass_fields__)
+    again = type(obj)(*(getattr(obj, name) for name in names))
+    arrays = [name for name in names if isinstance(getattr(obj, name), np.ndarray)]
+    _same_arrays(obj, again, arrays)
+    for name in set(names) - set(arrays):
+        assert getattr(obj, name) == getattr(again, name), f"{name} differs"
+
+
 # every class with an unchecked _trusted constructor, and the public checks
 # that each object it builds must pass
 RECHECKS = {
@@ -46,6 +58,9 @@ RECHECKS = {
     ConicVarifold: _recheck_conic,
     PlaneMeasure: _recheck_plane,
     LineMeasure: _recheck_line,
+    SegmentPiece: _recheck_fields,
+    RayPiece: _recheck_fields,
+    VariationAtom: _recheck_fields,
 }
 
 

@@ -281,6 +281,19 @@ def test_default_battery_functions_match_reference_closures():
             assert f.value(points, s).tobytes() == g.value(points, s).tobytes()
 
 
+def test_a_table_battery_takes_its_functions_from_its_table():
+    # a battery could validate one set of functions and pair with another
+    table = default_battery(2).table
+    battery = blowup.TestBattery(2, 1.0, table=table)
+    assert [f.label for f in battery.functions] == [f.label for f in table.functions()]
+    points, s = np.array([[0.1, 0.2], [0.5, -0.3]]), np.array([0.6, 0.8])
+    for f, g in zip(battery.functions, table.functions()):
+        assert f.value(points, s).tobytes() == g.value(points, s).tobytes()
+    with pytest.raises(ValueError, match="takes its functions from the table"):
+        blowup.TestBattery(2, 1.0, table.functions()[:1], table)
+    assert blowup.TestBattery(2, 1.0, table.functions()[:1]).table is None
+
+
 def test_default_battery_is_built_once_per_dimension_and_read_only():
     # the shared battery cannot be changed by one caller under another
     for n in (2, 3, 4):

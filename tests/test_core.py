@@ -42,6 +42,7 @@ from varifold_lab.core import (
     DegenerateGeometryError,
     _chord_rows,
     _direction_distances,
+    _is_unit,
     _piece_rows,
     _rowdot,
     _unit_rows,
@@ -1109,6 +1110,13 @@ def test_one_unit_rule_for_every_direction(scale):
     if unit_ok:
         cone = ConicVarifold(3, [d, [0.0, 1.0, 0.0]], [1.0, 2.0])
         assert conic_to_discrete(cone).ray_d.tobytes() == cone.atom_directions.tobytes()
+    # b - a with a squared norm below the smallest normal float: dividing
+    # it by its length gave (1, 1) and |u|^2 = 1.00012
+    for b in ([5e-324, 5e-324], [3e-320, 1e-321]):
+        piece = SegmentPiece([0.0, 0.0], b, 1.0)
+        v = DiscreteVarifold(2, [piece])
+        assert _is_unit(v.seg_u).all()
+        assert v.seg_u[0].tobytes() == piece.direction.tobytes() == unit(np.array(b)).tobytes()
 
 
 @pytest.mark.parametrize("nodes,weights,angles,message", [
@@ -1187,6 +1195,9 @@ _XY = Subspace(3, np.eye(3)[:2])
      "atom coordinates and masses must be finite"),
     (LineMeasure, (np.array([0.6, 0.6]), np.zeros(1), np.ones(1)),
      "direction must be a unit vector"),
+    (SegmentPiece, (np.zeros(2), np.zeros(2), 1.0), "segment endpoints must be finite and distinct"),
+    (RayPiece, (np.zeros(2), np.array([2.0, 0.0]), 1.0), "ray direction must be a unit vector"),
+    (VariationAtom, (np.zeros(2), np.array([1.0, 0.0]), 0.0), "atom mass must be positive"),
 ])
 def test_recheck_fixture_fails_an_invalid_trusted_build(cls, args, message):
     with pytest.raises(AssertionError, match=message):
@@ -1198,8 +1209,10 @@ def test_every_trusted_constructor_is_rechecked():
     from varifold_lab.core import _Trusted
 
     classes = {
-        obj for mod in (varifold_lab.core, varifold_lab.tomography) for obj in vars(mod).values()
+        obj for mod in (varifold_lab.core, varifold_lab.tomography, varifold_lab.variation)
+        for obj in vars(mod).values()
         if isinstance(obj, type) and hasattr(obj, "_trusted") and obj is not _Trusted
     }
-    assert classes == {DiscreteVarifold, ConicVarifold, PlaneMeasure, LineMeasure}
+    assert classes == {DiscreteVarifold, ConicVarifold, PlaneMeasure, LineMeasure,
+                       SegmentPiece, RayPiece, VariationAtom}
     assert all(c._trusted.__func__.__module__ == "conftest" for c in classes)

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varifold_lab import (
     ConicVarifold,
@@ -19,8 +21,11 @@ from varifold_lab import (
     sphere_grid,
 )
 from varifold_lab.cli import run
+from varifold_lab.core import unit
 from varifold_lab.fixtures import random_varifold, y_junction
 from varifold_lab.io import SchemaError, format_float, load_subspace, save_subspace
+
+from piece_reference import document_text
 
 
 def test_round_trip_bit_exact(tmp_path):
@@ -91,6 +96,41 @@ def test_determinism_identical_outputs(tmp_path):
     save_varifold(p1, discrete=v)
     save_varifold(p2, discrete=v)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# a few coordinates, rows drawn from a small pool: rows repeat, and tie
+# on 0.0 against -0.0
+_COORDS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 1e-300])
+_WEIGHTS = st.sampled_from([1.0, 0.5, 2.0, 1e-300])
+
+
+@st.composite
+def _documents(draw):
+    """(discrete or None, conic or None) in R^2 to R^4, not both None."""
+    n = draw(st.integers(2, 4))
+    pool = [np.array(p) for p in draw(
+        st.lists(st.lists(_COORDS, min_size=n, max_size=n), min_size=2, max_size=4))]
+    dirs = [np.eye(n)[0], -np.eye(n)[0]] + [unit(p) for p in pool if p.any()]
+    segments = []
+    for _ in range(draw(st.integers(0, 8))):
+        a, b = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+        if (b - a).any():
+            segments.append(SegmentPiece(a, b, draw(_WEIGHTS)))
+    rays = [RayPiece(draw(st.sampled_from(pool)), draw(st.sampled_from(dirs)), draw(_WEIGHTS))
+            for _ in range(draw(st.integers(0, 6)))]
+    atoms = [(draw(st.sampled_from(dirs)), draw(_WEIGHTS)) for _ in range(draw(st.integers(0, 5)))]
+    parts = draw(st.sampled_from(["discrete", "conic", "both"]))
+    return (DiscreteVarifold(n, segments, rays) if parts != "conic" else None,
+            conic_atoms(n, atoms) if parts != "discrete" else None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=_documents())
+def test_writer_matches_the_piece_sorting_writer(tmp_path_factory, doc):
+    discrete, conic = doc
+    path = tmp_path_factory.getbasetemp() / "writer.json"
+    save_varifold(path, discrete=discrete, conic=conic)
+    assert path.read_bytes() == document_text(discrete, conic).encode()
 
 
 # ---------------------------------------------------------------------------

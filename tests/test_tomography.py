@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,12 @@ from varifold_lab import (
 )
 from varifold_lab.core import unit
 from varifold_lab.fixtures import balanced_y_cone, random_conic
-from varifold_lab.tomography import CoverageGap, PlaneMeasure
+from varifold_lab.tomography import (
+    LOCATE_MAX_DEPTH,
+    LOCATE_WIDTH,
+    CoverageGap,
+    PlaneMeasure,
+)
 
 import tomography_reference as ref
 
@@ -340,11 +346,14 @@ def test_locate_marginal_atoms_finds_slopes():
     assert np.allclose(np.sort(located.masses), expect_gamma, atol=1e-9)
 
 
-@pytest.mark.parametrize("lam_max", [math.inf, math.nan, 0.0, -1.0, 1e308, np.float64(1e308)])
+@pytest.mark.parametrize("lam_max", [math.inf, math.nan, 0.0, -1.0, 1e308, np.float64(1e308),
+                                     1e14, 1e20])
 def test_locate_marginal_atoms_checks_lam_max(lam_max):
     # without the check, inf ends in a non-finite atom after a warning, and
-    # 1e308 and 0 each locate one atom of the two; reconstruct_conic's fixed
-    # 2 / CHART_CUTOFF is unaffected
+    # 1e308 and 0 each locate one atom of the two; past about 6e13 bands stop
+    # at the depth limit still wider than LOCATE_WIDTH (with 1e20, atoms at
+    # slopes 1e-9 and 3e-9 came back as one at 8.3e-5); reconstruct_conic's
+    # fixed 2 / CHART_CUTOFF is unaffected
     cone = conic_atoms(3, [([0.6, 0.0, 0.8], 1.0), ([0.0, 0.6, 0.8], 2.0)])
     e1, _, e3 = np.eye(3)
     for oracle in (BandOracle(cone), lambda v, xi, bands: BandOracle(cone)(v, xi, bands)):
@@ -355,6 +364,25 @@ def test_locate_marginal_atoms_checks_lam_max(lam_max):
     assert located.masses == pytest.approx([1.6, 0.8], abs=1e-9)
     recon = reconstruct_conic(BandOracle(cone), 3)
     assert recon.atom_masses == pytest.approx([1.0, 2.0], abs=1e-9)
+
+
+def test_locate_marginal_atoms_at_the_widest_lam_max():
+    widest = LOCATE_WIDTH * 2.0 ** (LOCATE_MAX_DEPTH - 1)
+    e1, _, e3 = np.eye(3)
+    with pytest.raises(ValueError, match="lam_max must be positive"):
+        locate_marginal_atoms(BandOracle(conic_atoms(3, [(e3, 1.0)])), e3, e1,
+                              np.nextafter(widest, math.inf))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # an atom at slope 0.3 still narrows to LOCATE_WIDTH
+        located = locate_marginal_atoms(
+            BandOracle(conic_atoms(3, [([0.3, 0.0, 1.0], 1.0)])), e3, e1, widest)
+        assert located.n_atoms == 1 and abs(located.coordinates[0] - 0.3) <= LOCATE_WIDTH
+        # a slope of 1e160 lies outside every band; squaring a midpoint of
+        # that size used to overflow
+        located = locate_marginal_atoms(
+            BandOracle(conic_atoms(3, [([1.0, 0.0, 1e-160], 1.0)])), e3, e1, widest)
+        assert located.n_atoms == 0
 
 
 def test_single_atom_roundtrip():

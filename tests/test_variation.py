@@ -16,14 +16,16 @@ from varifold_lab import (
     bump_field,
     dilate,
     first_variation,
+    find_good_radius,
     first_variation_quadrature,
     is_stationary,
     linear_field,
     plateau_field,
+    save_varifold,
     vertex_residuals,
     weighted_projection,
 )
-from varifold_lab.core import VERTEX_TOL, _row_norms, group_ends, unit
+from varifold_lab.core import VERTEX_TOL, _row_norms, _Trusted, group_ends, unit
 from varifold_lab.fixtures import (
     full_line,
     random_stationary_network,
@@ -285,6 +287,27 @@ def _reference_boundary(v, y, r, tangency_tol=1e-9):
 
 def _float_bytes(x):
     return np.float64(x).tobytes()
+
+
+def test_library_rows_build_no_checked_piece_or_atom(monkeypatch, tmp_path):
+    # the writer, the vertex forces, the boundary atoms and the piece tuples
+    # build from rows the library holds, through _trusted alone
+    rng = np.random.default_rng(9001)
+    # built from columns: a varifold built from pieces keeps those pieces
+    v = dilate(random_varifold(rng, 3, n_segments=6, n_rays=3), np.zeros(3), 0.5)
+    y, r = np.zeros(3), find_good_radius(v, np.zeros(3), 1.0, 2.0)
+
+    def refuse(self):
+        raise AssertionError(f"a checked {type(self).__name__} was built")
+
+    for cls in (SegmentPiece, RayPiece, VariationAtom):
+        monkeypatch.setattr(cls, "__post_init__", refuse)
+        # the fixture's recheck of every _trusted build calls the constructor
+        monkeypatch.setattr(cls, "_trusted", vars(_Trusted)["_trusted"])
+    save_varifold(tmp_path / "v.json", discrete=v)
+    assert len(vertex_residuals(v, 0.0)) > 0
+    assert len(boundary_variation(v, y, r)) > 0
+    assert (len(v.segments), len(v.rays)) == (6, 3)
 
 
 def test_piece_frames_match_type_branches_bitwise():

@@ -27,6 +27,8 @@ from .core import (
     _ball_chords,
     _dilations,
     _piece_rows,
+    _point,
+    _positive,
     _rowdot,
     _set_fields,
     as_vector,
@@ -62,7 +64,7 @@ class BatteryFunction:
     value: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BatteryTable:
     """Products of radial lumps with squared direction moments.
 
@@ -122,7 +124,7 @@ class BatteryTable:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TestBattery:
     """Lipschitz test functions supported in the ball of a common radius.
 
@@ -324,13 +326,9 @@ class TangentDiagnostics:
 
 
 def dilation_factors(lambdas: Sequence[float]) -> list[float]:
-    """The factors as floats; ValueError unless finite, positive and
-    strictly decreasing."""
-    lams = [float(l) for l in lambdas]
-    if not all(math.isfinite(l) for l in lams):
-        raise ValueError("dilation factors must be finite")
-    if any(l <= 0.0 for l in lams):
-        raise ValueError("dilation factors must be positive")
+    """The factors as floats; ValueError unless each is positive and finite
+    (core._positive) and they strictly decrease."""
+    lams = [_positive(l, "dilation factor") for l in lambdas]
     if any(b >= a for a, b in zip(lams, lams[1:])):
         raise ValueError("dilation factors must be strictly decreasing")
     return lams
@@ -354,11 +352,12 @@ def tangent_estimate(
     sorts the batch once by dilation (see _clip).  A dilation with the
     cone's bytes gets 0.0 unpaired; any other is paired, and then the cone,
     once, a row with a cone row's bytes taking that row's contributions
-    unsampled.  Raises ValueError unless the factors are finite, positive and
-    strictly decreasing, ZeroDensityError off the support, errors as dilate.
+    unsampled.  Raises ValueError unless x is a finite point of R^n and the
+    factors are finite, positive and strictly decreasing, ZeroDensityError
+    off the support, errors as dilate.
     """
     lams = dilation_factors(lambdas)
-    p = as_vector(x, dim=v.ambient_dim)
+    p = _point(x, v.ambient_dim)
     vs, rays = _split(v, p)  # no rays exactly where density(v, x) is 0
     if not rays:
         raise ZeroDensityError("point carries no density; every blow-up is empty")
@@ -460,8 +459,9 @@ def density_bound_check(
     p, and evaluates the exact density at pi_P(y).  The value is certified
     to lie in [ d*phi, 1.5*epsilon + d*phi ] with d = |pi_P(y)|, provided
     |pi_P(y)| > 10 r and the sphere ball B(y, r) carries mass below
-    phi + epsilon.  Violated hypotheses raise PreconditionViolated; a bound
-    failure raises DensityBoundViolation.
+    phi + epsilon.  Violated hypotheses, 0 < r < 1e-5 among them (a NaN r
+    fails it), raise PreconditionViolated; a bound failure raises
+    DensityBoundViolation.
     """
     y = unit(as_vector(y, dim=c.ambient_dim))
     if p.dim != c.ambient_dim - 1:
@@ -472,7 +472,7 @@ def density_bound_check(
         raise ValueError("y must carry exactly one spherical atom")
     phi = float(c.atom_masses[hits[0]])
     pole = float(np.linalg.norm(p.project(y)))
-    if r <= 0.0 or r >= 1e-5:
+    if not 0.0 < r < 1e-5:
         raise PreconditionViolated("need 0 < r < 1e-5")
     if pole <= 10.0 * r:
         raise PreconditionViolated("bound needs |pi_P(y)| > 10 r")

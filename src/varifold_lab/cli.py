@@ -22,14 +22,12 @@ import numpy as np
 from . import __version__
 from .blowup import (
     ZeroDensityError,
-    PreconditionViolated,
-    DensityBoundViolation,
     dense_lines_fixture,
     dilation_factors,
     projection_growth_table,
     tangent_estimate,
 )
-from .core import _TINY, _rowdot, as_vector, unit
+from .core import _TINY, _point, _positive, _rowdot, as_vector, unit
 from .fixtures import balanced_y_cone, full_line, y_junction
 from .io import (
     SchemaError,
@@ -65,8 +63,6 @@ DOMAIN_ERRORS = (
     AmbiguousReconstruction,
     CoverageGap,
     ZeroDensityError,
-    PreconditionViolated,
-    DensityBoundViolation,
     OverflowError,
 )
 
@@ -79,7 +75,6 @@ class RunManifest:
     inputs: list[str] = field(default_factory=list)
     parameters: dict = field(default_factory=dict)
     outputs: list[str] = field(default_factory=list)
-    tool_version: str = __version__
 
     def write(self) -> None:
         if not self.outputs:
@@ -90,27 +85,23 @@ class RunManifest:
             "inputs": self.inputs,
             "parameters": self.parameters,
             "outputs": self.outputs,
-            "tool_version": self.tool_version,
+            "tool_version": __version__,
         }
         Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _parse_floats(text: str, what: str) -> list[float]:
-    cleaned = text.strip().strip("[]()")
+def _flag(what: str, rule, *args):
+    """rule(*args), a ValueError it raises re-raised as a SchemaError
+    "<what>: <message>": the flags obey the library's own rules."""
     try:
-        vals = [float(t) for t in cleaned.split(",")]
+        return rule(*args)
     except ValueError as exc:
         raise SchemaError(f"{what}: {exc}") from exc
-    if not all(math.isfinite(t) for t in vals):
-        raise SchemaError(f"{what}: values must be finite")
-    return vals
 
 
-def _parse_point(text: str, dim: int, what: str) -> np.ndarray:
-    vals = _parse_floats(text, what)
-    if len(vals) != dim:
-        raise SchemaError(f"{what}: expected {dim} coordinates, got {len(vals)}")
-    return as_vector(vals)
+def _parse_floats(text: str, what: str) -> list[float]:
+    """The comma-separated numbers of a flag; their range is the library's to check."""
+    return _flag(what, lambda: [float(t) for t in text.strip().strip("[]()").split(",")])
 
 
 def _atom_table(atoms, n: int) -> tuple[list[str], list[tuple]]:
@@ -161,10 +152,9 @@ def _cmd_project(args, manifest: RunManifest) -> int:
 def _cmd_surgery(args, manifest: RunManifest) -> int:
     doc = load_varifold(args.input)
     v = doc.require_discrete()
-    center = _parse_point(args.center, v.ambient_dim, "--center")
-    if not (math.isfinite(args.radius) and args.radius > 0.0):
-        raise SchemaError("--radius must be positive and finite")
-    result = cut_and_paste(v, center, args.radius)
+    center = _flag("--center", _point, _parse_floats(args.center, "--center"), v.ambient_dim)
+    radius = _flag("--radius", _positive, args.radius, "radius")
+    result = cut_and_paste(v, center, radius)
     prefix = args.out or (Path(args.input).stem + ".surgery")
     out_json = f"{prefix}.json"
     out_csv = f"{prefix}.boundary.csv"
@@ -172,7 +162,7 @@ def _cmd_surgery(args, manifest: RunManifest) -> int:
     header, rows = _atom_table(result.boundary_atoms, v.ambient_dim)
     write_csv(out_csv, header, rows)
     manifest.inputs.append(args.input)
-    manifest.parameters.update(center=list(map(float, center)), radius=args.radius)
+    manifest.parameters.update(center=list(map(float, center)), radius=radius)
     manifest.outputs += [out_json, out_csv]
     print(f"wrote {out_json} and {out_csv} ({len(rows)} boundary atoms)")
     return 0
@@ -314,12 +304,8 @@ def _cmd_reconstruct(args, manifest: RunManifest) -> int:
 def _cmd_blowup(args, manifest: RunManifest) -> int:
     doc = load_varifold(args.input)
     v = doc.require_discrete()
-    point = _parse_point(args.point, v.ambient_dim, "--point")
-    lambdas = _parse_floats(args.lambdas, "--lambdas")
-    try:
-        dilation_factors(lambdas)
-    except ValueError as exc:
-        raise SchemaError(f"--lambdas: {exc}") from exc
+    point = _flag("--point", _point, _parse_floats(args.point, "--point"), v.ambient_dim)
+    lambdas = _flag("--lambdas", dilation_factors, _parse_floats(args.lambdas, "--lambdas"))
     cone, diag = tangent_estimate(v, point, lambdas)
     prefix = args.out or (Path(args.input).stem + ".blowup")
     out_json = f"{prefix}.cone.json"
@@ -339,9 +325,7 @@ def _cmd_blowup(args, manifest: RunManifest) -> int:
 def _cmd_fixture(args, manifest: RunManifest) -> int:
     name = args.name
     if name == "dense-lines":
-        if args.k < 1:
-            raise SchemaError("--k must be positive")
-        v = dense_lines_fixture(args.k, seed=args.seed)
+        v = _flag("--k", dense_lines_fixture, args.k, args.seed)
         prefix = args.out or f"dense_lines_k{args.k}"
         out_json = f"{prefix}.json"
         save_varifold(out_json, discrete=v)

@@ -43,6 +43,22 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     return v
 
 
+def _point(x, dim: int | None) -> np.ndarray:
+    """The one rule for a point: as_vector(x, dim), every coordinate finite."""
+    p = as_vector(x, dim)
+    if not np.isfinite(p).all():
+        raise ValueError("point coordinates must be finite")
+    return p
+
+
+def _positive(r, what: str) -> float:
+    """The one rule for a ball radius or a scale factor: float(r) when
+    0 < r < inf; ValueError naming what otherwise, NaN included."""
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"{what} must be positive and finite")
+    return float(r)
+
+
 def unit(v: np.ndarray) -> np.ndarray:
     """v / |v|, read-only, by the rule of _unit_rows; ValueError for a zero or non-finite v."""
     with np.errstate(over="ignore"):
@@ -72,7 +88,7 @@ class _Trusted:
         return obj
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subspace:
     """A k-dimensional linear subspace of R^n given by an orthonormal basis.
 
@@ -113,12 +129,15 @@ class Subspace:
         return cls(ambient_dim=m.shape[1], basis=b)
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        """Orthogonal projection onto the subspace (points or (m, n) batches)."""
+        """Orthogonal projection onto the subspace of a point or of each row
+        of an (m, n) batch.  Each row goes through its own vector-matrix
+        products, so it gets the bits of projecting that row alone; a single
+        matrix product over all rows (gemm) sums in another order."""
         x = np.asarray(x, dtype=float)
-        return (x @ self.basis.T) @ self.basis
+        return ((x[..., None, :] @ self.basis.T) @ self.basis)[..., 0, :]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SegmentPiece(_Trusted):
     """A weighted straight segment [a, b] with multiplicity weight > 0."""
 
@@ -142,7 +161,7 @@ class SegmentPiece(_Trusted):
         return u
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RayPiece(_Trusted):
     """A weighted half line from origin along a unit direction."""
 
@@ -252,10 +271,12 @@ def _segment_units(d: np.ndarray, length: np.ndarray) -> np.ndarray:
 def _check_rows(*checks: tuple[np.ndarray, str]) -> None:
     """ValueError with the message of the first failing check of the first
     row that fails any, as checking the rows one by one would raise."""
-    bad = ~np.logical_and.reduce([ok for ok, _ in checks])
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(next(msg for ok, msg in checks if not ok[i]))
+    ok = checks[0][0]
+    for mask, _ in checks[1:]:
+        ok = ok & mask
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ValueError(next(msg for mask, msg in checks if not mask[i]))
 
 
 def _check_pieces(seg_w=(), seg_len=(), ray_o=(), ray_d=(), ray_w=()) -> None:
@@ -384,7 +405,7 @@ class DiscreteVarifold:
 # Sphere quadrature grids
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SphereGrid:
     """Quadrature nodes and weights on the unit sphere, named by a descriptor.
 
@@ -459,7 +480,7 @@ def grid_from_descriptor(descriptor: str) -> SphereGrid:
     raise ValueError(f"unknown sphere grid descriptor {descriptor!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledDensity:
     """A nonnegative density on the sphere sampled at quadrature nodes."""
 
@@ -484,7 +505,7 @@ class SampledDensity:
         return float(np.dot(self.grid.weights, self.values))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConicVarifold(_Trusted):
     """A conic 1-varifold: a measure mu on S^{n-1}, rays weighted by d(mu).
 
@@ -661,10 +682,9 @@ def _ball_chords(base: np.ndarray, u: np.ndarray, hi: np.ndarray, center: np.nda
 
 
 def mass(v: DiscreteVarifold, center, radius: float) -> float:
-    """Total weighted length of v inside the open ball B(center, radius)."""
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
-    c = as_vector(center, dim=v.ambient_dim)
+    """Total weighted length of v inside the open ball B(center, radius).
+    ValueError unless center is a finite point of R^n and 0 < radius < inf."""
+    c, radius = _point(center, v.ambient_dim), _positive(radius, "radius")
     base, u, hi, w = _piece_rows(v)
     lo, up, meets = _ball_chords(base, u, hi, c, radius)
     parts = w[meets] * (up[meets] - lo[meets])
@@ -697,9 +717,9 @@ def density(v: DiscreteVarifold, x) -> DensityValue:
     piece end at x, by _locate_point; so half the summed weights of
     incident_rays(split_at_point(v, x), x).  Lower and upper densities
     coincide because finite piece lists make the mass ratio eventually
-    constant in the radius.
+    constant in the radius.  ValueError unless x is a finite point of R^n.
     """
-    start, end, inside = _locate_point(v, as_vector(x, dim=v.ambient_dim))
+    start, end, inside = _locate_point(v, _point(x, v.ambient_dim))
     share = np.where(inside, 1.0, 0.5 * start + 0.5 * end)
     parts = (share * _piece_rows(v)[3])[share > 0.0]
     # a running sum in piece order, as a loop of total += part gives
@@ -724,22 +744,20 @@ def _dilations(v: DiscreteVarifold, c: np.ndarray, lams: Sequence[float]) -> Dis
 
 
 def dilate(v: DiscreteVarifold, x, lam: float) -> DiscreteVarifold:
-    """Image of v under y -> (y - x) / lam; weights unchanged.  OverflowError
-    when it leaves the float range, DegenerateGeometryError on a collapse."""
-    if not lam > 0.0:
-        raise ValueError("dilation factor must be positive")
-    return _dilations(v, as_vector(x, dim=v.ambient_dim), [lam])
+    """Image of v under y -> (y - x) / lam; weights unchanged.  ValueError
+    unless x is a finite point of R^n and 0 < lam < inf, OverflowError when
+    the image leaves the float range, DegenerateGeometryError on a collapse."""
+    return _dilations(v, _point(x, v.ambient_dim), [_positive(lam, "dilation factor")])
 
 
 def restrict(v: DiscreteVarifold, center, radius: float,
              keep: Literal["inside", "outside"] = "inside") -> DiscreteVarifold:
-    """Clip every piece to the open ball B(center, radius) or its complement."""
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
+    """Clip every piece to the open ball B(center, radius) or its complement.
+    ValueError unless center is a finite point of R^n and 0 < radius < inf."""
+    n = v.ambient_dim
+    c, radius = _point(center, n), _positive(radius, "radius")
     if keep not in ("inside", "outside"):
         raise ValueError("keep must be 'inside' or 'outside'")
-    n = v.ambient_dim
-    c = as_vector(center, dim=n)
     base, u, hi, w = _piece_rows(v)
     lo, up, meets = _ball_chords(base, u, hi, c, radius)
     empty = np.zeros((0, n))
@@ -811,11 +829,12 @@ def circle_arc_mass(c: ConicVarifold, lo: float, hi: float) -> float:
 
     Atoms count when their angle falls in the arc modulo 2*pi; the sampled
     density is integrated mode-exactly as a trigonometric interpolant.
+    ValueError unless lo < hi, both finite.
     """
     if c.ambient_dim != 2:
         raise ValueError("arc masses are defined on the circle only")
-    if hi <= lo:
-        raise ValueError("need lo < hi")
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError("need finite lo < hi")
     total = 0.0
     for i in range(c.n_atoms):
         ang = math.atan2(c.atom_directions[i, 1], c.atom_directions[i, 0])
@@ -875,9 +894,10 @@ def split_at_point(v: DiscreteVarifold, x) -> DiscreteVarifold:
     at x exactly.  Ends at x are snapped onto x, and every piece touching x
     is re-anchored to start there, so that dilations about x keep the anchor
     at the exact origin.  Raises DegenerateGeometryError when a segment's
-    start snaps onto x and its other end is x itself.
+    start snaps onto x and its other end is x itself, ValueError unless x
+    is a finite point of R^n.
     """
-    return _split(v, as_vector(x, dim=v.ambient_dim))[0]
+    return _split(v, _point(x, v.ambient_dim))[0]
 
 
 def piece_ends(v: DiscreteVarifold) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -948,7 +968,8 @@ def _ends_at(v: DiscreteVarifold, at_a: np.ndarray, at_b: np.ndarray, at_o: np.n
 
 def incident_rays(v: DiscreteVarifold, x) -> list[tuple[np.ndarray, float]]:
     """(away-direction, weight) for every piece end at x, by _locate_point:
-    the rows of piece_ends(v) at x, in their order."""
-    start, end, _ = _locate_point(v, as_vector(x, dim=v.ambient_dim))
+    the rows of piece_ends(v) at x, in their order.  ValueError unless x is
+    a finite point of R^n."""
+    start, end, _ = _locate_point(v, _point(x, v.ambient_dim))
     ns = len(v.seg_w)
     return _ends_at(v, start[:ns], end[:ns], start[ns:])

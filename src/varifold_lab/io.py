@@ -42,7 +42,7 @@ class SchemaError(ValueError):
     """The document does not match the varifold JSON schema."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VarifoldDocument:
     """Parsed contents of a varifold JSON file."""
 

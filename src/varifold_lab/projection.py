@@ -33,20 +33,11 @@ from .core import (
 DROP_TOL = 1e-12
 
 
-def _project_rows(x: np.ndarray, p: Subspace) -> np.ndarray:
-    """Subspace.project of every row, with the bits of one call per row.
-
-    Each row goes through its own vector-matrix products; a single matrix
-    product over all rows (gemm) sums in another order.
-    """
-    return ((x[:, None, :] @ p.basis.T) @ p.basis)[:, 0, :]
-
-
 def _images(dirs: np.ndarray, p: Subspace) -> tuple[np.ndarray, ...]:
     """(keep, c, img, sq): the image img = pi_P d of every unit row d of dirs, its
     squared norm sq (for _unit_rows) and contraction c = sqrt(sq), and the
     mask of the rows with c above DROP_TOL."""
-    img = _project_rows(dirs, p)
+    img = p.project(dirs)
     sq = _rowdot(img, img)
     c = np.sqrt(sq)
     return c > DROP_TOL, c, img, sq
@@ -58,8 +49,8 @@ def _project_pieces(v: DiscreteVarifold, p: Subspace, weighted: bool) -> Discret
     seg_w = v.seg_w[s] * seg_c[s] if weighted else v.seg_w[s]
     ray_w = v.ray_w[r] * ray_c[r] if weighted else v.ray_w[r]
     return DiscreteVarifold._from_columns(
-        v.ambient_dim, _project_rows(v.seg_a[s], p), _project_rows(v.seg_b[s], p), seg_w,
-        _project_rows(v.ray_o[r], p), _unit_rows(ray_img[r], ray_sq[r])[0], ray_w,
+        v.ambient_dim, p.project(v.seg_a[s]), p.project(v.seg_b[s]), seg_w,
+        p.project(v.ray_o[r]), _unit_rows(ray_img[r], ray_sq[r])[0], ray_w,
     )
 
 

@@ -8,17 +8,18 @@ points and keeps the original small-scale behavior at the ball's center.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiscreteVarifold, RayPiece, as_vector, restrict
+from .core import DiscreteVarifold, RayPiece, _point, restrict
 from .variation import DegenerateGeometryError, VariationAtom, boundary_variation
 
 RADIUS_CANDIDATES = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurgeryResult:
     """Outcome of a cut-and-paste: the clipped inside, the pasted rays,
     their superposition, and the boundary atoms that prescribed the rays."""
@@ -40,9 +41,10 @@ def cut_and_paste(v: DiscreteVarifold, y, r: float) -> SurgeryResult:
 
     Raises DegenerateGeometryError (from the boundary computation) when a
     piece is tangent to the sphere or ends on it; almost every radius works,
-    so callers should perturb r (see find_good_radius).
+    so callers should perturb r (see find_good_radius).  ValueError unless y
+    is a finite point of R^n and 0 < r < inf.
     """
-    c = as_vector(y, dim=v.ambient_dim)
+    c = _point(y, v.ambient_dim)
     atoms = boundary_variation(v, c, r)
     inner = restrict(v, c, r, "inside")
     # checked: a crossing of extreme-coordinate input can leave the float range
@@ -56,11 +58,12 @@ def find_good_radius(v: DiscreteVarifold, y, r_lo: float, r_hi: float) -> float:
     [r_lo, r_hi] avoiding degeneracy.
 
     Mirrors the fact that almost every radius admits a clean boundary force
-    measure; raises DegenerateGeometryError if every candidate fails.
+    measure; raises DegenerateGeometryError if every candidate fails, and
+    ValueError unless y is a finite point of R^n and 0 < r_lo <= r_hi < inf.
     """
-    if not 0.0 < r_lo <= r_hi:
-        raise ValueError("need 0 < r_lo <= r_hi")
-    c = as_vector(y, dim=v.ambient_dim)
+    if not 0.0 < r_lo <= r_hi < math.inf:
+        raise ValueError("need 0 < r_lo <= r_hi < inf")
+    c = _point(y, v.ambient_dim)
     ratios = np.geomspace(r_lo, r_hi, RADIUS_CANDIDATES)
     for r in ratios:
         try:

@@ -36,7 +36,6 @@ from .core import (
     conic_atoms,
     unit,
 )
-from .projection import _project_rows
 
 
 # Atoms whose pole component is at or below this are near-equatorial: no
@@ -79,7 +78,7 @@ class CoverageGap(ValueError):
 # Measures on hyperplanes and lines
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlaneMeasure(_Trusted):
     """Atoms on a hyperplane of R^n."""
 
@@ -121,7 +120,7 @@ def _check_line_atoms(coordinates: np.ndarray, masses: np.ndarray) -> None:
         raise ValueError("atom masses must be nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LineMeasure(_Trusted):
     """Atoms on an oriented line.
 
@@ -386,7 +385,7 @@ def fourier_of_marginal(m: LineMeasure, freq: float) -> complex:
 # Gnomonic transport between the sphere and a hyperplane
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GnomonicResult:
     """Pushforward measure plus the atoms excluded as near-equatorial."""
 
@@ -407,7 +406,7 @@ def gnomonic_pushforward(c: ConicVarifold, v) -> GnomonicResult:
     dirs, masses = c.mass_rows()
     h = _rowdot(dirs, v)
     front, out = h > CHART_CUTOFF, np.abs(h) <= CHART_CUTOFF
-    points = _project_rows(dirs[front] / h[front, None], plane)
+    points = plane.project(dirs[front] / h[front, None])
     measure = PlaneMeasure(plane, points, masses[front] * h[front])
     return GnomonicResult(measure, tuple(zip(dirs[out], masses[out].tolist())))
 
@@ -494,11 +493,9 @@ def _locate_atoms(
     oracle: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     pairs: Sequence[tuple[np.ndarray, np.ndarray]],
     lam_max: float,
-    width_target: float = LOCATE_WIDTH,
-    max_depth: int = LOCATE_MAX_DEPTH,
 ) -> list[LineMeasure]:
     """locate_marginal_atoms for every (v, xi) pair at once, stopping bands
-    at width_target and max_depth.
+    at LOCATE_WIDTH and LOCATE_MAX_DEPTH, both read at call time.
 
     Each oracle call measures every live band three bisection levels down:
     its 8 great-grandchildren, cut at nested midpoints, keeping those above
@@ -513,6 +510,7 @@ def _locate_atoms(
     """
     if len(pairs) == 0:
         return []
+    width_target, max_depth = LOCATE_WIDTH, LOCATE_MAX_DEPTH
     vs = np.array([v for v, _ in pairs], dtype=float)
     xis = np.array([xi for _, xi in pairs], dtype=float)
     measure = _pair_measure(oracle, vs, xis)

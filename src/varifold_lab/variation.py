@@ -23,6 +23,8 @@ from .core import (
     _chord_rows,
     _is_unit,
     _piece_rows,
+    _point,
+    _positive,
     _row_norms,
     _rowdot,
     _set_fields,
@@ -41,7 +43,7 @@ TANGENCY_TOL = 1e-9
 FIELD_CHECK_SAMPLES = 32
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VariationAtom(_Trusted):
     """One point force of the first variation: location, direction, mass."""
 
@@ -59,14 +61,15 @@ class VariationAtom(_Trusted):
             raise ValueError("atom mass must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TestField:
     """A compactly supported smooth vector field with an explicit derivative.
 
     evaluate(x) -> vector accepts single points.  The field vanishes outside
     the open support ball.  divergence_batch(points, s) evaluates the
     tangential divergence s . (Dg(x) s) for a whole (m, n) block of points
-    and a unit s at once.
+    and a unit s at once.  ValueError unless the support center is a finite
+    point and 0 < support_radius < inf.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
@@ -75,10 +78,8 @@ class TestField:
     divergence_batch: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def __post_init__(self):
-        _set_fields(self, support_center=as_vector(self.support_center),
-                    support_radius=float(self.support_radius))
-        if not math.isfinite(self.support_radius) or self.support_radius <= 0.0:
-            raise ValueError("support radius must be finite and positive")
+        _set_fields(self, support_center=_point(self.support_center, None),
+                    support_radius=_positive(self.support_radius, "support radius"))
 
     @property
     def ambient_dim(self) -> int:
@@ -332,10 +333,9 @@ def boundary_variation(v: DiscreteVarifold, y, r: float) -> list[VariationAtom]:
     outward; each omega satisfies <omega, (x-y)/r> >= 0.  Raises
     DegenerateGeometryError when a piece is tangent to the sphere or has an
     endpoint on it, both within TANGENCY_TOL, in which case the caller should perturb r.
+    ValueError unless y is a finite point of R^n and 0 < r < inf.
     """
-    if r <= 0.0:
-        raise ValueError("radius must be positive")
-    c = as_vector(y, dim=v.ambient_dim)
+    c, r = _point(y, v.ambient_dim), _positive(r, "radius")
     base, u, hi, w = _piece_rows(v)
 
     def ends_on_sphere(p):

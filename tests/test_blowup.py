@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -115,6 +118,11 @@ def test_pair_with_direction_moment():
 def test_pair_with_empty_is_zero():
     v = DiscreteVarifold(2)
     assert _pair(v, _cutoff_constant(1.0), 1.0) == 0.0
+
+
+def test_weak_star_distance_needs_one_ambient_dimension():
+    with pytest.raises(ValueError, match="ambient dimensions differ"):
+        weak_star_distance(y_junction(), DiscreteVarifold(3), default_battery(2))
 
 
 def test_weak_star_distance_axioms():
@@ -807,6 +815,23 @@ def test_density_bound_preconditions():
         density_bound_check(c, y, p, 1e-6, epsilon=1e-3)
 
 
+def test_projected_density_counts_half_a_chord_ending_over_the_point():
+    # the chord of the ray through z ends at t z with |t z - y| = r, and t z
+    # projects onto pi_P(y): that end carries half of z's image weight
+    y = np.array([0.6, 0.0, 0.8])
+    p = Subspace(3, np.array([[1.0, 0, 0], [0, 1.0, 0]]))
+    phi = 0.9
+    z = np.array([math.cos(phi), 0.0, math.sin(phi)])
+    t = 0.6 / math.cos(phi)
+    r = float(np.linalg.norm(t * z - y))
+    c = conic_atoms(3, [(z, 2.0)])
+    (dz,) = c.atom_directions
+    contraction = float(np.linalg.norm(p.project(dz)))
+    assert blowup._projected_localized_density(c, y, p, r) == 0.5 * 2.0 * contraction
+    # a wider ball holds that point inside the chord: the full weight
+    assert blowup._projected_localized_density(c, y, p, 2.0 * r) == 2.0 * contraction
+
+
 # ---------------------------------------------------------------------------
 # dense-lines fixture
 # ---------------------------------------------------------------------------
@@ -829,6 +854,23 @@ def test_dense_lines_avoid_origin():
 def test_dense_lines_stationary_for_all_k():
     for k in (2, 5, 9):
         assert is_stationary(dense_lines_fixture(k, seed=3), 1e-12)[0]
+
+
+def test_dense_lines_in_r4_are_the_same_in_every_run():
+    # past R^3 the directions come from a generator seeded by hash((seed, i)),
+    # which no hash seed changes for a tuple of ints
+    code = ("from varifold_lab import dense_lines_fixture as f; v = f(5, seed=3, ambient_dim=4); "
+            "print((v.ray_o.tobytes() + v.ray_d.tobytes()).hex())")
+    v = dense_lines_fixture(5, seed=3, ambient_dim=4)
+    again = dense_lines_fixture(5, seed=3, ambient_dim=4)
+    assert v.ray_d.tobytes() == again.ray_d.tobytes()
+    assert v.ray_o.tobytes() == again.ray_o.tobytes()
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONHASHSEED": "12345",
+                              "PYTHONPATH": os.path.join(os.path.dirname(__file__), "..", "src")},
+                         ).stdout.strip()
+    assert out == (v.ray_o.tobytes() + v.ray_d.tobytes()).hex()
+    assert v.ray_d.shape == (10, 4) and is_stationary(v, 1e-12)[0]
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -1216,3 +1216,171 @@ def test_every_trusted_constructor_is_rechecked():
     assert classes == {DiscreteVarifold, ConicVarifold, PlaneMeasure, LineMeasure,
                        SegmentPiece, RayPiece, VariationAtom}
     assert all(c._trusted.__func__.__module__ == "conftest" for c in classes)
+
+
+# ---------------------------------------------------------------------------
+# one rule for a point and one for a radius or scale
+# ---------------------------------------------------------------------------
+
+def _hostile_calls():
+    from varifold_lab.blowup import tangent_estimate
+    from varifold_lab.surgery import cut_and_paste
+    from varifold_lab.variation import TestField, boundary_variation
+
+    v = y_junction(2, arm_length=1.0)
+    field = lambda x, r: TestField(lambda p: p, x, r, lambda p, s: p[:, 0])  # noqa: E731
+    # (entry, call on a point, call on a radius or scale)
+    return {
+        "mass": (lambda x: mass(v, x, 1.0), lambda r: mass(v, [0, 0], r)),
+        "restrict": (lambda x: restrict(v, x, 1.0), lambda r: restrict(v, [0, 0], r)),
+        "density": (lambda x: density(v, x), None),
+        "dilate": (lambda x: dilate(v, x, 0.5), lambda r: dilate(v, [0, 0], r)),
+        "split_at_point": (lambda x: split_at_point(v, x), None),
+        "incident_rays": (lambda x: incident_rays(v, x), None),
+        "boundary_variation": (lambda x: boundary_variation(v, x, 0.5),
+                               lambda r: boundary_variation(v, [0, 0], r)),
+        "cut_and_paste": (lambda x: cut_and_paste(v, x, 0.5),
+                          lambda r: cut_and_paste(v, [0, 0], r)),
+        "tangent_estimate": (lambda x: tangent_estimate(v, x, [0.5]),
+                             lambda r: tangent_estimate(v, [0, 0], [r])),
+        "TestField": (lambda x: field(x, 1.0), lambda r: field([0, 0], r)),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_hostile_calls()))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_every_entry_rejects_a_non_finite_point(entry, bad):
+    # at the parent, mass and density read 0.0 and cut_and_paste came back empty
+    at_point, _ = _hostile_calls()[entry]
+    for x in ([bad, 0.0], [0.0, bad]):
+        with pytest.raises(ValueError, match="^point coordinates must be finite$"):
+            at_point(x)
+
+
+@pytest.mark.parametrize("entry", sorted(k for k, (_, r) in _hostile_calls().items() if r))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0, -math.inf])
+def test_every_entry_rejects_a_radius_or_scale_outside_0_inf(entry, bad):
+    # at the parent, mass(v, [0, 0], inf) read 0.0 though the mass is 3
+    _, at_radius = _hostile_calls()[entry]
+    with pytest.raises(ValueError, match="must be positive and finite$"):
+        at_radius(bad)
+
+
+def test_find_good_radius_needs_a_finite_radius_range():
+    from varifold_lab.surgery import find_good_radius
+
+    v = y_junction()
+    for lo, hi in [(0.1, math.inf), (math.nan, 1.0), (0.1, math.nan), (0.0, 1.0), (1.0, 0.5)]:
+        with pytest.raises(ValueError, match=r"need 0 < r_lo <= r_hi < inf"):
+            find_good_radius(v, [0, 0], lo, hi)
+    with pytest.raises(ValueError, match="point coordinates must be finite"):
+        find_good_radius(v, [math.nan, 0], 0.1, 1.0)
+
+
+def test_a_nan_radius_breaks_a_precondition_not_the_bound():
+    from varifold_lab.blowup import PreconditionViolated, density_bound_check
+
+    c = conic_atoms(3, [([0, 0, 1], 1.0)])
+    p = Subspace.span([1, 0, 0.2], [0, 1, 0])
+    for r in (math.nan, math.inf, 0.0, 1e-5):
+        with pytest.raises(PreconditionViolated, match="need 0 < r < 1e-5"):
+            density_bound_check(c, [0, 0, 1], p, r, 0.1)
+
+
+def test_circle_arc_mass_needs_finite_ends_in_order():
+    c = conic_atoms(2, [([1, 0], 1.0)])
+    nan, inf = math.nan, math.inf
+    for lo, hi in [(nan, 1.0), (0.0, nan), (-inf, 1.0), (0.0, inf), (1.0, 1.0)]:
+        with pytest.raises(ValueError, match="need finite lo < hi"):
+            circle_arc_mass(c, lo, hi)
+
+
+def test_circle_arc_mass_counts_atoms_modulo_two_pi():
+    c = conic_atoms(2, [([math.cos(0.1), math.sin(0.1)], 1.0),
+                        ([math.cos(3.0), math.sin(3.0)], 2.0),
+                        ([math.cos(-3.0), math.sin(-3.0)], 4.0)])
+    assert circle_arc_mass(c, -0.5, 0.5) == 1.0
+    # the atom at -3.0 sits at 2 pi - 3.0 past 3.0 on the circle
+    assert circle_arc_mass(c, 2.5, 3.5) == 6.0
+    assert circle_arc_mass(c, 6.0, 6.5) == 1.0  # 0.1 + 2 pi
+    assert circle_arc_mass(c, -7.0, -6.0) == 1.0  # 0.1 - 2 pi
+    assert circle_arc_mass(c, 0.2, 2.9) == 0.0
+
+
+@pytest.mark.parametrize("n", [7, 9, 8])
+def test_circle_arc_mass_of_a_band_limited_density_on_any_grid(n):
+    # an odd node count has no Nyquist mode: _integrate_modes sums every mode
+    # twice, the top one k = n // 2 included
+    grid, k = circle_grid(n), n // 2
+    values = 1.5 + np.cos(grid.angles) + 0.5 * np.cos(k * grid.angles)
+    c = ConicVarifold(2, density=SampledDensity(grid, values))
+    for lo, hi in [(0.0, 1.0), (-2.0, 0.5), (1.0, 1.0 + 2 * np.pi)]:
+        want = (1.5 * (hi - lo) + math.sin(hi) - math.sin(lo)
+                + 0.5 * (math.sin(k * hi) - math.sin(k * lo)) / k)
+        assert circle_arc_mass(c, lo, hi) == pytest.approx(want, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# value classes compare by identity
+# ---------------------------------------------------------------------------
+
+def _value_builders():
+    from varifold_lab.blowup import BatteryTable, TestBattery
+    from varifold_lab.io import VarifoldDocument
+    from varifold_lab.surgery import SurgeryResult, cut_and_paste
+    from varifold_lab.tomography import GnomonicResult, gnomonic_pushforward, hyperplane_of
+    from varifold_lab.variation import TestField, bump_field
+
+    grid = circle_grid(8)
+    pole = conic_atoms(3, [([0, 0, 1], 1.0)])
+    table = lambda: BatteryTable(np.array([0.5]), np.array([0.1]), np.eye(2))  # noqa: E731
+    return {
+        SegmentPiece: lambda: segment([0, 0], [1, 0]),
+        RayPiece: lambda: ray([0, 0], [1, 0]),
+        Subspace: lambda: Subspace.span([1.0, 0.0, 0.0]),
+        SphereGrid: lambda: circle_grid(8),
+        SampledDensity: lambda: SampledDensity(grid, np.ones(8)),
+        ConicVarifold: lambda: conic_atoms(2, [([1, 0], 1.0)]),
+        VariationAtom: lambda: VariationAtom([0, 0], [1, 0], 1.0),
+        TestField: lambda: bump_field([0, 0], 1.0, [1, 0]),
+        PlaneMeasure: lambda: PlaneMeasure(hyperplane_of([0, 0, 1]), [[0.5, 0, 0]], [1.0]),
+        LineMeasure: lambda: LineMeasure([1, 0, 0], [0.5], [1.0]),
+        GnomonicResult: lambda: gnomonic_pushforward(pole, [0, 0, 1]),
+        BatteryTable: table,
+        TestBattery: lambda: TestBattery(2, 1.0, table=table()),
+        SurgeryResult: lambda: cut_and_paste(y_junction(), [0, 0], 0.5),
+        VarifoldDocument: lambda: VarifoldDocument(2, discrete=y_junction()),
+        DiscreteVarifold: lambda: y_junction(),
+    }
+
+
+@pytest.mark.parametrize("cls", list(_value_builders()), ids=lambda c: c.__name__)
+def test_value_classes_compare_by_identity_and_hash(cls):
+    # at the parent, == of two such values raised on their arrays, and hash() too
+    make = _value_builders()[cls]
+    a, b = make(), make()
+    assert type(a) is cls
+    assert a == a and not a != a
+    assert a != b and not a == b
+    assert hash(a) == hash(a) and len({a, b, a}) == 2
+
+
+# ---------------------------------------------------------------------------
+# one projection routine
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda n: st.tuples(
+    st.integers(1, n - 1).flatmap(lambda k: st.lists(
+        st.lists(st.floats(-4, 4), min_size=n, max_size=n), min_size=k, max_size=k)),
+    st.lists(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n), min_size=1, max_size=9))))
+def test_subspace_projects_each_row_of_a_batch_as_that_row_alone(case):
+    spanning, rows = case
+    m = np.array(spanning, dtype=float)
+    assume(np.linalg.matrix_rank(m) == m.shape[0] and np.linalg.svd(m)[1].min() > 1e-3)
+    p = Subspace.span(*m)
+    x = np.array(rows, dtype=float)
+    batch = p.project(x)
+    assert batch.shape == x.shape
+    for i in range(len(x)):
+        assert batch[i].tobytes() == p.project(x[i]).tobytes()

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varifold_lab import (
+    __version__,
     ConicVarifold,
     DiscreteVarifold,
     RayPiece,
@@ -16,9 +17,12 @@ from varifold_lab import (
     Subspace,
     circle_grid,
     conic_atoms,
+    dense_lines_fixture,
     load_varifold,
+    mass,
     save_varifold,
     sphere_grid,
+    tangent_estimate,
 )
 from varifold_lab.cli import run
 from varifold_lab.core import unit
@@ -162,7 +166,7 @@ def test_check_stationary_csv_and_manifest(tmp_path, monkeypatch):
     assert len(lines) == 3
     meta = json.loads(Path("table.manifest.json").read_text())
     assert meta["outputs"] == ["table.csv"]
-    assert meta["tool_version"]
+    assert meta["tool_version"] == __version__
 
 
 def test_project_cli(tmp_path, monkeypatch):
@@ -595,6 +599,36 @@ def test_surgery_bad_arguments_exit_2(tmp_path, monkeypatch, capsys, args):
     assert status == 2
     assert capsys.readouterr().err.startswith("SchemaError: --")
     assert not Path("y.surgery.json").exists()
+
+
+def _library_message(call) -> str:
+    with pytest.raises(ValueError) as exc:
+        call()
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("argv, flag, call", [
+    (["surgery", "y.json", "--center", "0,inf", "--radius", "0.5"], "--center",
+     lambda v: mass(v, [0, math.inf], 0.5)),
+    (["surgery", "y.json", "--center", "0,0,0", "--radius", "0.5"], "--center",
+     lambda v: mass(v, [0, 0, 0], 0.5)),
+    (["surgery", "y.json", "--center", "0,0", "--radius", "inf"], "--radius",
+     lambda v: mass(v, [0, 0], math.inf)),
+    (["blowup", "y.json", "--point", "nan,0", "--lambdas", "0.5"], "--point",
+     lambda v: tangent_estimate(v, [math.nan, 0], [0.5])),
+    (["blowup", "y.json", "--point", "0,0", "--lambdas", "0.5,0"], "--lambdas",
+     lambda v: tangent_estimate(v, [0, 0], [0.5, 0.0])),
+    (["fixture", "dense-lines", "--k", "0"], "--k", lambda v: dense_lines_fixture(0)),
+])
+def test_flags_obey_the_library_rules_and_report_its_message(tmp_path, monkeypatch, capsys,
+                                                              argv, flag, call):
+    monkeypatch.chdir(tmp_path)
+    v = y_junction()
+    save_varifold("y.json", discrete=v)
+    status, _ = run(argv)
+    assert status == 2
+    assert capsys.readouterr().err == f"SchemaError: {flag}: {_library_message(lambda: call(v))}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["y.json"]
 
 
 def test_missing_input_is_io_error(tmp_path, monkeypatch):

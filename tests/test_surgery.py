@@ -14,6 +14,7 @@ from varifold_lab import (
     mapping_projection,
     mass,
 )
+from varifold_lab.surgery import RADIUS_CANDIDATES
 from varifold_lab.fixtures import (
     full_line,
     random_stationary_network,
@@ -115,3 +116,18 @@ def test_find_good_radius_skips_degenerate():
     assert abs(r - 1.0) > 1e-9
     atoms_needed = cut_and_paste(v, [0, 0], r)
     assert is_stationary(atoms_needed.combined, 1e-10)[0]
+
+
+def test_find_good_radius_skips_a_degenerate_candidate():
+    # the first candidate, r_lo = 1, puts the segment's far end on the sphere
+    v = DiscreteVarifold(2, (SegmentPiece([0, 0], [1, 0], 1.0),))
+    r = find_good_radius(v, [0, 0], 1.0, 2.0)
+    assert r == float(np.geomspace(1.0, 2.0, RADIUS_CANDIDATES)[1])
+    assert len(cut_and_paste(v, [0, 0], r).pasted_rays) == 0
+
+
+def test_find_good_radius_raises_when_every_candidate_is_degenerate():
+    v = DiscreteVarifold(2, (SegmentPiece([0, 0], [1, 0], 1.0),))
+    with pytest.raises(DegenerateGeometryError,
+                       match=f"no clean cutting radius among {RADIUS_CANDIDATES} candidates"):
+        find_good_radius(v, [0, 0], 1.0, 1.0)

@@ -653,15 +653,16 @@ def test_three_level_location_matches_level_by_level(max_depth, width_target, mo
         return children(owner, edges, depth, deep)
 
     monkeypatch.setattr(tomography, "_children", recording_children)
+    monkeypatch.setattr(tomography, "LOCATE_WIDTH", width_target)
+    monkeypatch.setattr(tomography, "LOCATE_MAX_DEPTH", max_depth)
     pairs = _default_pairs(3)
     lam_max = 2.0 / 1e-6
     mixed = False
     for i, cone in enumerate(_criterion_7_cones()):
         oracle = _WidthRecorder(cone)
-        got = _locate_atoms(oracle, pairs, lam_max, width_target, max_depth=max_depth)
+        got = _locate_atoms(oracle, pairs, lam_max)
         # a BandOracle itself takes the pair index in place of (v, xi) rows
-        direct = _locate_atoms(BandOracle(cone), pairs, lam_max, width_target,
-                               max_depth=max_depth)
+        direct = _locate_atoms(BandOracle(cone), pairs, lam_max)
         want = ref.locate_atoms(BandOracle(cone), pairs, lam_max, width_target,
                                 max_depth=max_depth)
         for g, d, w in zip(got, direct, want, strict=True):
@@ -898,6 +899,15 @@ def test_plane_measure_rejects_non_finite_atoms():
                     ([[0.0, 0.0, 0.0]], [np.nan]), ([[0.0, 0.0, 0.0]], [np.inf])):
         with pytest.raises(ValueError, match="finite"):
             PlaneMeasure(plane, np.array(pts), np.array(ms))
+
+
+def test_oracle_call_with_no_band_rows_measures_nothing():
+    oracle = BandOracle(balanced_y_cone())
+    e1, e3 = np.eye(3)[0], np.eye(3)[2]
+    for v, xi in ((e3, e1), (np.zeros((0, 3)), np.zeros((0, 3)))):
+        got = oracle(v, xi, np.zeros((0, 2)))
+        assert got.shape == (0,) and got.dtype == float
+    assert oracle.query_count == 0
 
 
 def test_oracle_rejects_non_finite_rows():

@@ -81,6 +81,10 @@ class BatteryTable:
     def __post_init__(self):
         _set_fields(self, **{name: np.array(getattr(self, name), dtype=float)
                              for name in ("radii", "amps", "axes")})
+        if not ((0.0 < self.radii) & (self.radii < math.inf)).all():
+            raise ValueError("battery radii must be positive and finite")
+        if not np.isfinite(self.amps).all():
+            raise ValueError("battery amplitudes must be finite")
 
     def functions(self) -> tuple[BatteryFunction, ...]:
         """The table's functions as opaque BatteryFunctions, j-major."""
@@ -130,6 +134,7 @@ class TestBattery:
 
     Given a table, functions are filled in as table.functions() (passing
     both raises ValueError), and pairings are evaluated from the table.
+    ValueError unless 0 < radius < inf.
     """
 
     ambient_dim: int
@@ -138,6 +143,7 @@ class TestBattery:
     table: BatteryTable | None = None
 
     def __post_init__(self):
+        _set_fields(self, radius=_positive(self.radius, "battery radius"))
         if self.table is not None:
             if self.functions:
                 raise ValueError("a battery with a table takes its functions from the table")

@@ -47,8 +47,9 @@ from .surgery import cut_and_paste
 from .tomography import (
     AmbiguousReconstruction,
     BandOracle,
+    BandSpec,
     CoverageGap,
-    LineMeasure,
+    _band_marginals,
     _grid_axes,
     _off_plane,
     default_normals,
@@ -112,11 +113,9 @@ def _atom_table(atoms, n: int) -> tuple[list[str], list[tuple]]:
 
 
 def _cmd_check_stationary(args, manifest: RunManifest) -> int:
-    if not (math.isfinite(args.tol) and args.tol >= 0.0):
-        raise SchemaError("--tol must be nonnegative and finite")
     doc = load_varifold(args.input)
     v = doc.require_discrete()
-    atoms = vertex_residuals(v, tol=args.tol)
+    atoms = _flag("--tol", vertex_residuals, v, args.tol)
     header, rows = _atom_table(atoms, v.ambient_dim)
     worst = max((a.mass for a in atoms), default=0.0)
     manifest.inputs.append(args.input)
@@ -169,10 +168,8 @@ def _cmd_surgery(args, manifest: RunManifest) -> int:
 
 
 def _cmd_counterexample(args, manifest: RunManifest) -> int:
-    if args.directions < 1:
-        raise SchemaError("--directions must be positive")
     v1, v2 = counterexample_pair()
-    table = halfline_difference_table(v1, v2, n_directions=args.directions)
+    table = _flag("--directions", halfline_difference_table, v1, v2, args.directions)
     out = args.out or "counterexample.csv"
     write_csv(out, ["angle", "m_v1", "m_v2", "diff"], [tuple(r) for r in table])
     manifest.parameters["directions"] = args.directions
@@ -189,7 +186,7 @@ def _reconstruct_from_cone(args, manifest: RunManifest) -> int:
     n = cone.ambient_dim
     if n < 2:
         raise SchemaError("reconstruct needs an ambient dimension of at least 2")
-    normals = default_normals(n, extra=args.normals)
+    normals = _flag("--normals", default_normals, n, args.normals)
     oracle = BandOracle(cone)
     recon = reconstruct_conic(oracle, n, normals=normals)
     # each atom's nearest reconstructed atom, the first of equals
@@ -237,7 +234,7 @@ def _reconstruct_from_measurements(args, manifest: RunManifest) -> int:
     ]
     if header != expected:
         raise SchemaError(f"expected CSV columns {expected}, got {header}")
-    groups: dict[bytes, dict] = {}
+    rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
         if len(cells) != len(expected):
@@ -255,31 +252,27 @@ def _reconstruct_from_measurements(args, manifest: RunManifest) -> int:
                     raise SchemaError(f"line {lineno}: {name} is zero or cannot be normalized")
         if _off_plane(hyperplane_of(unit(v)), unit(xi)[None]):  # the plane solve's rule
             raise SchemaError(f"line {lineno}: the direction xi is not orthogonal to v")
-        s, t, m = vals[2 * n :]
-        if not s < t:
-            raise SchemaError(f"line {lineno}: need s < t")
-        key = v.tobytes() + xi.tobytes()
-        g = groups.setdefault(key, {"v": v, "xi": xi, "bands": []})
-        g["bands"].append((s, t, m))
-    # group rows into per-normal marginals; band midpoints carry the mass
-    per_normal: dict[bytes, tuple[np.ndarray, list[LineMeasure]]] = {}
-    for g in groups.values():
-        v = g["v"]
-        _, marginals = per_normal.setdefault(v.tobytes(), (unit(v), []))
-        coords, masses = [], []
-        for s, t, m in g["bands"]:
-            if m <= 0.0:
-                continue
-            lam = 0.5 * (s + t)
-            coords.append(lam)
-            masses.append(m / (1.0 + lam**2))
-        marginals.append(LineMeasure(g["xi"], np.array(coords), np.array(masses)))
-    for v, marginals in per_normal.values():
+        _flag(f"line {lineno}", BandSpec, *vals[2 * n : 2 * n + 2])
+        rows.append(vals)
+    # rows sorted stably by (v, xi) pair, pairs grouped by normal, both in
+    # order of first appearance: one marginal per pair, one chart per normal
+    table = np.array(rows).reshape(-1, len(expected))
+    ids: dict[bytes, int] = {}
+    normal, pair = np.array([[ids.setdefault(r[:k].tobytes(), len(ids)) for k in (n, 2 * n)]
+                             for r in table], dtype=int).reshape(-1, 2).T
+    order = np.lexsort((pair, normal))
+    table, first = table[order], np.diff(pair[order], prepend=-1) != 0
+    marginals = _band_marginals(table[first, n : 2 * n], np.cumsum(first) - 1,
+                                table[:, 2 * n : 2 * n + 2], table[:, -1])
+    charts: dict[bytes, tuple[np.ndarray, list]] = {}
+    for v, m in zip(table[first, :n], marginals):
+        charts.setdefault(v.tobytes(), (unit(v), []))[1].append(m)
+    for v, chart in charts.values():
         try:  # the plane solve's rule for a chart's directions
-            _grid_axes(hyperplane_of(v), [m.direction for m in marginals])
+            _grid_axes(hyperplane_of(v), [m.direction for m in chart])
         except ValueError as exc:
             raise SchemaError(f"normal {np.array2string(v, precision=3)}: {exc}") from exc
-    recon = reconstruct_from_marginals(n, list(per_normal.values()))
+    recon = reconstruct_from_marginals(n, list(charts.values()))
     out = args.out or (path.stem + ".reconstructed.json")
     save_varifold(out, conic=recon)
     manifest.inputs.append(str(path))

@@ -618,7 +618,7 @@ class DensityValue:
     value: float | None = None
 
     def __post_init__(self):
-        if self.lower < 0.0 or self.upper < self.lower:
+        if not 0.0 <= self.lower <= self.upper:  # NaN fails, inf passes
             raise ValueError("need 0 <= lower <= upper")
         if self.value is not None and abs(self.value - self.lower) > UNIT_TOL:
             raise ValueError("value must equal lower when present")

@@ -171,7 +171,10 @@ def counterexample_pair() -> tuple[ConicVarifold, ConicVarifold]:
 
 def halfline_difference_table(v1: ConicVarifold, v2: ConicVarifold,
                               n_directions: int = 360) -> np.ndarray:
-    """Rows (angle, m_v1, m_v2, difference) over a uniform direction battery."""
+    """Rows (angle, m_v1, m_v2, difference) over a uniform battery of
+    n_directions directions; ValueError unless n_directions >= 1."""
+    if not n_directions >= 1:
+        raise ValueError("n_directions must be at least 1")
     rows = np.empty((n_directions, 4))
     for k in range(n_directions):
         ang = 2.0 * np.pi * k / n_directions

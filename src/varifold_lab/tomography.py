@@ -227,7 +227,10 @@ def marginal_direction_battery(plane: Subspace) -> list[np.ndarray]:
 
 
 def default_normals(ambient_dim: int, extra: int = 1) -> list[np.ndarray]:
-    """Signed coordinate directions plus a few deterministic generic ones."""
+    """Signed coordinate directions plus extra deterministic generic ones.
+    Raises ValueError for a negative extra."""
+    if extra < 0:
+        raise ValueError("extra normals must be nonnegative")
     normals = []
     for i in range(ambient_dim):
         e = np.zeros(ambient_dim)
@@ -235,7 +238,7 @@ def default_normals(ambient_dim: int, extra: int = 1) -> list[np.ndarray]:
         normals.append(e.copy())
         normals.append(-e)
     rng = np.random.Generator(np.random.PCG64(20260810))
-    for _ in range(max(0, extra)):
+    for _ in range(extra):
         normals.append(unit(rng.normal(size=ambient_dim)))
     return normals
 
@@ -555,20 +558,30 @@ def _locate_atoms(
     last = np.ones(len(owner), dtype=bool)
     last[:-1] = first[1:]
     merged = np.column_stack((lo[first], hi[last]))
-    bounds = np.searchsorted(owner[first], np.arange(len(pairs) + 1)).tolist()
 
     # one re-measure of every merged band: its bits are the located masses
     totals = measure(owner[first], merged) if len(merged) else np.zeros(0)
-    keep = totals > LOCATE_MASS_TOL
-    mids = 0.5 * (merged[:, 0] + merged[:, 1])[keep]
-    gamma = totals[keep] / (1.0 + mids**2)
-    kept = np.concatenate([[0], np.cumsum(keep)])[bounds].tolist()
-    # the checks and directions of LineMeasure(xi, mids[a:b], gamma[a:b]),
-    # taken once for all marginals: the oracle's masses come from outside
-    directions = _unit_rows(xis)[0]
+    return _band_marginals(xis, owner[first], merged, totals)
+
+
+def _band_marginals(xis: np.ndarray, owner: np.ndarray, bands: np.ndarray,
+                    masses: np.ndarray) -> list[LineMeasure]:
+    """One marginal along each row of xis: each band row (s, t) of mass m
+    above LOCATE_MASS_TOL is an atom at lambda = (s + t) / 2 of mass
+    m / (1 + lambda^2) on the marginal owner names (owner is sorted).  The
+    masses come from outside, so LineMeasure's checks run once for all
+    marginals; OverflowError when 1 + lambda^2 leaves the float range."""
+    keep = masses > LOCATE_MASS_TOL
+    with np.errstate(over="ignore"):
+        mids = 0.5 * (bands[keep, 0] + bands[keep, 1])
+        scale = 1.0 + mids**2
+    if not (scale < math.inf).all():
+        raise OverflowError("a band's midpoint slope squared leaves the float range")
+    gamma = masses[keep] / scale
+    bounds = np.searchsorted(owner[keep], np.arange(len(xis) + 1)).tolist()
     _check_line_atoms(mids, gamma)
     return [LineMeasure._trusted(u, mids[a:b], gamma[a:b])
-            for u, a, b in zip(directions, kept, kept[1:])]
+            for u, a, b in zip(_unit_rows(xis)[0], bounds, bounds[1:])]
 
 
 # ---------------------------------------------------------------------------

@@ -52,12 +52,12 @@ class VariationAtom(_Trusted):
     mass: float
 
     def __post_init__(self):
-        location = as_vector(self.location)
+        location = _point(self.location, None)
         _set_fields(self, location=location, omega=as_vector(self.omega, dim=location.shape[0]),
                     mass=float(self.mass))
         if not _is_unit(self.omega):
             raise ValueError("omega must be a unit vector")
-        if self.mass <= 0.0:
+        if not self.mass > 0.0:  # an overflowed residual's inf is a mass
             raise ValueError("atom mass must be positive")
 
 
@@ -238,8 +238,11 @@ def first_variation_quadrature(v: DiscreteVarifold, g: TestField,
     """Composite-Simpson quadrature of div_S g along every piece.
 
     Independent of the endpoint formula; rays are integrated up to their
-    exit from the support ball.
+    exit from the support ball.  An even nodes is raised by one; ValueError
+    unless nodes >= 2.
     """
+    if not nodes >= 2:
+        raise ValueError("nodes must be at least 2")
     if nodes % 2 == 0:
         nodes += 1
     bases, dirs, _, weights = _piece_rows(v)
@@ -305,11 +308,10 @@ def vertex_residuals(v: DiscreteVarifold, tol: float = 1e-12) -> list[VariationA
         first_variation(v, g) == sum over atoms of mass * <g(location), omega>
 
     holds verbatim for every admissible test field.  Atoms come in the order
-    of their vertices' first ends.  Raises ValueError for a NaN or negative
-    tol.
+    of their vertices' first ends.  Raises ValueError unless 0 <= tol < inf.
     """
-    if not tol >= 0.0:
-        raise ValueError("tolerance must be nonnegative")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError("tolerance must be nonnegative and finite")
     points, residual, norms = _vertex_forces(v)
     keep = np.flatnonzero(norms > tol)
     # trusted: omega is unit by _unit_rows, and each mass a norm above tol >= 0
@@ -319,8 +321,7 @@ def vertex_residuals(v: DiscreteVarifold, tol: float = 1e-12) -> list[VariationA
 
 def is_stationary(v: DiscreteVarifold, tol: float) -> tuple[bool, float]:
     """Whether every vertex balances at tolerance tol; also the max residual."""
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tolerance must be positive and finite")
+    tol = _positive(tol, "tolerance")
     worst = float(_vertex_forces(v)[2].max(initial=0.0))
     return worst <= tol, worst
 

@@ -302,6 +302,25 @@ def test_a_table_battery_takes_its_functions_from_its_table():
     assert blowup.TestBattery(2, 1.0, table.functions()[:1]).table is None
 
 
+@pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0, -1.0])
+def test_a_battery_radius_must_be_positive_and_finite(radius):
+    # at the parent nan, inf and 0 made tangent_estimate report distances of
+    # exactly 0.0, stabilized at index 0, and -1 failed inside np.repeat
+    with pytest.raises(ValueError, match="^battery radius must be positive and finite$"):
+        blowup.TestBattery(2, radius, table=default_battery(2).table)
+
+
+@pytest.mark.parametrize("radii, amps, message", [
+    ([0.5, math.nan], [0.1, 0.1], "battery radii must be positive and finite"),
+    ([0.5, math.inf], [0.1, 0.1], "battery radii must be positive and finite"),
+    ([0.5, 0.0], [0.1, 0.1], "battery radii must be positive and finite"),
+    ([0.5, 1.0], [0.1, math.inf], "battery amplitudes must be finite"),
+])
+def test_a_battery_table_checks_its_radii_and_amplitudes(radii, amps, message):
+    with pytest.raises(ValueError, match=message):
+        blowup.BatteryTable(np.array(radii), np.array(amps), np.eye(2))
+
+
 def test_default_battery_is_built_once_per_dimension_and_read_only():
     # the shared battery cannot be changed by one caller under another
     for n in (2, 3, 4):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from varifold_lab import (
     BandOracle,
     ConicVarifold,
+    DensityValue,
     DiscreteVarifold,
     RayPiece,
     SampledDensity,
@@ -1198,10 +1199,21 @@ _XY = Subspace(3, np.eye(3)[:2])
     (SegmentPiece, (np.zeros(2), np.zeros(2), 1.0), "segment endpoints must be finite and distinct"),
     (RayPiece, (np.zeros(2), np.array([2.0, 0.0]), 1.0), "ray direction must be a unit vector"),
     (VariationAtom, (np.zeros(2), np.array([1.0, 0.0]), 0.0), "atom mass must be positive"),
+    (VariationAtom, (np.zeros(2), np.array([1.0, 0.0]), math.nan), "atom mass must be positive"),
+    (VariationAtom, (np.array([math.nan, 0.0]), np.array([1.0, 0.0]), 1.0),
+     "point coordinates must be finite"),
 ])
 def test_recheck_fixture_fails_an_invalid_trusted_build(cls, args, message):
     with pytest.raises(AssertionError, match=message):
         cls._trusted(*args)
+
+
+def test_density_value_rejects_nan_and_keeps_inf():
+    # at the parent DensityValue(nan, nan) was accepted
+    for lower, upper in [(math.nan, math.nan), (0.0, math.nan), (math.nan, 1.0)]:
+        with pytest.raises(ValueError, match="need 0 <= lower <= upper"):
+            DensityValue(lower, upper)
+    assert DensityValue(math.inf, math.inf).upper == math.inf
 
 
 def test_every_trusted_constructor_is_rechecked():

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from varifold_lab import (
@@ -17,17 +17,21 @@ from varifold_lab import (
     Subspace,
     circle_grid,
     conic_atoms,
+    counterexample_pair,
+    default_normals,
     dense_lines_fixture,
     load_varifold,
     mass,
     save_varifold,
     sphere_grid,
     tangent_estimate,
+    vertex_residuals,
 )
 from varifold_lab.cli import run
 from varifold_lab.core import unit
-from varifold_lab.fixtures import random_varifold, y_junction
+from varifold_lab.fixtures import balanced_y_cone, random_varifold, y_junction
 from varifold_lab.io import SchemaError, format_float, load_subspace, save_subspace
+from varifold_lab.projection import halfline_difference_table
 
 from piece_reference import document_text
 
@@ -320,7 +324,9 @@ def test_reconstruct_from_measurements_merges_normals(tmp_path, monkeypatch):
 
 def test_reconstruct_from_measurements_skips_zero_mass_bands(tmp_path, monkeypatch):
     # a band that measured no mass adds no marginal atom: counted as one, its
-    # midpoint 5e-8 from the atom's slope would move the atom's cluster mean
+    # midpoint 5e-8 from the atom's slope would move the atom's cluster mean;
+    # a band of 1e-10 is below LOCATE_MASS_TOL, which the oracle path drops
+    # too (at the parent the reader kept it)
     monkeypatch.chdir(tmp_path)
     from varifold_lab import BandOracle, conic_atoms, hyperplane_of, marginal_direction_battery
     from varifold_lab.io import write_csv
@@ -336,7 +342,8 @@ def test_reconstruct_from_measurements_skips_zero_mass_bands(tmp_path, monkeypat
     header = ["v1", "v2", "v3", "xi1", "xi2", "xi3", "s", "t", "band_mass"]
     write_csv("bands.csv", header, rows)
     s, t = rows[0][6:8]
-    write_csv("zero.csv", header, rows[:1] + [rows[0][:6] + (s + 5e-8, t + 5e-8, 0.0)] + rows[1:])
+    write_csv("zero.csv", header, rows[:1] + [rows[0][:6] + (s + 5e-8, t + 5e-8, 0.0),
+                                              rows[0][:6] + (s - 5e-8, t - 5e-8, 1e-10)] + rows[1:])
     for name in ("bands", "zero"):
         status, _ = run(["reconstruct", "--from-measurements", f"{name}.csv",
                          "--ambient-dim", "3", "--out", f"{name}.json"])
@@ -619,16 +626,24 @@ def _library_message(call) -> str:
     (["blowup", "y.json", "--point", "0,0", "--lambdas", "0.5,0"], "--lambdas",
      lambda v: tangent_estimate(v, [0, 0], [0.5, 0.0])),
     (["fixture", "dense-lines", "--k", "0"], "--k", lambda v: dense_lines_fixture(0)),
+    # at the parent, vertex_residuals(v, inf) was [] and default_normals took -1 as 0
+    (["check-stationary", "y.json", "--tol", "inf"], "--tol",
+     lambda v: vertex_residuals(v, math.inf)),
+    (["counterexample", "--directions", "0"], "--directions",
+     lambda v: halfline_difference_table(*counterexample_pair(), 0)),
+    (["reconstruct", "c.json", "--normals", "-1"], "--normals",
+     lambda v: default_normals(3, -1)),
 ])
 def test_flags_obey_the_library_rules_and_report_its_message(tmp_path, monkeypatch, capsys,
                                                               argv, flag, call):
     monkeypatch.chdir(tmp_path)
     v = y_junction()
     save_varifold("y.json", discrete=v)
+    save_varifold("c.json", conic=balanced_y_cone())
     status, _ = run(argv)
     assert status == 2
     assert capsys.readouterr().err == f"SchemaError: {flag}: {_library_message(lambda: call(v))}\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["y.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "y.json"]
 
 
 def test_missing_input_is_io_error(tmp_path, monkeypatch):
@@ -816,3 +831,84 @@ def test_reconstruct_subnormal_pole_component(tmp_path, monkeypatch, capsys):
         ["0.59999999999999998", "0", "0.80000000000000004", "2"],
     ]
     assert all(float(c) < 1e-10 for row in rows for c in row.split(",")[4:])
+
+
+# Mutated flags and measurement rows: every run ends in exit 0, 1 or 2, and
+# no exception (a numpy RuntimeWarning included) leaves cli.run.
+
+_HOSTILE_CELLS = ["nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "-0.0", "0", "", "x"]
+
+
+def _measured_table() -> list[list[str]]:
+    """Header and rows of a valid --from-measurements table: two atoms of a
+    cone in R^3 seen from two normals, one narrow band per atom and marginal."""
+    from varifold_lab import BandOracle, hyperplane_of, marginal_direction_battery
+
+    cone = conic_atoms(3, [([0.6, 0.0, 0.8], 1.5), ([0.0, 0.6, 0.8], 0.5)])
+    oracle = BandOracle(cone)
+    table = [[f"v{i}" for i in (1, 2, 3)] + [f"xi{i}" for i in (1, 2, 3)] + ["s", "t", "band_mass"]]
+    for v in (np.array([0.0, 0.0, 1.0]), unit(np.array([0.2, 0.1, 1.0]))):
+        for xi in marginal_direction_battery(hyperplane_of(v)):
+            for lam in cone.atom_directions @ xi / (cone.atom_directions @ v):
+                band = (lam - 1e-9, lam + 1e-9)
+                table.append([repr(float(c)) for c in (*v, *xi, *band, oracle(v, xi, [band])[0])])
+    return table
+
+
+_CELLS = st.sampled_from(_HOSTILE_CELLS) | st.floats().map(repr)
+
+
+@st.composite
+def _cli_cases(draw):
+    """(command, value): a measured table with up to three mutated rows, or
+    a hostile or in-range value of --tol, --directions, --normals or --k."""
+    command = draw(st.sampled_from(["rows", "tol", "directions", "normals", "k"]))
+    if command != "rows":
+        return command, draw(_CELLS | st.integers(-3, 64).map(str))
+    table = _measured_table()
+    for _ in range(draw(st.integers(1, 3))):
+        row = table[draw(st.integers(1, len(table) - 1))]
+        edit = draw(st.sampled_from(["set", "drop", "extra"]))
+        if edit == "extra":
+            row.append(draw(_CELLS))
+        elif edit == "drop":
+            row.pop(draw(st.integers(0, len(row) - 1)))
+        else:
+            row[draw(st.integers(0, len(row) - 1))] = draw(_CELLS)
+    return command, table
+
+
+def _run_case(folder: Path, command: str, value) -> tuple[int, object]:
+    save_varifold(folder / "y.json", discrete=y_junction())
+    save_varifold(folder / "c.json", conic=balanced_y_cone())
+    argv = {
+        "tol": lambda: ["check-stationary", f"{folder}/y.json", f"--tol={value}",
+                        "--out", f"{folder}/r.csv"],
+        "directions": lambda: ["counterexample", f"--directions={value}", "--out", f"{folder}/d.csv"],
+        "normals": lambda: ["reconstruct", f"{folder}/c.json", f"--normals={value}",
+                            "--report", f"{folder}/r.csv"],
+        "k": lambda: ["fixture", "dense-lines", f"--k={value}", "--out", f"{folder}/dl"],
+        "rows": lambda: ["reconstruct", "--from-measurements", f"{folder}/m.csv",
+                         "--ambient-dim", "3", "--out", f"{folder}/m.json"],
+    }[command]()
+    if command == "rows":
+        (folder / "m.csv").write_text("\n".join(",".join(row) for row in value) + "\n")
+    return run(argv)
+
+
+def _edited_table(edits) -> list[list[str]]:
+    table = _measured_table()
+    for i, j, cell in edits:
+        table[i][j] = cell
+    return table
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_cli_cases())
+# at the parent, a band whose s + t overflows left cli.run as a ValueError
+@example(case=("rows", _edited_table([(1, 6, "1e308"), (1, 7, "1.7e308")])))
+def test_mutated_flags_and_rows_exit_cleanly(tmp_path_factory, case):
+    status, manifest = _run_case(tmp_path_factory.mktemp("cli"), *case)
+    assert status in (0, 1, 2)
+    if status == 0:
+        assert all(Path(out).exists() for out in manifest.outputs)

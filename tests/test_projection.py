@@ -31,7 +31,7 @@ from varifold_lab.fixtures import (
     random_subspace,
     random_varifold,
 )
-from varifold_lab.projection import DROP_TOL, _density_halfline_mass
+from varifold_lab.projection import DROP_TOL, _density_halfline_mass, halfline_difference_table
 
 
 def pieces_key(v: DiscreteVarifold):
@@ -291,6 +291,14 @@ def test_counterexample_pair_properties():
         u = np.array([math.cos(ang), math.sin(ang)])
         worst = max(worst, abs(halfline_multiplicity(v1, u) - halfline_multiplicity(v2, u)))
     assert worst <= 1e-10
+
+
+@pytest.mark.parametrize("n_directions", [0, -1])
+def test_halfline_difference_table_needs_a_direction(n_directions):
+    # at the parent 0 gave an empty table and -1 failed inside np.empty
+    with pytest.raises(ValueError, match="^n_directions must be at least 1$"):
+        halfline_difference_table(*counterexample_pair(), n_directions)
+    assert halfline_difference_table(*counterexample_pair(), 1).shape == (1, 4)
 
 
 # ---------------------------------------------------------------------------

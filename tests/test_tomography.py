@@ -456,6 +456,13 @@ def test_homogeneity_of_the_pipeline():
     assert np.allclose(r3.atom_masses[o3], 3.0 * r1.atom_masses[o1], rtol=1e-9)
 
 
+def test_default_normals_needs_a_nonnegative_extra():
+    # at the parent a negative extra was taken as 0
+    with pytest.raises(ValueError, match="^extra normals must be nonnegative$"):
+        default_normals(3, -1)
+    assert len(default_normals(3, 0)) == 6 and len(default_normals(3, 2)) == 8
+
+
 def test_perturbation_changes_band_masses():
     # quantitative injectivity probe: moving an atom or a mass is visible
     rng = np.random.default_rng(43)

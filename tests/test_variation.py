@@ -466,12 +466,21 @@ def test_is_stationary_rejects_bad_tolerance(tol):
         is_stationary(full_line([0.0, 0.0], [1.0, 0.0]), tol)
 
 
-@pytest.mark.parametrize("tol", [math.nan, -1.0, -math.inf])
+@pytest.mark.parametrize("tol", [math.nan, -1.0, -math.inf, math.inf])
 def test_vertex_residuals_rejects_nan_or_negative_tolerance(tol):
     # a balanced vertex has residual 0, which a negative tol would turn
-    # into an atom of mass 0
+    # into an atom of mass 0; an infinite tol used to hide every residual
     with pytest.raises(ValueError, match="tolerance"):
         vertex_residuals(full_line([0.0, 0.0], [1.0, 0.0]), tol=tol)
+
+
+@pytest.mark.parametrize("nodes", [0, 1, -3])
+def test_first_variation_quadrature_needs_two_nodes(nodes):
+    # at the parent, 0 and 1 divided by zero and -3 reached np.ones(-3)
+    v, g = y_junction(), bump_field([0.0, 0.0], 1.0, [1.0, 0.0])
+    with pytest.raises(ValueError, match="^nodes must be at least 2$"):
+        first_variation_quadrature(v, g, nodes=nodes)
+    assert first_variation_quadrature(v, g, nodes=2) == first_variation_quadrature(v, g, nodes=3)
 
 
 def test_stationarity_dilation_invariant():

@@ -27,7 +27,7 @@ from .blowup import (
     projection_growth_table,
     tangent_estimate,
 )
-from .core import _TINY, _point, _positive, _rowdot, as_vector, unit
+from .core import _point, _positive, _rowdot
 from .fixtures import balanced_y_cone, full_line, y_junction
 from .io import (
     SchemaError,
@@ -47,13 +47,10 @@ from .surgery import cut_and_paste
 from .tomography import (
     AmbiguousReconstruction,
     BandOracle,
-    BandSpec,
     CoverageGap,
-    _band_marginals,
-    _grid_axes,
-    _off_plane,
+    _check_band_row,
+    _measured_charts,
     default_normals,
-    hyperplane_of,
     reconstruct_conic,
     reconstruct_from_marginals,
 )
@@ -239,40 +236,16 @@ def _reconstruct_from_measurements(args, manifest: RunManifest) -> int:
         cells = line.split(",")
         if len(cells) != len(expected):
             raise SchemaError(f"line {lineno}: expected {len(expected)} cells, got {len(cells)}")
-        try:
-            vals = [float(t) for t in cells]
-        except ValueError as exc:
-            raise SchemaError(f"line {lineno}: {exc}") from exc
+        vals = _flag(f"line {lineno}", lambda: [float(t) for t in cells])
         if not np.all(np.isfinite(vals)):
             raise SchemaError(f"line {lineno}: values must be finite")
-        v, xi = as_vector(vals[:n]), as_vector(vals[n : 2 * n])
-        for name, x in (("the normal v", v), ("the direction xi", xi)):
-            with np.errstate(over="ignore"):  # x.x must be a normal float
-                if not _TINY <= float(np.dot(x, x)) < math.inf:
-                    raise SchemaError(f"line {lineno}: {name} is zero or cannot be normalized")
-        if _off_plane(hyperplane_of(unit(v)), unit(xi)[None]):  # the plane solve's rule
-            raise SchemaError(f"line {lineno}: the direction xi is not orthogonal to v")
-        _flag(f"line {lineno}", BandSpec, *vals[2 * n : 2 * n + 2])
+        _flag(f"line {lineno}", _check_band_row, vals)
         rows.append(vals)
-    # rows sorted stably by (v, xi) pair, pairs grouped by normal, both in
-    # order of first appearance: one marginal per pair, one chart per normal
-    table = np.array(rows).reshape(-1, len(expected))
-    ids: dict[bytes, int] = {}
-    normal, pair = np.array([[ids.setdefault(r[:k].tobytes(), len(ids)) for k in (n, 2 * n)]
-                             for r in table], dtype=int).reshape(-1, 2).T
-    order = np.lexsort((pair, normal))
-    table, first = table[order], np.diff(pair[order], prepend=-1) != 0
-    marginals = _band_marginals(table[first, n : 2 * n], np.cumsum(first) - 1,
-                                table[:, 2 * n : 2 * n + 2], table[:, -1])
-    charts: dict[bytes, tuple[np.ndarray, list]] = {}
-    for v, m in zip(table[first, :n], marginals):
-        charts.setdefault(v.tobytes(), (unit(v), []))[1].append(m)
-    for v, chart in charts.values():
-        try:  # the plane solve's rule for a chart's directions
-            _grid_axes(hyperplane_of(v), [m.direction for m in chart])
-        except ValueError as exc:
-            raise SchemaError(f"normal {np.array2string(v, precision=3)}: {exc}") from exc
-    recon = reconstruct_from_marginals(n, list(charts.values()))
+    try:
+        charts = _measured_charts(np.array(rows).reshape(-1, len(expected)))
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
+    recon = reconstruct_from_marginals(n, charts)
     out = args.out or (path.stem + ".reconstructed.json")
     save_varifold(out, conic=recon)
     manifest.inputs.append(str(path))

@@ -27,6 +27,7 @@ import numpy as np
 from .core import (
     ConicVarifold,
     Subspace,
+    _TINY,
     _Trusted,
     _direction_distances,
     _rowdot,
@@ -211,13 +212,16 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def marginal_direction_battery(plane: Subspace) -> list[np.ndarray]:
-    """d(d+1)/2 + 1 marginal directions: axes, pair diagonals, one generic.
+    """d(d+1)/2 + 1 marginal directions of a plane of dimension d >= 2: axes,
+    pair diagonals, one generic; a 1-D plane gets its one basis direction.
 
     The final direction is generic relative to the others and is reserved
     for verification by the plane reconstruction.
     """
     d = plane.dim
     dirs = [plane.basis[i] for i in range(d)]
+    if d == 1:
+        return dirs
     for i in range(d):
         for j in range(i + 1, d):
             dirs.append(unit(plane.basis[i] + _GOLDEN * plane.basis[j]))
@@ -853,6 +857,49 @@ def reconstruct_conic(
     ))
     charts = [(v, [next(located) for _ in battery]) for v, battery in zip(normals, batteries)]
     return reconstruct_from_marginals(ambient_dim, charts)
+
+
+def _check_band_row(row) -> None:
+    """The rule of a measured row (v, xi, s, t, band_mass): v and xi square to
+    normal floats, unit xi lies in unit v's hyperplane by _off_plane, and s < t
+    by BandSpec.  Raises ValueError naming the first rule broken."""
+    v, xi = np.split(np.array(row[:-3], dtype=float), 2)
+    for name, x in (("the normal v", v), ("the direction xi", xi)):
+        with np.errstate(over="ignore"):  # x.x must be a normal float
+            if not _TINY <= float(np.dot(x, x)) < math.inf:
+                raise ValueError(f"{name} is zero or cannot be normalized")
+    if _off_plane(hyperplane_of(unit(v)), unit(xi)[None]):
+        raise ValueError("the direction xi is not orthogonal to v")
+    BandSpec(*row[-3:-1])
+
+
+def _measured_charts(table: np.ndarray) -> list[tuple[np.ndarray, list[LineMeasure]]]:
+    """reconstruct_from_marginals' charts of rows (v, xi, s, t, band_mass) that
+    pass _check_band_row: a marginal per (v, xi) value and a chart per v, in
+    order of first appearance, with its bits (-0.0 is 0.0); bands in (s, t)
+    order, a repeated one once.  Raises ValueError for a band given two masses
+    and, naming the normal, for a chart that _grid_axes rejects."""
+    n = (table.shape[1] - 3) // 2
+    seen: dict[bytes, int] = {}  # a value's first row; adding 0.0 turns -0.0 into 0.0
+    normal, pair = np.array([[seen.setdefault(r[:k].tobytes(), i) for k in (n, 2 * n)]
+                             for i, r in enumerate(table + 0.0)], dtype=int).reshape(-1, 2).T
+    order = np.lexsort((table[:, -2], table[:, -3], pair))
+    rows = np.column_stack((pair, table[:, -3:]))[order]  # (pair, s, t, band_mass)
+    step = rows != np.vstack((np.full((1, 4), np.nan), rows[:-1]))  # vs the row before
+    new = step[:, :3].any(axis=1)
+    if (step[:, 3] & ~new).any():
+        raise ValueError(f"the band {rows[step[:, 3] & ~new][0, 1:3].tolist()} is given two masses")
+    heads, owner = np.unique(rows[new, 0].astype(int), return_inverse=True)
+    marginals = _band_marginals(table[heads, n : 2 * n], owner, rows[new, 1:3], rows[new, 3])
+    charts: dict[int, tuple[np.ndarray, list[LineMeasure]]] = {}
+    for head, m in zip(normal[heads].tolist(), marginals):
+        charts.setdefault(head, (unit(table[head, :n]), []))[1].append(m)
+    for v, chart in charts.values():
+        try:
+            _grid_axes(hyperplane_of(v), [m.direction for m in chart])
+        except ValueError as exc:
+            raise ValueError(f"normal {np.array2string(v, precision=3)}: {exc}") from None
+    return list(charts.values())
 
 
 def reconstruct_from_marginals(

@@ -72,6 +72,19 @@ def test_battery_invariants():
     battery.validate(rng)
 
 
+@pytest.mark.parametrize("label, value, message", [
+    # 1 everywhere: not supported in the ball
+    ("constant", lambda points, s: np.ones(len(points)), "does not vanish outside the ball"),
+    # the cutoff constant times 10: Lipschitz constant 40 on the unit ball
+    ("steep", lambda points, s: 10.0 * _plateau(np.linalg.norm(points, axis=1)),
+     "exceeds Lipschitz constant 1"),
+], ids=["unsupported", "steep"])
+def test_battery_validate_rejects_a_function_outside_the_test_class(label, value, message):
+    battery = blowup.TestBattery(2, 1.0, (BatteryFunction(label, value),))
+    with pytest.raises(ValueError, match=f"^{label} {message}$"):
+        battery.validate(np.random.default_rng(3))
+
+
 def _cutoff_constant(radius):
     """A smoothly cut constant: 1 on the half-radius ball, 0 outside."""
     return BatteryFunction(
@@ -832,6 +845,25 @@ def test_density_bound_preconditions():
     p = Subspace(3, np.array([[1.0, 0, 0], [0, 1.0, 0]]))
     with pytest.raises(PreconditionViolated):
         density_bound_check(c, y, p, 1e-6, epsilon=1e-3)
+
+
+@pytest.mark.parametrize("case, error, message", [
+    ("line", ValueError, "p must be a hyperplane"),
+    ("no-atom", ValueError, "y must carry exactly one spherical atom"),
+    ("heavy-ball", PreconditionViolated, "sphere ball mass reaches phi \\+ epsilon"),
+])
+def test_density_bound_check_rejects_each_broken_hypothesis(case, error, message):
+    y, eps, r = unit([0.1, 0.2, 0.97]), 1e-3, 5e-6
+    # a companion atom inside B(y, r) carrying twice epsilon
+    companion = unit(y + (r / 2) * unit(np.cross(y, [1.0, 0.0, 0.0])))
+    c = conic_atoms(3, [(y, 1.0), (companion, 2 * eps)])
+    p = Subspace(3, np.array([[1.0, 0, 0], [0, 1.0, 0]]))
+    if case == "line":
+        p = Subspace(3, np.array([[1.0, 0, 0]]))
+    if case == "no-atom":
+        y = unit([1.0, 0.0, 0.0])
+    with pytest.raises(error, match=f"^{message}$"):
+        density_bound_check(c, y, p, r, epsilon=eps)
 
 
 def test_projected_density_counts_half_a_chord_ending_over_the_point():

@@ -391,6 +391,141 @@ def test_reconstruct_from_measurements_rejects_a_thin_chart(tmp_path, monkeypatc
     assert capsys.readouterr().err == f"SchemaError: normal [0. 0. 1.]: {message}\n"
 
 
+def test_reconstruct_from_measurements_rejects_a_band_given_two_masses(tmp_path, monkeypatch,
+                                                                       capsys):
+    monkeypatch.chdir(tmp_path)
+    row = "0,0,1,1,0,0,0.1,0.2,"
+    Path("bands.csv").write_text(f"v1,v2,v3,xi1,xi2,xi3,s,t,band_mass\n{row}1.0\n{row}2.0\n")
+    status, _ = run(["reconstruct", "--from-measurements", "bands.csv", "--ambient-dim", "3"])
+    assert status == 2
+    assert capsys.readouterr().err == "SchemaError: the band [0.1, 0.2] is given two masses\n"
+
+
+def test_reconstruct_from_measurements_bands_a_float_range_apart(tmp_path, monkeypatch, capsys):
+    # the repeated-band rule compares two bands of one pair whose lower ends
+    # differ by more than the float range, so a subtraction would overflow
+    # (warnings are errors here); the band far out overflows 1 + lambda^2
+    monkeypatch.chdir(tmp_path)
+    row = "0,0,1,1,0,0,"
+    Path("bands.csv").write_text("v1,v2,v3,xi1,xi2,xi3,s,t,band_mass\n"
+                                 f"{row}-1e308,1,1.0\n{row}1e308,1.5e308,1.0\n")
+    status, _ = run(["reconstruct", "--from-measurements", "bands.csv", "--ambient-dim", "3"])
+    assert status == 1
+    assert capsys.readouterr().err.startswith("OverflowError: ")
+
+
+def _located_rows(cone) -> tuple[list[list[float]], object]:
+    """The band rows reconstruct_conic(BandOracle(cone), n) locates, one list
+    (v, xi, s, t, band_mass) per merged band in its order, with v as
+    default_normals returns it; and the cone it reconstructs, or the domain
+    error it raises."""
+    from varifold_lab import BandOracle, hyperplane_of, marginal_direction_battery, tomography
+    from varifold_lab.cli import DOMAIN_ERRORS
+
+    n = cone.ambient_dim
+    calls = []
+    band_marginals = tomography._band_marginals
+
+    def spy(*args):
+        calls.append(args)
+        return band_marginals(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tomography, "_band_marginals", spy)
+        try:
+            result = tomography.reconstruct_conic(BandOracle(cone), n)
+        except DOMAIN_ERRORS as exc:
+            result = exc
+    normals = default_normals(n)
+    per_normal = len(marginal_direction_battery(hyperplane_of(normals[0])))
+    ((xis, owner, bands, masses),) = calls
+    rows = [[*normals[o // per_normal], *xis[o], s, t, m]
+            for o, (s, t), m in zip(owner.tolist(), bands.tolist(), masses.tolist())]
+    return rows, result
+
+
+def _band_csv(n: int, rows, negative_zero: bool = False) -> str:
+    """The --from-measurements CSV of rows, written with repr; with
+    negative_zero, every other row writes its zero cells as -0.0."""
+    header = [f"v{i + 1}" for i in range(n)] + [f"xi{i + 1}" for i in range(n)] + [
+        "s", "t", "band_mass"]
+    lines = [",".join(header)]
+    for i, row in enumerate(rows):
+        lines.append(",".join("-0.0" if negative_zero and i % 2 and c == 0.0 else repr(float(c))
+                              for c in row))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([2, 3, 4]), seed=st.integers(0, 2**32 - 1), n_atoms=st.integers(1, 4),
+       shuffle=st.booleans(), repeats=st.integers(0, 3), negative_zero=st.booleans())
+# at the parent, the plain table of this R^2 cone gave its one marginal twice
+# the mass and exited 1
+@example(n=2, seed=0, n_atoms=3, shuffle=False, repeats=0, negative_zero=False)
+def test_measured_table_of_located_bands_gives_reconstruct_conics_bytes(
+        tmp_path_factory, n, seed, n_atoms, shuffle, repeats, negative_zero):
+    # a table of the oracle path's own located bands is the same measurement:
+    # reordered within a (v, xi) pair, repeated, or with -0.0 for 0.0, it
+    # reconstructs to reconstruct_conic's bytes.  Each pair's first
+    # appearance stays in place, since marginal order decides the held-out
+    # direction.
+    from varifold_lab.fixtures import random_conic
+
+    rng = np.random.default_rng(seed)
+    rows, expected = _located_rows(random_conic(rng, n, n_atoms=n_atoms))
+    if shuffle:
+        starts = [i for i in range(len(rows)) if i == 0 or rows[i][: 2 * n] != rows[i - 1][: 2 * n]]
+        for a, b in zip(starts, starts[1:] + [len(rows)]):
+            rows[a:b] = [rows[a:b][k] for k in rng.permutation(b - a)]
+    for _ in range(repeats):
+        i = int(rng.integers(len(rows)))
+        rows.insert(int(rng.integers(i + 1, len(rows) + 1)), rows[i])
+    folder = tmp_path_factory.mktemp("measured")
+    (folder / "bands.csv").write_text(_band_csv(n, rows, negative_zero))
+    status, _ = run(["reconstruct", "--from-measurements", f"{folder}/bands.csv",
+                     "--ambient-dim", str(n), "--out", f"{folder}/got.json"])
+    if isinstance(expected, Exception):
+        assert status == 1
+        return
+    assert status == 0
+    save_varifold(folder / "expected.json", conic=expected)
+    assert (folder / "got.json").read_bytes() == (folder / "expected.json").read_bytes()
+
+
+def test_two_dimensional_narrow_band_tables_reconstruct(tmp_path, monkeypatch):
+    # narrow bands around every front atom of every battery marginal of the
+    # default normals, as a benchmark writes them: at the parent the R^2
+    # battery held its one direction twice, each band was read twice, and
+    # 15 of these 20 cones exited 1 and the other 5 came back with twice
+    # their masses
+    from varifold_lab import BandOracle, hyperplane_of, marginal_direction_battery
+    from varifold_lab.fixtures import random_conic
+
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(77)
+    for _ in range(20):
+        cone = random_conic(rng, 2, n_atoms=int(rng.integers(2, 5)))
+        oracle = BandOracle(cone)
+        rows = []
+        for v in default_normals(2):
+            h = cone.atom_directions @ v
+            for xi in marginal_direction_battery(hyperplane_of(v)):
+                lam = (cone.atom_directions @ xi)[h > 1e-6] / h[h > 1e-6]
+                width = 1e-9 * (1.0 + np.abs(lam))
+                bands = np.column_stack([lam - width, lam + width])
+                rows += [[*v, *xi, s, t, m] for (s, t), m in zip(bands, oracle(v, xi, bands))]
+        Path("bands.csv").write_text(_band_csv(2, rows))
+        status, _ = run(["reconstruct", "--from-measurements", "bands.csv",
+                         "--ambient-dim", "2", "--out", "got.json"])
+        assert status == 0
+        got = load_varifold("got.json").require_conic()
+        assert got.n_atoms == cone.n_atoms
+        for z, m in zip(cone.atom_directions, cone.atom_masses):
+            i = int(np.argmin(np.linalg.norm(got.atom_directions - z, axis=1)))
+            assert np.linalg.norm(got.atom_directions[i] - z) < 1e-6
+            assert abs(got.atom_masses[i] - m) < 1e-6
+
+
 def test_blowup_cli(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     save_varifold("y.json", discrete=y_junction())

@@ -25,7 +25,7 @@ VERTEX_TOL = 1e-9
 SLIVER_TOL = 1e-14
 
 # A chord discriminant at most this multiple of (d.u)^2 + r^2 is rounding
-# noise of a tangent line (see _ball_chords).
+# noise of a tangent line (see _chord_rows).
 TANGENT_REL_TOL = 16.0 * np.finfo(float).eps
 
 # smallest normal float: a squared norm below it has lost precision
@@ -647,18 +647,19 @@ def _piece_rows(v: DiscreteVarifold) -> tuple[np.ndarray, ...]:
 
 
 def _chord_rows(base: np.ndarray, u: np.ndarray, center: np.ndarray,
-                radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, (bh, disc) of the chord of the line base + t*u (u a unit
-    vector) through the open ball: the line meets the ball on
-    (-bh - sqrt(disc), -bh + sqrt(disc)) when disc > 0 and misses it
-    otherwise, and -bh is its closest approach to the center.  Every chord
-    of a piece in the library is taken here, except in
-    blowup._projected_localized_density: it takes r^2 - |y - (y.z) z|^2 for
-    unit rays z from the origin and balls of radius below 1e-5 about a
-    unit y, where the form here cancels about six digits."""
+                radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row, (bh, disc, noise) of the line base + t*u (u a unit vector),
+    the library's one sphere rule: -bh is the closest approach to the
+    center, and the line meets the open ball on (-bh - sqrt(disc), -bh +
+    sqrt(disc)) when disc > noise, touches the sphere when |disc| <= noise
+    and misses it otherwise.  noise = TANGENT_REL_TOL * ((d.u)^2 + r^2)
+    bounds the rounding of disc at every scale (Haines et al., Ray Tracing
+    Gems, 2019, ch. 7).  Only blowup._projected_localized_density takes its
+    own chord, for balls of radius below 1e-5 where this form cancels."""
     d = base - center
     bh = _rowdot(d, u)
-    return bh, bh * bh - (_rowdot(d, d) - radius * radius)
+    sq = bh * bh
+    return bh, sq - (_rowdot(d, d) - radius * radius), TANGENT_REL_TOL * (sq + radius * radius)
 
 
 def _ball_chords(base: np.ndarray, u: np.ndarray, hi: np.ndarray, center: np.ndarray,
@@ -667,13 +668,12 @@ def _ball_chords(base: np.ndarray, u: np.ndarray, hi: np.ndarray, center: np.nda
     inside the open ball, and the mask of rows whose interval is nonempty.
 
     Row by row the chord of _chord_rows clamped by max(lo, 0.0) and
-    min(up, hi); lo and up are meaningless where the mask is False.  A line
-    whose discriminant is within TANGENT_REL_TOL of (d.u)^2 + r^2 counts as
-    tangent and misses: its chord would be the square root of rounding
+    min(up, hi); lo and up are meaningless where the mask is False.  A
+    tangent line misses: its chord would be the square root of rounding
     noise, which differs between a piece and the pieces clipped from it.
     """
-    bh, disc = _chord_rows(base, u, center, radius)
-    hit = disc > TANGENT_REL_TOL * (bh * bh + radius * radius)
+    bh, disc, noise = _chord_rows(base, u, center, radius)
+    hit = disc > noise
     s = np.sqrt(np.where(hit, disc, 0.0))
     lo, up = -bh - s, -bh + s
     lo = np.where(0.0 > lo, 0.0, lo)

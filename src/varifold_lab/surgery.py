@@ -39,10 +39,12 @@ def cut_and_paste(v: DiscreteVarifold, y, r: float) -> SurgeryResult:
     neighborhood of the closed ball, the combined varifold is stationary and
     its dilations at y agree with those of v below scale r.
 
-    Raises DegenerateGeometryError (from the boundary computation) when a
-    piece is tangent to the sphere or ends on it; almost every radius works,
-    so callers should perturb r (see find_good_radius).  ValueError unless y
-    is a finite point of R^n and 0 < r < inf.
+    Raises DegenerateGeometryError when a piece ends on the sphere or
+    touches it by boundary_variation's scale-free rule: about a vertex every
+    r above TANGENCY_TOL works, off one r^2 must exceed the rounding of a
+    piece's squared distance from y.  Callers should perturb r (see
+    find_good_radius).  ValueError unless y is a finite point of R^n and
+    0 < r < inf.
     """
     c = _point(y, v.ambient_dim)
     atoms = boundary_variation(v, c, r)
@@ -58,8 +60,10 @@ def find_good_radius(v: DiscreteVarifold, y, r_lo: float, r_hi: float) -> float:
     [r_lo, r_hi] avoiding degeneracy.
 
     Mirrors the fact that almost every radius admits a clean boundary force
-    measure; raises DegenerateGeometryError if every candidate fails, and
-    ValueError unless y is a finite point of R^n and 0 < r_lo <= r_hi < inf.
+    measure: tangency scales with r, so about a vertex every scale has one,
+    and off a vertex only r^2 near the rounding of |base - y|^2 fails.
+    Raises DegenerateGeometryError if every candidate fails, and ValueError
+    unless y is a finite point of R^n and 0 < r_lo <= r_hi < inf.
     """
     if not 0.0 < r_lo <= r_hi < math.inf:
         raise ValueError("need 0 < r_lo <= r_hi < inf")

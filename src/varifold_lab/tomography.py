@@ -367,7 +367,7 @@ def band_marginal(c: ConicVarifold, v, xi, bands) -> LineMeasure:
     """
     v = unit(as_vector(v, dim=c.ambient_dim))
     xi = unit(as_vector(xi, dim=c.ambient_dim))
-    if abs(float(np.dot(v, xi))) > 1e-12:
+    if _off_plane(hyperplane_of(v), xi[None]):
         raise ValueError("xi must be orthogonal to v")
     arr = _bands_array(bands)
     dirs, masses = c.mass_rows()

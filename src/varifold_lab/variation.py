@@ -37,8 +37,8 @@ from .core import (
 
 # _plateau is 1 for |t| <= PLATEAU and falls smoothly to 0 at |t| = 1.
 PLATEAU = 0.5
-# Distance from the cutting sphere within which boundary_variation counts a
-# piece end as on it, or a chord discriminant as tangent.
+# Distance within which boundary_variation counts a piece end as on the
+# cutting sphere, and a tangent line's closest point as on its piece.
 TANGENCY_TOL = 1e-9
 FIELD_CHECK_SAMPLES = 32
 
@@ -331,9 +331,13 @@ def boundary_variation(v: DiscreteVarifold, y, r: float) -> list[VariationAtom]:
 
     Every transversal crossing x of a piece with the sphere contributes the
     atom (x, s_out, weight), where s_out is the piece direction oriented
-    outward; each omega satisfies <omega, (x-y)/r> >= 0.  Raises
-    DegenerateGeometryError when a piece is tangent to the sphere or has an
-    endpoint on it, both within TANGENCY_TOL, in which case the caller should perturb r.
+    outward; each omega satisfies <omega, (x-y)/r> >= 0.  The crossings are
+    the clipped ends of restrict's inner pieces, bit for bit.  Raises
+    DegenerateGeometryError when a piece end lies within TANGENCY_TOL of the
+    sphere, or a piece touches it by core._chord_rows' scale-free rule at a
+    point within TANGENCY_TOL of the piece; the caller should perturb r.  A
+    cut centred at a vertex so works at every r above TANGENCY_TOL, but off
+    a vertex a piece touches once r^2 nears the rounding of |base - y|^2.
     ValueError unless y is a finite point of R^n and 0 < r < inf.
     """
     c, r = _point(y, v.ambient_dim), _positive(r, "radius")
@@ -345,26 +349,18 @@ def boundary_variation(v: DiscreteVarifold, y, r: float) -> list[VariationAtom]:
 
     on_sphere = ends_on_sphere(base)
     on_sphere[:len(v.seg_w)] |= ends_on_sphere(v.seg_b)
-    bh, disc = _chord_rows(base, u, c, r)
+    bh, disc, noise = _chord_rows(base, u, c, r)
     foot = -bh  # closest approach parameter of the supporting line
-    tangent = (np.abs(disc) <= TANGENCY_TOL) & (-TANGENCY_TOL <= foot) & (
-        foot <= hi + TANGENCY_TOL)
+    tangent = (np.abs(disc) <= noise) & (-TANGENCY_TOL <= foot) & (foot <= hi + TANGENCY_TOL)
     bad = on_sphere | tangent
     if bad.any():
         # the first bad piece reports, its endpoints before its tangency
-        if on_sphere[int(np.argmax(bad))]:
-            raise DegenerateGeometryError(
-                "piece endpoint lies on the cutting sphere; perturb the radius"
-            )
-        raise DegenerateGeometryError(
-            "piece is tangent to the cutting sphere; perturb the radius"
-        )
-    hit = disc > 0.0
-    s = np.sqrt(np.where(hit, disc, 0.0))
-    t = np.stack((-bh - s, -bh + s), axis=1)
+        what = "endpoint lies on" if on_sphere[int(np.argmax(bad))] else "is tangent to"
+        raise DegenerateGeometryError(f"piece {what} the cutting sphere; perturb the radius")
+    lo, up, meets = _ball_chords(base, u, hi, c, r)
     # row-major order: pieces in order, each entry crossing before its exit
-    rows, side = np.nonzero(hit[:, None] & (0.0 < t) & (t < hi[:, None]))
-    x = base[rows] + t[rows, side][:, None] * u[rows]
+    rows, side = np.nonzero(meets[:, None] & np.stack((lo > 0.0, up < hi), axis=1))
+    x = base[rows] + np.stack((lo, up), axis=1)[rows, side][:, None] * u[rows]
     # trusted: omega is a unit seg_u or ray_d, or its negation; mass a piece weight
     omega = np.where(side == 0, -1.0, 1.0)[:, None] * u[rows]
     return list(map(VariationAtom._trusted, x, omega, w[rows].tolist()))

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -997,3 +998,9 @@ def test_growth_table_is_monotone_and_grows():
     masses = [m for _, m in table]
     assert all(b >= a - 1e-12 for a, b in zip(masses, masses[1:]))
     assert masses[-1] > masses[0]
+
+
+@pytest.mark.parametrize("angle", [0.0, math.nan, 4.0])
+def test_cap_mass_checks_the_cap_angle(angle):
+    with pytest.raises(ValueError, match=re.escape("cap angle must lie in (0, pi]")):
+        radial_projection_cap_mass(y_junction(), [1.0, 0.0], angle)

@@ -47,6 +47,7 @@ from varifold_lab.core import (
     _piece_rows,
     _rowdot,
     _unit_rows,
+    as_vector,
     incident_rays,
     piece_ends,
     split_at_point,
@@ -122,6 +123,46 @@ def test_non_finite_cones_rejected(bad):
         ConicVarifold(2, np.array([[bad, 0.0]]), np.array([1.0]))
     with pytest.raises(ValueError, match="finite"):
         SampledDensity(circle_grid(4), np.array([1.0, bad, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    pytest.param(lambda: as_vector([[1.0, 2.0]]), ValueError, "expected a 1-d vector",
+                 id="vector-shape"),
+    pytest.param(lambda: Subspace(3, [1.0, 0.0, 0.0]), ValueError,
+                 "basis must have shape (k, ambient_dim)", id="basis-shape"),
+    pytest.param(lambda: Subspace(2, np.eye(2)), ValueError,
+                 "subspace dimension must satisfy 1 <= k < n", id="basis-rank"),
+    pytest.param(lambda: DiscreteVarifold(2, (ray([0, 0], [1, 0]),)), TypeError,
+                 "segments must be SegmentPiece objects", id="segment-type"),
+    pytest.param(lambda: DiscreteVarifold(2, (), (segment([0, 0], [1, 0]),)), TypeError,
+                 "rays must be RayPiece objects", id="ray-type"),
+    pytest.param(lambda: DiscreteVarifold(3, (segment([0, 0], [1, 0]),)), ValueError,
+                 "piece dimension does not match ambient_dim", id="piece-dimension"),
+    pytest.param(lambda: DiscreteVarifold(2) + DiscreteVarifold(3), ValueError,
+                 "ambient dimensions differ", id="sum-dimension"),
+    pytest.param(lambda: circle_grid(3), ValueError, "need at least 4 nodes on the circle",
+                 id="circle-grid"),
+    pytest.param(lambda: sphere_grid(1, 8), ValueError, "grid too coarse", id="sphere-grid"),
+    pytest.param(lambda: SampledDensity(circle_grid(8), np.ones(7)), ValueError,
+                 "values must match the grid size", id="density-size"),
+    pytest.param(lambda: SampledDensity(circle_grid(8), -np.ones(8)), ValueError,
+                 "density values must be nonnegative", id="density-sign"),
+    pytest.param(lambda: ConicVarifold(3, [[1.0, 0.0]], [1.0]), ValueError,
+                 "atom_directions must have shape (k, ambient_dim)", id="cone-directions"),
+    pytest.param(lambda: ConicVarifold(2, [[1.0, 0.0]], [1.0, 2.0]), ValueError,
+                 "atom_masses must match atom_directions", id="cone-masses"),
+    pytest.param(lambda: conic_atoms(3, [([1.0, 0.0], 1.0)]), ValueError,
+                 "atom_directions must have shape (k, ambient_dim)", id="conic-atoms-directions"),
+    pytest.param(lambda: DensityValue(1.0, 1.0, 2.0), ValueError,
+                 "value must equal lower when present", id="density-value"),
+    pytest.param(lambda: restrict(full_line([0, 0], [1, 0]), [0, 0], 1.0, "both"), ValueError,
+                 "keep must be 'inside' or 'outside'", id="restrict-keep"),
+    pytest.param(lambda: circle_arc_mass(conic_atoms(3, [([0.0, 0.0, 1.0], 1.0)]), 0.0, 1.0),
+                 ValueError, "arc masses are defined on the circle only", id="arc-dimension"),
+])
+def test_core_checks_name_what_is_wrong(build, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        build()
 
 
 def test_mass_rows_lists_atoms_then_positive_density_nodes():
@@ -646,9 +687,11 @@ def test_mass_additivity_disjoint_balls():
 def test_chord_rows_miss():
     # a line at distance 2 from the unit ball's center, one tangent to it and
     # one through it: only the last has a chord
-    bh, disc = _chord_rows(np.array([[0.0, 2.0], [0.0, 1.0], [0.0, 0.5]]),
-                           np.array([[1.0, 0.0]] * 3), np.zeros(2), 1.0)
+    bh, disc, noise = _chord_rows(np.array([[0.0, 2.0], [0.0, 1.0], [0.0, 0.5]]),
+                                  np.array([[1.0, 0.0]] * 3), np.zeros(2), 1.0)
     assert list(disc <= 0.0) == [True, True, False]
+    assert list(disc > noise) == [False, False, True]
+    assert list(np.abs(disc) <= noise) == [False, True, False]
     assert ball_interval(np.array([0.0, 2.0]), np.array([1.0, 0.0]),
                          np.array([0.0, 0.0]), 1.0) is None
 

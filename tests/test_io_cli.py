@@ -30,7 +30,15 @@ from varifold_lab import (
 from varifold_lab.cli import run
 from varifold_lab.core import unit
 from varifold_lab.fixtures import balanced_y_cone, random_varifold, y_junction
-from varifold_lab.io import SchemaError, format_float, load_subspace, save_subspace
+from varifold_lab.io import (
+    SchemaError,
+    VarifoldDocument,
+    document_from_dict,
+    document_to_dict,
+    format_float,
+    load_subspace,
+    save_subspace,
+)
 from varifold_lab.projection import halfline_difference_table
 
 from piece_reference import document_text
@@ -1047,3 +1055,41 @@ def test_mutated_flags_and_rows_exit_cleanly(tmp_path_factory, case):
     assert status in (0, 1, 2)
     if status == 0:
         assert all(Path(out).exists() for out in manifest.outputs)
+
+
+def _written(tmp_path, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("build, error, message", [
+    pytest.param(lambda tmp: VarifoldDocument(2).require_discrete(), SchemaError,
+                 "document carries no segments or rays", id="no-pieces"),
+    pytest.param(lambda tmp: VarifoldDocument(2).require_conic(), SchemaError,
+                 "document carries no conic section", id="no-cone"),
+    pytest.param(lambda tmp: document_to_dict(), ValueError, "nothing to serialize",
+                 id="nothing"),
+    pytest.param(lambda tmp: document_to_dict(DiscreteVarifold(2),
+                                              conic_atoms(3, [([0.0, 0.0, 1.0], 1.0)])),
+                 ValueError, "discrete and conic parts disagree on the dimension",
+                 id="dimensions"),
+    pytest.param(lambda tmp: document_from_dict({}), SchemaError,
+                 "missing or invalid ambient_dim", id="ambient-dim"),
+    pytest.param(lambda tmp: load_varifold(_written(tmp, "[1, 2]")), SchemaError,
+                 "document root must be an object", id="root"),
+    pytest.param(lambda tmp: load_subspace(_written(tmp, "{")), SchemaError,
+                 "not valid JSON", id="subspace-json"),
+    pytest.param(lambda tmp: load_subspace(_written(tmp, "{}")), SchemaError,
+                 "malformed subspace document", id="subspace-schema"),
+])
+def test_io_checks_name_what_is_wrong(tmp_path, build, error, message):
+    with pytest.raises(error, match=message):
+        build(tmp_path)
+
+
+def test_run_without_a_command_prints_usage_and_exits_2(capsys):
+    assert run([]) == (2, None)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage:")

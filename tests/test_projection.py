@@ -354,3 +354,21 @@ def test_weighted_projection_of_stationary_network_is_stationary(seed, n, data):
     p = random_subspace(rng, n, data.draw(st.integers(1, n - 1)))
     worst = max((a.mass for a in vertex_residuals(weighted_projection(v, p))), default=0.0)
     assert worst <= 1e-10
+
+
+_CONE_3D = conic_atoms(3, [([0.0, 0.0, 1.0], 1.0)])
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: mapping_projection(DiscreteVarifold(3), Subspace.span([1.0, 0.0])),
+                 "subspace lives in a different ambient space", id="mapping"),
+    pytest.param(lambda: weighted_projection(DiscreteVarifold(3), Subspace.span([1.0, 0.0])),
+                 "subspace lives in a different ambient space", id="weighted"),
+    pytest.param(lambda: halfline_multiplicity(_CONE_3D, [1.0, 0.0]),
+                 "half-line multiplicities are defined in the plane only", id="halfline"),
+    pytest.param(lambda: weighted_projection_conic(_CONE_3D, Subspace.span([1.0, 0.0])),
+                 "subspace lives in a different ambient space", id="conic"),
+])
+def test_projection_checks_name_what_is_wrong(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

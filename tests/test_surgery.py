@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from varifold_lab import (
     DegenerateGeometryError,
     DiscreteVarifold,
+    RayPiece,
     SegmentPiece,
     cut_and_paste,
     dilate,
@@ -14,9 +17,11 @@ from varifold_lab import (
     mapping_projection,
     mass,
 )
+from varifold_lab.core import SLIVER_TOL
 from varifold_lab.surgery import RADIUS_CANDIDATES
 from varifold_lab.fixtures import (
     full_line,
+    random_balanced_star,
     random_stationary_network,
     random_subspace,
     y_junction,
@@ -126,8 +131,86 @@ def test_find_good_radius_skips_a_degenerate_candidate():
     assert len(cut_and_paste(v, [0, 0], r).pasted_rays) == 0
 
 
+def test_find_good_radius_is_clean_at_small_scales_off_a_vertex():
+    # tangency scales with the ball: on a 1e-5 sphere about [0.3, 0] the arm
+    # through it has discriminant r^2 = 1e-10, far above its rounding
+    assert find_good_radius(y_junction(2), [0.3, 0.0], 1e-5, 2e-5) == 1e-5
+
+
 def test_find_good_radius_raises_when_every_candidate_is_degenerate():
     v = DiscreteVarifold(2, (SegmentPiece([0, 0], [1, 0], 1.0),))
     with pytest.raises(DegenerateGeometryError,
                        match=f"no clean cutting radius among {RADIUS_CANDIDATES} candidates"):
         find_good_radius(v, [0, 0], 1.0, 1.0)
+
+
+def _at_vertex(kind, seed, n):
+    """A balanced star or a stationary network in R^n, moved by
+    dilate(v, vertex, 1.0) so that one of its vertices sits at the origin."""
+    rng = np.random.default_rng(seed)
+    if kind == "star":
+        vertex = rng.uniform(-1.0, 1.0, n)
+        arms = random_balanced_star(rng, n, int(rng.integers(3, 6)))
+        v = DiscreteVarifold(n, (), tuple(RayPiece(vertex, d, w) for d, w in arms))
+    else:
+        v = random_stationary_network(rng, n, n_vertices=int(rng.integers(1, 6)))
+        ends = np.concatenate((v.seg_a, v.seg_b, v.ray_o))
+        vertex = ends[rng.integers(len(ends))]
+    return dilate(v, vertex, 1.0)
+
+
+@st.composite
+def _vertex_cuts(draw):
+    """(v, r, star): v cut at the origin with radius r.  Stars and networks
+    in R^2 to R^4 have a vertex at the origin and r log-uniform in
+    [1e-7, 1e3]; star is True when every piece meets the centre.
+    Near-tangent horizontal segments, delta inside or outside the sphere,
+    are cut at r in {300, 1e3, 1e6}."""
+    kind = draw(st.sampled_from(["network", "star", "segment"]))
+    if kind == "segment":
+        r = draw(st.sampled_from([300.0, 1e3, 1e6]))
+        delta = r * draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-17.0, -9.0))
+        left, right = (r * 10.0 ** draw(st.floats(-3.0, 0.3)) for _ in range(2))
+        return DiscreteVarifold(2, (SegmentPiece([-left, r - delta], [right, r - delta], 1.0),)), r, False
+    v = _at_vertex(kind, draw(st.integers(0, 2**32 - 1)), draw(st.integers(2, 4)))
+    return v, 10.0 ** draw(st.floats(-7.0, 3.0)), kind == "star"
+
+
+_NEAR_TANGENT = DiscreteVarifold(
+    2, (SegmentPiece([-2000.0, 1e3 - 8.2e-12], [1.0, 1e3 - 8.2e-12], 1.0),))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cut=_vertex_cuts())
+@example(cut=(y_junction(3), 1e-5, True))
+@example(cut=(_NEAR_TANGENT, 1e3, False))
+# the far end of a 0.6 segment: its clipped direction rounds by about 1e-9
+@example(cut=(_at_vertex("network", 3396991274, 4), 1.1405830131124265e-07, False))
+def test_cut_and_paste_is_stationary_at_every_scale(cut):
+    # one chord rule decides the crossings and the inner pieces, so a pasted
+    # ray starts where an inner piece ends, at every scale
+    v, r, star = cut
+    try:
+        result = cut_and_paste(v, np.zeros(v.ambient_dim), r)
+    except DegenerateGeometryError:
+        assert not star  # a piece through the centre crosses the sphere at r
+        return
+    inner = result.inner
+    # a clipped end base + t*u is rounded to about eps times its coordinates,
+    # which turns an inner piece's direction by that over its length: about
+    # eps * |base| / r at the far end of a segment cut near it
+    reach = np.abs(np.concatenate((v.seg_a, v.ray_o, inner.seg_a, inner.seg_b))).max(initial=0.0)
+    weight = float(v.seg_w.sum() + v.ray_w.sum())
+    rounding = 16.0 * np.finfo(float).eps * reach * weight / inner.seg_len.min(initial=math.inf)
+    ok, worst = is_stationary(result.combined, 1e-9 + rounding)
+    assert ok, (worst, rounding)
+    ends = {x.tobytes() for x in np.concatenate((inner.seg_a, inner.seg_b))}
+    loose = [ray for ray in result.pasted_rays if ray.origin.tobytes() not in ends]
+    # restrict drops an inside of at most SLIVER_TOL: its two crossings pair up
+    for ray in loose:
+        scale = 4.0 * np.finfo(float).eps * float(np.abs(ray.origin).max())
+        assert any(
+            other.direction.tobytes() == (-ray.direction).tobytes()
+            and other.weight == ray.weight
+            and float(np.linalg.norm(other.origin - ray.origin)) <= SLIVER_TOL + scale
+            for other in loose)

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -147,8 +148,13 @@ def test_band_marginal_checks_orthogonality_on_unit_vectors():
     # v . xi is 1e-13, but xi lies at 45 degrees to v
     with pytest.raises(ValueError, match="orthogonal"):
         band_marginal(c, v, [1e-13, 0.0, 1e-13], bands)
-    # v . xi is 5e-7, but the cosine is 5e-13
-    xi = np.array([1e6, 0.0, 5e-7])
+    # the battery's first direction 6e-13 off the plane: _off_plane's
+    # 3.5e-13 in R^3 is the one rule, as in the plane solve
+    with pytest.raises(ValueError, match="orthogonal"):
+        band_marginal(c, v, marginal_direction_battery(hyperplane_of(v))[0] + [0.0, 0.0, 6e-13],
+                      bands)
+    # v . xi is 2e-7, but the cosine is 2e-13
+    xi = np.array([1e6, 0.0, 2e-7])
     m = band_marginal(c, v, xi, bands)
     assert m.direction.tobytes() == (xi / math.sqrt(float(np.dot(xi, xi)))).tobytes()
     along_e1 = band_marginal(c, v, [1.0, 0.0, 0.0], bands)
@@ -1284,3 +1290,23 @@ def test_direct_kernel_is_scipy_nnls_bitwise(problem):
     assert got == outcome(scipy.optimize.nnls)
     if kind == "negative b":
         assert not np.frombuffer(got[0]).any()
+
+
+_E3_PLANE = hyperplane_of([0.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: PlaneMeasure(_E3_PLANE, [[1.0, 0.0]], [1.0]),
+                 "points must have shape (k, ambient_dim)", id="plane-points"),
+    pytest.param(lambda: PlaneMeasure(_E3_PLANE, [[1.0, 0.0, 0.0]], [1.0, 2.0]),
+                 "masses must match points", id="plane-masses"),
+    pytest.param(lambda: PlaneMeasure(_E3_PLANE, [[1.0, 0.0, 0.0]], [0.0]),
+                 "atom masses must be positive", id="plane-mass-sign"),
+    pytest.param(lambda: LineMeasure([1.0, 0.0], [0.0], [-1.0]),
+                 "atom masses must be nonnegative", id="line-mass-sign"),
+    pytest.param(lambda: LineMeasure([1.0, 0.0], [0.0, 1.0], [1.0]),
+                 "coordinates and masses must be matching vectors", id="line-shapes"),
+])
+def test_measure_checks_name_what_is_wrong(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()

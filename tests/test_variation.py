@@ -25,7 +25,7 @@ from varifold_lab import (
     vertex_residuals,
     weighted_projection,
 )
-from varifold_lab.core import VERTEX_TOL, _row_norms, _Trusted, group_ends, unit
+from varifold_lab.core import TANGENT_REL_TOL, VERTEX_TOL, _row_norms, _Trusted, group_ends, unit
 from varifold_lab.fixtures import (
     full_line,
     random_stationary_network,
@@ -33,6 +33,7 @@ from varifold_lab.fixtures import (
     random_varifold,
     y_junction,
 )
+from varifold_lab import variation
 from varifold_lab.variation import (
     PLATEAU,
     VariationAtom,
@@ -76,6 +77,20 @@ def test_field_validation_checks_the_divergence():
         f, divergence_batch=lambda points, s: 2.0 * f.divergence_batch(points, s))
     with pytest.raises(ValueError, match="divergence_batch"):
         doubled.validate(np.random.default_rng(3))
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: variation.TestField(
+        lambda x: np.ones(2), [0.0, 0.0], 1.0, lambda points, s: np.zeros(len(points)),
+    ).validate(np.random.default_rng(3)),
+                 "field does not vanish outside its support ball", id="support"),
+    pytest.param(lambda: first_variation(DiscreteVarifold(3),
+                                         bump_field([0.0, 0.0], 1.0, [1.0, 0.0])),
+                 "field dimension does not match the varifold", id="dimension"),
+])
+def test_field_checks_name_what_is_wrong(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def _reference_half_exp(u):
@@ -253,7 +268,9 @@ def _reference_quadrature(v, g, nodes):
 
 def _reference_boundary(v, y, r, tangency_tol=1e-9):
     """Sphere crossings with per-type piece frames: the loop that the
-    columnar boundary_variation replaced, kept as its reference."""
+    columnar boundary_variation replaced, kept as its reference.  A line is
+    tangent or misses by the library's one rule: disc within
+    core.TANGENT_REL_TOL of (d.u)^2 + r^2."""
     c = np.asarray(y, dtype=float)
     atoms = []
     for piece in v.segments + v.rays:
@@ -270,13 +287,14 @@ def _reference_boundary(v, y, r, tangency_tol=1e-9):
         bh = float(np.dot(d, u))
         q = float(np.dot(d, d)) - r * r
         disc = bh * bh - q
+        noise = TANGENT_REL_TOL * (bh * bh + r * r)
         foot = -bh
         near_piece = (-tangency_tol <= foot <= hi + tangency_tol) or (
             math.isinf(hi) and foot >= -tangency_tol
         )
-        if abs(disc) <= tangency_tol and near_piece:
+        if abs(disc) <= noise and near_piece:
             raise DegenerateGeometryError("tangent")
-        if disc <= 0.0:
+        if disc <= noise:
             continue
         s = math.sqrt(disc)
         for t, outward in ((-bh - s, -1.0), (-bh + s, +1.0)):

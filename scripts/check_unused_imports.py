@@ -1,5 +1,6 @@
-"""Fail when a module of a package imports a name it never uses, or binds
-a private name that no module of the package reads.
+"""Fail when a module of a package imports a name it never uses, binds a
+private name that no module of the package reads, or raises with a message
+literal that the package already writes in another raise.
 
 Usage: python scripts/check_unused_imports.py [PACKAGE_DIR]
 
@@ -9,8 +10,10 @@ imports names to re-export them) an import binds a name, and the name counts
 as used when the module reads it anywhere.  A _private name (one leading
 underscore) that a module binds at its top level, by def, class or
 assignment, counts as used when some module of the package reads it, as a
-name or as an attribute; tests and scripts do not count.  Prints one line
-per unused name and exits 1 when there is any.
+name or as an attribute; tests and scripts do not count.  A raise whose
+exception call takes a plain string literal first owns that message; every
+later raise of the same literal is reported, so each message has one owner
+to share.  Prints one line per finding and exits 1 when there is any.
 """
 
 from __future__ import annotations
@@ -57,6 +60,15 @@ def reads(tree: ast.Module) -> set[str]:
         node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
 
 
+def raise_messages(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, message) of every raise whose exception call's first argument
+    is a string literal."""
+    return sorted((node.lineno, node.exc.args[0].value) for node in ast.walk(tree)
+                  if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                  and node.exc.args and isinstance(node.exc.args[0], ast.Constant)
+                  and isinstance(node.exc.args[0].value, str))
+
+
 def main(argv: list[str]) -> int:
     root = Path(argv[0] if argv else "src/varifold_lab")
     trees = {path: ast.parse(path.read_text()) for path in sorted(root.glob("*.py"))}
@@ -73,6 +85,13 @@ def main(argv: list[str]) -> int:
             if name not in read:
                 print(f"{path}:{line}: {name!r} is private and no module reads it")
                 found += 1
+    owner: dict[str, str] = {}
+    for path, tree in trees.items():
+        for line, message in raise_messages(tree):
+            if message in owner:
+                print(f"{path}:{line}: raise message {message!r} is also at {owner[message]}")
+                found += 1
+            owner.setdefault(message, f"{path}:{line}")
     return 1 if found else 0
 
 

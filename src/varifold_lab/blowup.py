@@ -25,11 +25,13 @@ from .core import (
     RayPiece,
     Subspace,
     _ball_chords,
+    _count,
     _dilations,
     _piece_rows,
     _point,
     _positive,
     _rowdot,
+    _same_dim,
     _set_fields,
     as_vector,
     conic_atoms,
@@ -143,8 +145,10 @@ class TestBattery:
     table: BatteryTable | None = None
 
     def __post_init__(self):
-        _set_fields(self, radius=_positive(self.radius, "battery radius"))
+        n = _count(self.ambient_dim, "ambient_dim", 1)
+        _set_fields(self, ambient_dim=n, radius=_positive(self.radius, "battery radius"))
         if self.table is not None:
+            _same_dim(self.table.axes.shape[-1], n, "battery table")
             if self.functions:
                 raise ValueError("a battery with a table takes its functions from the table")
             _set_fields(self, functions=self.table.functions())
@@ -197,7 +201,7 @@ def _lump_moment(
     return value
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=8, typed=True)  # typed: 2.0 must not find the battery of 2
 def default_battery(ambient_dim: int) -> TestBattery:
     """Products of radial lumps at BATTERY_SCALES scales up to radius
     BATTERY_RADIUS with squared direction moments for BATTERY_AXES
@@ -208,6 +212,7 @@ def default_battery(ambient_dim: int) -> TestBattery:
     radii, amplitudes and axes, its functions derived from the table; it is
     immutable, so one is built per ambient dimension and shared.
     """
+    ambient_dim = _count(ambient_dim, "ambient_dim", 1)
     rng = np.random.Generator(np.random.PCG64(BATTERY_SEED))
     axes = [unit(rng.normal(size=ambient_dim)) for _ in range(BATTERY_AXES)]
     radii = [BATTERY_RADIUS * (j + 1) / BATTERY_SCALES for j in range(BATTERY_SCALES)]
@@ -305,8 +310,8 @@ def _pair_all(contribs: np.ndarray) -> np.ndarray:
 
 def weak_star_distance(v1: DiscreteVarifold, v2: DiscreteVarifold, battery: TestBattery) -> float:
     """Max pairing difference over the battery; zero for equal piece multisets."""
-    if v1.ambient_dim != v2.ambient_dim:
-        raise ValueError("ambient dimensions differ")
+    _same_dim(v2.ambient_dim, v1.ambient_dim, "v2")
+    _same_dim(battery.ambient_dim, v1.ambient_dim, "battery")
     p1, p2 = (_pair_all(_contributions(_clip(_piece_rows(v), battery.radius)[0], battery))
               for v in (v1, v2))
     return float(np.max(np.abs(p1 - p2)))
@@ -358,18 +363,19 @@ def tangent_estimate(
     sorts the batch once by dilation (see _clip).  A dilation with the
     cone's bytes gets 0.0 unpaired; any other is paired, and then the cone,
     once, a row with a cone row's bytes taking that row's contributions
-    unsampled.  Raises ValueError unless x is a finite point of R^n and the
-    factors are finite, positive and strictly decreasing, ZeroDensityError
-    off the support, errors as dilate.
+    unsampled.  Raises ValueError unless x is a finite point of R^n, the
+    factors are finite, positive and strictly decreasing and the battery
+    lies in R^n, ZeroDensityError off the support, errors as dilate.
     """
     lams = dilation_factors(lambdas)
     p = _point(x, v.ambient_dim)
+    if battery is None:
+        battery = default_battery(v.ambient_dim)
+    _same_dim(battery.ambient_dim, v.ambient_dim, "battery")
     vs, rays = _split(v, p)  # no rays exactly where density(v, x) is 0
     if not rays:
         raise ZeroDensityError("point carries no density; every blow-up is empty")
     cone = conic_atoms(v.ambient_dim, rays)
-    if battery is None:
-        battery = default_battery(v.ambient_dim)
     k, m = len(vs.seg_w), len(vs.ray_w)
     cone_pieces, ref_contribs, dists = conic_to_discrete(cone), None, []
     ref = _clip(_piece_rows(cone_pieces), battery.radius, np.zeros(cone.n_atoms, int))[0]
@@ -467,9 +473,11 @@ def density_bound_check(
     |pi_P(y)| > 10 r and the sphere ball B(y, r) carries mass below
     phi + epsilon.  Violated hypotheses, 0 < r < 1e-5 among them (a NaN r
     fails it), raise PreconditionViolated; a bound failure raises
-    DensityBoundViolation.
+    DensityBoundViolation.  ValueError unless 0 < epsilon < inf.
     """
+    epsilon = _positive(epsilon, "epsilon")
     y = unit(as_vector(y, dim=c.ambient_dim))
+    _same_dim(p.ambient_dim, c.ambient_dim, "plane")
     if p.dim != c.ambient_dim - 1:
         raise ValueError("p must be a hyperplane")
     sep = np.linalg.norm(c.atom_directions - y, axis=1)
@@ -559,8 +567,7 @@ def dense_lines_fixture(k: int, seed: int = 0, ambient_dim: int = 3) -> Discrete
     for every k while its radial projection mass over any fixed spherical
     cap grows without bound.
     """
-    if k < 1:
-        raise ValueError("need k >= 1")
+    k, ambient_dim = _count(k, "k", 1), _count(ambient_dim, "ambient_dim", 1)
     anchors = _lattice_points(k, ambient_dim)
     rays = []
     for i in range(k):

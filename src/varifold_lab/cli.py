@@ -27,7 +27,7 @@ from .blowup import (
     projection_growth_table,
     tangent_estimate,
 )
-from .core import _point, _positive, _rowdot
+from .core import _count, _point, _positive, _rowdot, _same_dim, _tolerance
 from .fixtures import balanced_y_cone, full_line, y_junction
 from .io import (
     SchemaError,
@@ -112,7 +112,7 @@ def _atom_table(atoms, n: int) -> tuple[list[str], list[tuple]]:
 def _cmd_check_stationary(args, manifest: RunManifest) -> int:
     doc = load_varifold(args.input)
     v = doc.require_discrete()
-    atoms = _flag("--tol", vertex_residuals, v, args.tol)
+    atoms = vertex_residuals(v, _flag("--tol", _tolerance, args.tol, "tolerance"))
     header, rows = _atom_table(atoms, v.ambient_dim)
     worst = max((a.mass for a in atoms), default=0.0)
     manifest.inputs.append(args.input)
@@ -132,9 +132,7 @@ def _cmd_project(args, manifest: RunManifest) -> int:
     doc = load_varifold(args.input)
     v = doc.require_discrete()
     p = load_subspace(args.subspace)
-    if p.ambient_dim != v.ambient_dim:
-        raise SchemaError(f"--subspace: ambient dimension {p.ambient_dim}, "
-                          f"the varifold's is {v.ambient_dim}")
+    _flag("--subspace", _same_dim, p.ambient_dim, v.ambient_dim, "subspace")
     image = mapping_projection(v, p) if args.mapping else weighted_projection(v, p)
     out = args.out or (Path(args.input).stem + ".projected.json")
     save_varifold(out, discrete=image)
@@ -180,9 +178,7 @@ def _cmd_counterexample(args, manifest: RunManifest) -> int:
 def _reconstruct_from_cone(args, manifest: RunManifest) -> int:
     doc = load_varifold(args.input)
     cone = doc.require_conic()
-    n = cone.ambient_dim
-    if n < 2:
-        raise SchemaError("reconstruct needs an ambient dimension of at least 2")
+    n = _flag(args.input, _count, cone.ambient_dim, "ambient_dim", 2)
     normals = _flag("--normals", default_normals, n, args.normals)
     oracle = BandOracle(cone)
     recon = reconstruct_conic(oracle, n, normals=normals)
@@ -220,12 +216,12 @@ def _reconstruct_from_cone(args, manifest: RunManifest) -> int:
 
 
 def _reconstruct_from_measurements(args, manifest: RunManifest) -> int:
+    n = _flag("--ambient-dim", _count, args.ambient_dim, "ambient_dim", 2)
     path = Path(args.from_measurements)
     lines = path.read_text().strip().splitlines()
     if not lines:
         raise SchemaError(f"{path}: empty file, expected a CSV header")
     header = [h.strip() for h in lines[0].split(",")]
-    n = args.ambient_dim
     expected = [f"v{i + 1}" for i in range(n)] + [f"xi{i + 1}" for i in range(n)] + [
         "s", "t", "band_mass",
     ]
@@ -257,10 +253,6 @@ def _reconstruct_from_measurements(args, manifest: RunManifest) -> int:
 
 def _cmd_reconstruct(args, manifest: RunManifest) -> int:
     if args.from_measurements:
-        if args.ambient_dim is None:
-            raise SchemaError("--from-measurements requires --ambient-dim")
-        if args.ambient_dim < 2:
-            raise SchemaError("--ambient-dim must be at least 2")
         return _reconstruct_from_measurements(args, manifest)
     if not args.input:
         raise SchemaError("reconstruct needs an input cone or --from-measurements")

@@ -59,6 +59,26 @@ def _positive(r, what: str) -> float:
     return float(r)
 
 
+def _count(k, what: str, least: int) -> int:
+    """The one rule for a count or a dimension: int(k) for an integer (not bool) k >= least."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < least:
+        raise ValueError(f"{what} must be an integer of at least {least}")
+    return int(k)
+
+
+def _same_dim(got: int, want: int, what: str) -> None:
+    """The one rule for matching dimensions: ValueError unless got == want."""
+    if got != want:
+        raise ValueError(f"{what} is in R^{got}, not R^{want}")
+
+
+def _tolerance(t, what: str) -> float:
+    """The one rule for a tolerance: float(t) when 0 <= t < inf, else ValueError."""
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"{what} must be nonnegative and finite")
+    return float(t)
+
+
 def unit(v: np.ndarray) -> np.ndarray:
     """v / |v|, read-only, by the rule of _unit_rows; ValueError for a zero or non-finite v."""
     with np.errstate(over="ignore"):
@@ -99,16 +119,17 @@ class Subspace:
     basis: np.ndarray
 
     def __post_init__(self):
+        n = _count(self.ambient_dim, "ambient_dim", 1)
         b = np.array(self.basis, dtype=float)
-        if b.ndim != 2 or b.shape[1] != self.ambient_dim:
+        if b.ndim != 2 or b.shape[1] != n:
             raise ValueError("basis must have shape (k, ambient_dim)")
         k = b.shape[0]
-        if not 1 <= k < self.ambient_dim:
+        if not 1 <= k < n:
             raise ValueError("subspace dimension must satisfy 1 <= k < n")
         gram = b @ b.T
         if not np.allclose(gram, np.eye(k), rtol=0.0, atol=UNIT_TOL):
             raise ValueError("basis rows must be orthonormal within 1e-12")
-        _set_fields(self, basis=b)
+        _set_fields(self, ambient_dim=n, basis=b)
 
     @property
     def dim(self) -> int:
@@ -323,9 +344,9 @@ class DiscreteVarifold:
             raise TypeError("segments must be SegmentPiece objects")
         if not all(isinstance(r, RayPiece) for r in rays):
             raise TypeError("rays must be RayPiece objects")
-        n = ambient_dim
-        if any(s.a.shape[0] != n for s in segments) or any(r.origin.shape[0] != n for r in rays):
-            raise ValueError("piece dimension does not match ambient_dim")
+        n = _count(ambient_dim, "ambient_dim", 1)
+        for p in (*(s.a for s in segments), *(r.origin for r in rays)):
+            _same_dim(p.shape[0], n, "piece")
         # every piece is validated already; only the columns are built here
         a = _rows([s.a for s in segments], n)
         b = _rows([s.b for s in segments], n)
@@ -393,8 +414,7 @@ class DiscreteVarifold:
         return not (len(self.seg_w) or len(self.ray_w))
 
     def __add__(self, other: "DiscreteVarifold") -> "DiscreteVarifold":
-        if other.ambient_dim != self.ambient_dim:
-            raise ValueError("ambient dimensions differ")
+        _same_dim(other.ambient_dim, self.ambient_dim, "summand")
         return DiscreteVarifold._trusted(self.ambient_dim, *(
             np.concatenate((getattr(self, name), getattr(other, name)))
             for name in ("seg_a", "seg_b", "seg_w", "seg_len", "ray_o", "ray_d", "ray_w")
@@ -443,8 +463,7 @@ class SphereGrid:
 
 def circle_grid(n_nodes: int = 720) -> SphereGrid:
     """Uniform angular grid on S^1 with equal weights 2*pi/N."""
-    if n_nodes < 4:
-        raise ValueError("need at least 4 nodes on the circle")
+    n_nodes = _count(n_nodes, "n_nodes", 4)
     theta = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
     nodes = np.column_stack([np.cos(theta), np.sin(theta)])
     weights = np.full(n_nodes, 2.0 * np.pi / n_nodes)
@@ -453,8 +472,7 @@ def circle_grid(n_nodes: int = 720) -> SphereGrid:
 
 def sphere_grid(n_polar: int = 64, n_azimuth: int = 128) -> SphereGrid:
     """Product grid on S^2: midpoint rule in polar angle, uniform azimuth."""
-    if n_polar < 2 or n_azimuth < 4:
-        raise ValueError("grid too coarse")
+    n_polar, n_azimuth = _count(n_polar, "n_polar", 2), _count(n_azimuth, "n_azimuth", 4)
     pol = (np.arange(n_polar) + 0.5) * np.pi / n_polar
     az = 2.0 * np.pi * np.arange(n_azimuth) / n_azimuth
     P, A = np.meshgrid(pol, az, indexing="ij")
@@ -509,9 +527,9 @@ class SampledDensity:
 class ConicVarifold(_Trusted):
     """A conic 1-varifold: a measure mu on S^{n-1}, rays weighted by d(mu).
 
-    atom_directions has shape (k, n) with pairwise-distinct unit rows and
-    atom_masses shape (k,) positive.  density optionally adds a sampled
-    continuous part.
+    n = ambient_dim is an integer of at least 1; atom_directions has shape
+    (k, n) with pairwise-distinct unit rows and atom_masses shape (k,)
+    positive.  density optionally adds a sampled continuous part on S^{n-1}.
     """
 
     ambient_dim: int
@@ -520,19 +538,16 @@ class ConicVarifold(_Trusted):
     density: SampledDensity | None = None
 
     def __post_init__(self):
-        dirs = np.array(self.atom_directions, dtype=float)
+        n = _count(self.ambient_dim, "ambient_dim", 1)
+        dirs = _atom_rows(self.atom_directions, n, "atom_directions")
         masses = np.array(self.atom_masses, dtype=float)
-        if dirs.size == 0:
-            dirs = np.zeros((0, self.ambient_dim))
-        if dirs.ndim != 2 or dirs.shape[1] != self.ambient_dim:
-            raise ValueError("atom_directions must have shape (k, ambient_dim)")
-        _check_atoms(self.ambient_dim, dirs, masses, self.density)
+        _check_atoms(dirs, masses, "directions", self.density)
         if not _is_unit(dirs).all():
             raise ValueError("atom directions must be unit vectors")
         # pairwise distinct: only the diagonal lies within the tolerance
         if np.count_nonzero(_direction_distances(dirs) <= ATOM_SEPARATION_TOL) > len(dirs):
             raise ValueError("atom directions must be pairwise distinct")
-        _set_fields(self, atom_directions=dirs, atom_masses=masses)
+        _set_fields(self, ambient_dim=n, atom_directions=dirs, atom_masses=masses)
 
     @property
     def n_atoms(self) -> int:
@@ -563,17 +578,27 @@ class ConicVarifold(_Trusted):
         return m
 
 
-def _check_atoms(ambient_dim: int, dirs: np.ndarray, masses: np.ndarray,
-                 density: SampledDensity | None) -> None:
-    """The checks of a cone's masses and density, given (k, ambient_dim) directions."""
-    if masses.shape != (dirs.shape[0],):
-        raise ValueError("atom_masses must match atom_directions")
-    if not (np.all(np.isfinite(dirs)) and np.all(np.isfinite(masses))):
-        raise ValueError("atom directions and masses must be finite")
-    if np.any(masses <= 0.0):
+def _atom_rows(rows, n: int, what: str) -> np.ndarray:
+    """rows as a new float (k, n) array, (0, n) when empty; else ValueError naming what."""
+    x = np.array(rows, dtype=float)
+    if x.size == 0:
+        x = np.zeros((0, n))
+    if x.ndim != 2 or x.shape[1] != n:
+        raise ValueError(f"{what} must have shape (k, ambient_dim)")
+    return x
+
+
+def _check_atoms(rows: np.ndarray, masses: np.ndarray, what: str, density=None) -> None:
+    """The checks of atoms at the (k, n) rows (cone directions or plane points, as what
+    names them), one finite positive mass per finite row, and of a cone's density."""
+    if masses.shape != (rows.shape[0],):
+        raise ValueError(f"atom masses must match atom {what}")
+    if not (np.isfinite(rows).all() and np.isfinite(masses).all()):
+        raise ValueError(f"atom {what} and masses must be finite")
+    if (masses <= 0.0).any():
         raise ValueError("atom masses must be positive")
-    if density is not None and density.grid.ambient_dim != ambient_dim:
-        raise ValueError("density grid dimension does not match ambient_dim")
+    if density is not None:
+        _same_dim(density.grid.ambient_dim, rows.shape[1], "density grid")
 
 
 def conic_atoms(ambient_dim: int, atoms: Iterable[tuple[Sequence[float], float]],
@@ -586,10 +611,8 @@ def conic_atoms(ambient_dim: int, atoms: Iterable[tuple[Sequence[float], float]]
     ATOM_SEPARATION_TOL of an atom kept before it adds its mass to the
     first such atom; any other is kept as a new atom.
     """
-    atoms = list(atoms)
-    dirs = np.array([d for d, _ in atoms] or np.zeros((0, ambient_dim)), dtype=float)
-    if dirs.ndim != 2 or dirs.shape[1] != ambient_dim:
-        raise ValueError("atom_directions must have shape (k, ambient_dim)")
+    n, atoms = _count(ambient_dim, "ambient_dim", 1), list(atoms)
+    dirs = _atom_rows([d for d, _ in atoms], n, "atom_directions")
     masses = [float(m) for _, m in atoms]
     with np.errstate(over="ignore"):  # a NaN or infinite row fails in _unit_rows
         off = ~(np.abs(_rowdot(dirs, dirs) - 1.0) <= 1e-13)
@@ -605,8 +628,8 @@ def conic_atoms(ambient_dim: int, atoms: Iterable[tuple[Sequence[float], float]]
             masses[i] += masses[j]
     dirs, masses = dirs[kept], np.array([masses[i] for i in kept], dtype=float)
     # the rows are unit and distinct by now; merged masses may still fail
-    _check_atoms(ambient_dim, dirs, masses, density)
-    return ConicVarifold._trusted(ambient_dim, dirs, masses, density)
+    _check_atoms(dirs, masses, "directions", density)
+    return ConicVarifold._trusted(n, dirs, masses, density)
 
 
 @dataclass(frozen=True)
@@ -829,10 +852,9 @@ def circle_arc_mass(c: ConicVarifold, lo: float, hi: float) -> float:
 
     Atoms count when their angle falls in the arc modulo 2*pi; the sampled
     density is integrated mode-exactly as a trigonometric interpolant.
-    ValueError unless lo < hi, both finite.
+    ValueError unless c is in R^2 and lo < hi, both finite.
     """
-    if c.ambient_dim != 2:
-        raise ValueError("arc masses are defined on the circle only")
+    _same_dim(c.ambient_dim, 2, "cone")
     if not -math.inf < lo < hi < math.inf:
         raise ValueError("need finite lo < hi")
     total = 0.0

@@ -10,6 +10,7 @@ from .core import (
     RayPiece,
     SegmentPiece,
     Subspace,
+    _count,
     as_vector,
     conic_atoms,
     unit,
@@ -31,8 +32,7 @@ def y_junction(ambient_dim: int = 2, weights=(1.0, 1.0, 1.0),
     Rays by default; finite segments when arm_length is given.  Equal
     weights balance the junction exactly.
     """
-    if ambient_dim < 2:
-        raise ValueError("need ambient dimension >= 2")
+    ambient_dim = _count(ambient_dim, "ambient_dim", 2)
     origin = np.zeros(ambient_dim)
     dirs = []
     for k in range(3):
@@ -73,8 +73,7 @@ def random_subspace(rng: np.random.Generator, n: int, dim: int) -> Subspace:
 def random_balanced_star(rng: np.random.Generator, n: int,
                          arms: int) -> list[tuple[np.ndarray, float]]:
     """(direction, weight) arms whose weighted sum is exactly zero."""
-    if arms < 3:
-        raise ValueError("a balanced star needs at least 3 arms")
+    arms = _count(arms, "arms", 3)
     while True:
         dirs = [random_unit_vector(rng, n) for _ in range(arms - 1)]
         weights = list(rng.uniform(0.5, 2.0, size=arms - 1))

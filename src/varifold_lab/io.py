@@ -34,6 +34,8 @@ from .core import (
     SampledDensity,
     SegmentPiece,
     Subspace,
+    _count,
+    _same_dim,
     grid_from_descriptor,
 )
 
@@ -75,8 +77,8 @@ def document_to_dict(
     if discrete is None and conic is None:
         raise ValueError("nothing to serialize")
     n = discrete.ambient_dim if discrete is not None else conic.ambient_dim
-    if conic is not None and conic.ambient_dim != n:
-        raise ValueError("discrete and conic parts disagree on the dimension")
+    if conic is not None:
+        _same_dim(conic.ambient_dim, n, "conic part")
     doc: dict = {"ambient_dim": n}
     if discrete is not None:
         doc["segments"] = _sorted_records(a=discrete.seg_a, b=discrete.seg_b,
@@ -96,20 +98,10 @@ def document_to_dict(
 
 def document_from_dict(doc: dict) -> VarifoldDocument:
     try:
-        n = int(doc["ambient_dim"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError("missing or invalid ambient_dim") from exc
-    try:
-        segments = tuple(
-            SegmentPiece(np.array(s["a"], dtype=float), np.array(s["b"], dtype=float),
-                         float(s["weight"]))
-            for s in doc.get("segments", [])
-        )
-        rays = tuple(
-            RayPiece(np.array(r["origin"], dtype=float),
-                     np.array(r["direction"], dtype=float), float(r["weight"]))
-            for r in doc.get("rays", [])
-        )
+        n = _count(doc["ambient_dim"], "ambient_dim", 1)
+        # the constructors coerce and check every field
+        segments = tuple(SegmentPiece(s["a"], s["b"], s["weight"]) for s in doc.get("segments", []))
+        rays = tuple(RayPiece(r["origin"], r["direction"], r["weight"]) for r in doc.get("rays", []))
         discrete = None
         if segments or rays:
             discrete = DiscreteVarifold(n, segments, rays)
@@ -117,20 +109,16 @@ def document_from_dict(doc: dict) -> VarifoldDocument:
         if "conic" in doc:
             sec = doc["conic"]
             atoms = sec.get("atoms", [])
-            dirs = np.array([a["dir"] for a in atoms], dtype=float) if atoms else np.zeros((0, n))
-            masses = np.array([a["mass"] for a in atoms], dtype=float)
             dens = None
             if "density" in sec and sec["density"] is not None:
                 grid = grid_from_descriptor(str(sec["density"]["grid"]))
-                dens = SampledDensity(grid, np.array(sec["density"]["values"], dtype=float))
-            conic = ConicVarifold(n, dirs, masses, dens)
-        if discrete is None and conic is None:
-            raise SchemaError("document contains no varifold data")
-        return VarifoldDocument(n, discrete, conic)
-    except SchemaError:
-        raise
+                dens = SampledDensity(grid, sec["density"]["values"])
+            conic = ConicVarifold(n, [a["dir"] for a in atoms], [a["mass"] for a in atoms], dens)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed varifold document: {exc}") from exc
+    if discrete is None and conic is None:
+        raise SchemaError("document contains no varifold data")
+    return VarifoldDocument(n, discrete, conic)
 
 
 def save_varifold(
@@ -146,30 +134,26 @@ def _reject_constant(name: str):
 
 
 def _loads(text: str):
-    """json.loads that rejects the NaN, Infinity and -Infinity extensions."""
-    return json.loads(text, parse_constant=_reject_constant)
+    """json.loads that rejects the NaN, Infinity and -Infinity extensions;
+    SchemaError for text that is not JSON."""
+    try:
+        return json.loads(text, parse_constant=_reject_constant)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"not valid JSON: {exc}") from exc
 
 
 def load_varifold(path: str | Path) -> VarifoldDocument:
-    try:
-        raw = _loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"not valid JSON: {exc}") from exc
+    raw = _loads(Path(path).read_text())
     if not isinstance(raw, dict):
         raise SchemaError("document root must be an object")
     return document_from_dict(raw)
 
 
 def load_subspace(path: str | Path) -> Subspace:
+    raw = _loads(Path(path).read_text())
     try:
-        raw = _loads(Path(path).read_text())
         basis = np.array(raw["basis"], dtype=float)
-        n = int(raw.get("ambient_dim", basis.shape[1]))
-        return Subspace(n, basis)
-    except SchemaError:
-        raise
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"not valid JSON: {exc}") from exc
+        return Subspace(raw.get("ambient_dim", basis.shape[1]), basis)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise SchemaError(f"malformed subspace document: {exc}") from exc
 

@@ -19,8 +19,10 @@ from .core import (
     SampledDensity,
     Subspace,
     _circle_modes,
+    _count,
     _integrate_modes,
     _rowdot,
+    _same_dim,
     _unit_rows,
     as_vector,
     circle_grid,
@@ -44,6 +46,7 @@ def _images(dirs: np.ndarray, p: Subspace) -> tuple[np.ndarray, ...]:
 
 
 def _project_pieces(v: DiscreteVarifold, p: Subspace, weighted: bool) -> DiscreteVarifold:
+    _same_dim(p.ambient_dim, v.ambient_dim, "subspace")
     s, seg_c, _, _ = _images(v.seg_u, p)
     r, ray_c, ray_img, ray_sq = _images(v.ray_d, p)
     seg_w = v.seg_w[s] * seg_c[s] if weighted else v.seg_w[s]
@@ -60,8 +63,6 @@ def mapping_projection(v: DiscreteVarifold, p: Subspace) -> DiscreteVarifold:
     Pieces orthogonal to the target (contraction <= 1e-12) have images of
     zero one-dimensional mass and are dropped.
     """
-    if p.ambient_dim != v.ambient_dim:
-        raise ValueError("subspace lives in a different ambient space")
     return _project_pieces(v, p, weighted=False)
 
 
@@ -71,8 +72,6 @@ def weighted_projection(v: DiscreteVarifold, p: Subspace) -> DiscreteVarifold:
     The mass of the image over any set is then the integral of the squared
     contraction, and it never exceeds the plain pushforward mass.
     """
-    if p.ambient_dim != v.ambient_dim:
-        raise ValueError("subspace lives in a different ambient space")
     return _project_pieces(v, p, weighted=True)
 
 
@@ -109,8 +108,7 @@ def _density_halfline_mass(density: SampledDensity, u: np.ndarray) -> float:
 
 def halfline_multiplicity(c: ConicVarifold, u) -> float:
     """Multiplicity of the +u half line of the weighted projection onto span(u)."""
-    if c.ambient_dim != 2:
-        raise ValueError("half-line multiplicities are defined in the plane only")
+    _same_dim(c.ambient_dim, 2, "cone")
     u = unit(as_vector(u, dim=2))
     m = 0.0
     if c.n_atoms:
@@ -133,8 +131,7 @@ def weighted_projection_conic(c: ConicVarifold, p: Subspace) -> ConicVarifold:
     the circle-to-line case where the two half-line masses are evaluated
     mode-exactly.
     """
-    if p.ambient_dim != c.ambient_dim:
-        raise ValueError("subspace lives in a different ambient space")
+    _same_dim(p.ambient_dim, c.ambient_dim, "subspace")
     # circle to line: the density's two half-line masses are taken mode-exactly
     halfline = c.density is not None and c.ambient_dim == 2 and p.dim == 1
     dirs, masses = (c.atom_directions, c.atom_masses) if halfline else c.mass_rows()
@@ -172,9 +169,8 @@ def counterexample_pair() -> tuple[ConicVarifold, ConicVarifold]:
 def halfline_difference_table(v1: ConicVarifold, v2: ConicVarifold,
                               n_directions: int = 360) -> np.ndarray:
     """Rows (angle, m_v1, m_v2, difference) over a uniform battery of
-    n_directions directions; ValueError unless n_directions >= 1."""
-    if not n_directions >= 1:
-        raise ValueError("n_directions must be at least 1")
+    n_directions directions."""
+    n_directions = _count(n_directions, "n_directions", 1)
     rows = np.empty((n_directions, 4))
     for k in range(n_directions):
         ang = 2.0 * np.pi * k / n_directions

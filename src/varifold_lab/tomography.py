@@ -29,6 +29,9 @@ from .core import (
     Subspace,
     _TINY,
     _Trusted,
+    _atom_rows,
+    _check_atoms,
+    _count,
     _direction_distances,
     _rowdot,
     _set_fields,
@@ -88,18 +91,9 @@ class PlaneMeasure(_Trusted):
     masses: np.ndarray
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=float)
+        pts = _atom_rows(self.points, self.plane.ambient_dim, "points")
         ms = np.array(self.masses, dtype=float)
-        if pts.size == 0:
-            pts = np.zeros((0, self.plane.ambient_dim))
-        if pts.ndim != 2 or pts.shape[1] != self.plane.ambient_dim:
-            raise ValueError("points must have shape (k, ambient_dim)")
-        if ms.shape != (pts.shape[0],):
-            raise ValueError("masses must match points")
-        if not (np.isfinite(pts).all() and np.isfinite(ms).all()):
-            raise ValueError("atom points and masses must be finite")
-        if np.any(ms <= 0.0):
-            raise ValueError("atom masses must be positive")
+        _check_atoms(pts, ms, "points")
         drift = np.linalg.norm(pts - self.plane.project(pts), axis=1)
         if np.max(drift / (1.0 + np.linalg.norm(pts, axis=1)), initial=0.0) > PLANE_TOL:
             raise ValueError("atom points must lie in the plane")
@@ -231,10 +225,8 @@ def marginal_direction_battery(plane: Subspace) -> list[np.ndarray]:
 
 
 def default_normals(ambient_dim: int, extra: int = 1) -> list[np.ndarray]:
-    """Signed coordinate directions plus extra deterministic generic ones.
-    Raises ValueError for a negative extra."""
-    if extra < 0:
-        raise ValueError("extra normals must be nonnegative")
+    """Signed coordinate directions plus extra deterministic generic ones."""
+    ambient_dim, extra = _count(ambient_dim, "ambient_dim", 2), _count(extra, "extra normals", 0)
     normals = []
     for i in range(ambient_dim):
         e = np.zeros(ambient_dim)
@@ -809,8 +801,7 @@ def reconstruct_plane_measure(
                 "held-out marginal disagrees with the reconstruction"
             )
     # huge masses can overflow the solve (a non-finite candidate fails the rank check)
-    if not np.isfinite(w).all():
-        raise ValueError("atom points and masses must be finite")
+    _check_atoms(candidates, w, "points")
     return PlaneMeasure._trusted(plane, candidates, w)
 
 
@@ -846,6 +837,7 @@ def reconstruct_conic(
     Raises AmbiguousReconstruction from the plane solve and CoverageGap when
     located marginal mass is not explained by the merged reconstruction.
     """
+    ambient_dim = _count(ambient_dim, "ambient_dim", 2)
     if normals is None:
         normals = default_normals(ambient_dim)
     normals = [unit(as_vector(nv, dim=ambient_dim)) for nv in normals]
@@ -919,6 +911,7 @@ def reconstruct_from_marginals(
     masses, and CoverageGap when marginal mass is not explained by the
     merged reconstruction.
     """
+    ambient_dim = _count(ambient_dim, "ambient_dim", 2)
     keep_cut = min(KEEP_FRACTION, 0.9 / math.sqrt(ambient_dim))
     # (directions, masses, pole dots) of the well-conditioned atoms per chart
     kept = [(np.zeros((0, ambient_dim)), np.zeros(0), np.zeros(0))]

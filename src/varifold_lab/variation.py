@@ -21,13 +21,16 @@ from .core import (
     _Trusted,
     _ball_chords,
     _chord_rows,
+    _count,
     _is_unit,
     _piece_rows,
     _point,
     _positive,
     _row_norms,
     _rowdot,
+    _same_dim,
     _set_fields,
+    _tolerance,
     _unit_rows,
     as_vector,
     group_ends,
@@ -153,6 +156,10 @@ def _plateau_prime(t: np.ndarray) -> np.ndarray:
 def _profile_field(center, radius: float, matrix_or_vector, profile, profile_prime) -> TestField:
     c = as_vector(center)
     arg = np.asarray(matrix_or_vector, dtype=float)
+    if arg.ndim not in (1, 2):
+        raise ValueError("a field takes a vector or a matrix")
+    for k in arg.shape:
+        _same_dim(k, c.shape[0], "field vector" if arg.ndim == 1 else "field matrix")
     if arg.ndim == 1:
         # constant vector times radial profile
         def value_of(x):
@@ -205,7 +212,9 @@ def linear_field(center, radius: float, matrix) -> TestField:
 
 
 def rotation_field(center, radius: float, i: int, j: int, n: int) -> TestField:
-    """Bump times the rotation field in the (i, j) plane."""
+    """Bump times the rotation field in the (i, j) plane of R^n."""
+    if i == j or max(_count(i, "axis i", 0), _count(j, "axis j", 0)) >= _count(n, "n", 2):
+        raise ValueError("rotation axes must be two distinct indices in range(n)")
     A = np.zeros((n, n))
     A[i, j] = -1.0
     A[j, i] = 1.0
@@ -223,8 +232,7 @@ def first_variation(v: DiscreteVarifold, g: TestField) -> float:
     w * (g(b).s - g(a).s); a ray contributes only its origin endpoint since
     the far end leaves the compact support.
     """
-    if g.ambient_dim != v.ambient_dim:
-        raise ValueError("field dimension does not match the varifold")
+    _same_dim(g.ambient_dim, v.ambient_dim, "field")
     total = 0.0
     for a, b, u, w in zip(v.seg_a, v.seg_b, v.seg_u, v.seg_w.tolist()):
         total += w * float(np.dot(g.evaluate(b) - g.evaluate(a), u))
@@ -238,11 +246,10 @@ def first_variation_quadrature(v: DiscreteVarifold, g: TestField,
     """Composite-Simpson quadrature of div_S g along every piece.
 
     Independent of the endpoint formula; rays are integrated up to their
-    exit from the support ball.  An even nodes is raised by one; ValueError
-    unless nodes >= 2.
+    exit from the support ball.  An even nodes is raised by one.
     """
-    if not nodes >= 2:
-        raise ValueError("nodes must be at least 2")
+    nodes = _count(nodes, "nodes", 2)
+    _same_dim(g.ambient_dim, v.ambient_dim, "field")
     if nodes % 2 == 0:
         nodes += 1
     bases, dirs, _, weights = _piece_rows(v)
@@ -310,8 +317,7 @@ def vertex_residuals(v: DiscreteVarifold, tol: float = 1e-12) -> list[VariationA
     holds verbatim for every admissible test field.  Atoms come in the order
     of their vertices' first ends.  Raises ValueError unless 0 <= tol < inf.
     """
-    if not 0.0 <= tol < math.inf:
-        raise ValueError("tolerance must be nonnegative and finite")
+    tol = _tolerance(tol, "tolerance")
     points, residual, norms = _vertex_forces(v)
     keep = np.flatnonzero(norms > tol)
     # trusted: omega is unit by _unit_rows, and each mass a norm above tol >= 0
@@ -321,7 +327,7 @@ def vertex_residuals(v: DiscreteVarifold, tol: float = 1e-12) -> list[VariationA
 
 def is_stationary(v: DiscreteVarifold, tol: float) -> tuple[bool, float]:
     """Whether every vertex balances at tolerance tol; also the max residual."""
-    tol = _positive(tol, "tolerance")
+    tol = _tolerance(tol, "tolerance")
     worst = float(_vertex_forces(v)[2].max(initial=0.0))
     return worst <= tol, worst
 

@@ -135,7 +135,7 @@ def test_pair_with_empty_is_zero():
 
 
 def test_weak_star_distance_needs_one_ambient_dimension():
-    with pytest.raises(ValueError, match="ambient dimensions differ"):
+    with pytest.raises(ValueError, match=r"^v2 is in R\^3, not R\^2$"):
         weak_star_distance(y_junction(), DiscreteVarifold(3), default_battery(2))
 
 
@@ -865,6 +865,17 @@ def test_density_bound_check_rejects_each_broken_hypothesis(case, error, message
         y = unit([1.0, 0.0, 0.0])
     with pytest.raises(error, match=f"^{message}$"):
         density_bound_check(c, y, p, r, epsilon=eps)
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -1e-3])
+def test_density_bound_check_takes_epsilon_by_the_positive_rule(eps):
+    # at the parent a NaN or infinite epsilon gave a NaN or infinite
+    # upper_bound, which every value passed
+    y = unit([0.1, 0.2, 0.97])
+    c = conic_atoms(3, [(y, 1.0)])
+    p = Subspace(3, np.array([[1.0, 0, 0], [0, 1.0, 0]]))
+    with pytest.raises(ValueError, match="^epsilon must be positive and finite$"):
+        density_bound_check(c, y, p, 5e-6, epsilon=eps)
 
 
 def test_projected_density_counts_half_a_chord_ending_over_the_point():

@@ -63,6 +63,8 @@ from varifold_lab.fixtures import (
     y_junction,
 )
 
+from varifold_lab import blowup, fixtures, projection, tomography, variation
+from varifold_lab.io import document_from_dict, document_to_dict
 from piece_reference import ball_interval, piece_frame
 from tomography_reference import conic_atoms as reference_conic_atoms
 
@@ -137,12 +139,13 @@ def test_non_finite_cones_rejected(bad):
     pytest.param(lambda: DiscreteVarifold(2, (), (segment([0, 0], [1, 0]),)), TypeError,
                  "rays must be RayPiece objects", id="ray-type"),
     pytest.param(lambda: DiscreteVarifold(3, (segment([0, 0], [1, 0]),)), ValueError,
-                 "piece dimension does not match ambient_dim", id="piece-dimension"),
+                 "piece is in R^2, not R^3", id="piece-dimension"),
     pytest.param(lambda: DiscreteVarifold(2) + DiscreteVarifold(3), ValueError,
-                 "ambient dimensions differ", id="sum-dimension"),
-    pytest.param(lambda: circle_grid(3), ValueError, "need at least 4 nodes on the circle",
+                 "summand is in R^3, not R^2", id="sum-dimension"),
+    pytest.param(lambda: circle_grid(3), ValueError, "n_nodes must be an integer of at least 4",
                  id="circle-grid"),
-    pytest.param(lambda: sphere_grid(1, 8), ValueError, "grid too coarse", id="sphere-grid"),
+    pytest.param(lambda: sphere_grid(1, 8), ValueError, "n_polar must be an integer of at least 2",
+                 id="sphere-grid"),
     pytest.param(lambda: SampledDensity(circle_grid(8), np.ones(7)), ValueError,
                  "values must match the grid size", id="density-size"),
     pytest.param(lambda: SampledDensity(circle_grid(8), -np.ones(8)), ValueError,
@@ -150,7 +153,7 @@ def test_non_finite_cones_rejected(bad):
     pytest.param(lambda: ConicVarifold(3, [[1.0, 0.0]], [1.0]), ValueError,
                  "atom_directions must have shape (k, ambient_dim)", id="cone-directions"),
     pytest.param(lambda: ConicVarifold(2, [[1.0, 0.0]], [1.0, 2.0]), ValueError,
-                 "atom_masses must match atom_directions", id="cone-masses"),
+                 "atom masses must match atom directions", id="cone-masses"),
     pytest.param(lambda: conic_atoms(3, [([1.0, 0.0], 1.0)]), ValueError,
                  "atom_directions must have shape (k, ambient_dim)", id="conic-atoms-directions"),
     pytest.param(lambda: DensityValue(1.0, 1.0, 2.0), ValueError,
@@ -158,7 +161,7 @@ def test_non_finite_cones_rejected(bad):
     pytest.param(lambda: restrict(full_line([0, 0], [1, 0]), [0, 0], 1.0, "both"), ValueError,
                  "keep must be 'inside' or 'outside'", id="restrict-keep"),
     pytest.param(lambda: circle_arc_mass(conic_atoms(3, [([0.0, 0.0, 1.0], 1.0)]), 0.0, 1.0),
-                 ValueError, "arc masses are defined on the circle only", id="arc-dimension"),
+                 ValueError, "cone is in R^3, not R^2", id="arc-dimension"),
 ])
 def test_core_checks_name_what_is_wrong(build, error, message):
     with pytest.raises(error, match=re.escape(message)):
@@ -1199,11 +1202,11 @@ def test_grids_of_descriptors_pass_their_own_checks():
     ([([1.0, 0.0], -1.0)], None, "atom masses must be positive"),
     # two finite masses merge into an infinite one
     ([([1.0, 0.0], 1e308), ([1.0, 0.0], 1e308)], None, "must be finite"),
-    ([([1.0, 0.0], 1.0)], "s2", "density grid dimension does not match ambient_dim"),
+    ([([1.0, 0.0], 1.0)], "s2", "density grid is in R^3, not R^2"),
 ])
 def test_conic_atoms_checks_its_masses_and_density(atoms, density, message):
     dens = SampledDensity(sphere_grid(2, 4), np.ones(8)) if density else None
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         conic_atoms(2, atoms, dens)
 
 
@@ -1439,3 +1442,186 @@ def test_subspace_projects_each_row_of_a_batch_as_that_row_alone(case):
     assert batch.shape == x.shape
     for i in range(len(x)):
         assert batch[i].tobytes() == p.project(x[i]).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# one owner per input rule: counts, dimensions and tolerances
+# ---------------------------------------------------------------------------
+# Each case names what the parent did with the same call.
+
+_LINE = full_line([0.0, 0.0], [1.0, 0.0])
+_CONE3 = conic_atoms(3, [([0.0, 0.0, 1.0], 1.0)])
+_FIELD2 = variation.bump_field([0.0, 0.0], 1.0, [1.0, 0.0])
+_POLE = unit(np.array([0.1, 0.2, 0.97]))
+_RAYS = [{"origin": [0.0, 0.0], "direction": [1.0, 0.0], "weight": 1.0}]
+
+
+def _rule_message(call) -> str:
+    with pytest.raises(ValueError) as exc:
+        call()
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("call, message", [
+    # numpy's "cannot reshape", and two TypeErrors from numpy
+    pytest.param(lambda: DiscreteVarifold(0), "ambient_dim must be an integer of at least 1",
+                 id="varifold-0"),
+    pytest.param(lambda: DiscreteVarifold(2.5), "ambient_dim must be an integer of at least 1",
+                 id="varifold-float"),
+    pytest.param(lambda: DiscreteVarifold(True), "ambient_dim must be an integer of at least 1",
+                 id="varifold-bool"),
+    # accepted
+    pytest.param(lambda: ConicVarifold(0), "ambient_dim must be an integer of at least 1",
+                 id="cone-0"),
+    pytest.param(lambda: conic_atoms(0, []), "ambient_dim must be an integer of at least 1",
+                 id="conic-atoms-0"),
+    pytest.param(lambda: Subspace(3.0, [[1.0, 0.0, 0.0]]),
+                 "ambient_dim must be an integer of at least 1", id="subspace-float"),
+    pytest.param(lambda: blowup.TestBattery(0, 1.0), "ambient_dim must be an integer of at least 1",
+                 id="battery-0"),
+    # numpy's "zero-size array to reduction operation", and a TypeError
+    pytest.param(lambda: blowup.default_battery(0),
+                 "ambient_dim must be an integer of at least 1", id="default-battery-0"),
+    pytest.param(lambda: blowup.default_battery(2.0),
+                 "ambient_dim must be an integer of at least 1", id="default-battery-float"),
+    # the grid's own message, a TypeError from numpy, and accepted
+    pytest.param(lambda: circle_grid(3), "n_nodes must be an integer of at least 4",
+                 id="circle-grid-3"),
+    pytest.param(lambda: circle_grid(4.5), "n_nodes must be an integer of at least 4",
+                 id="circle-grid-float"),
+    pytest.param(lambda: sphere_grid(2, 4.5), "n_azimuth must be an integer of at least 4",
+                 id="sphere-grid-float"),
+    # "need ambient dimension >= 2", and a TypeError from numpy
+    pytest.param(lambda: y_junction(1), "ambient_dim must be an integer of at least 2",
+                 id="y-junction-1"),
+    pytest.param(lambda: y_junction(2.5), "ambient_dim must be an integer of at least 2",
+                 id="y-junction-float"),
+    # the star's own message, and a TypeError from range()
+    pytest.param(lambda: fixtures.random_balanced_star(np.random.default_rng(0), 2, 2),
+                 "arms must be an integer of at least 3", id="star-2"),
+    pytest.param(lambda: fixtures.random_balanced_star(np.random.default_rng(0), 2, 3.5),
+                 "arms must be an integer of at least 3", id="star-float"),
+    # "need k >= 1", and two TypeErrors
+    pytest.param(lambda: dense_lines_fixture(0), "k must be an integer of at least 1", id="k-0"),
+    pytest.param(lambda: dense_lines_fixture(2.5), "k must be an integer of at least 1",
+                 id="k-float"),
+    pytest.param(lambda: dense_lines_fixture(2, ambient_dim=2.5),
+                 "ambient_dim must be an integer of at least 1", id="dense-lines-dim"),
+    # the table's own message, and a TypeError from np.empty
+    pytest.param(lambda: projection.halfline_difference_table(*projection.counterexample_pair(), 0),
+                 "n_directions must be an integer of at least 1", id="directions-0"),
+    pytest.param(lambda: projection.halfline_difference_table(_LINE, _LINE, 2.5),
+                 "n_directions must be an integer of at least 1", id="directions-float"),
+    # the normals' own message, a TypeError from range(), and [e1, -e1]
+    pytest.param(lambda: default_normals(3, -1), "extra normals must be an integer of at least 0",
+                 id="normals-negative"),
+    pytest.param(lambda: default_normals(3, 1.5), "extra normals must be an integer of at least 0",
+                 id="normals-float"),
+    pytest.param(lambda: default_normals(1), "ambient_dim must be an integer of at least 2",
+                 id="normals-dim"),
+    # "subspace dimension must satisfy 1 <= k < n" from a chart, and an
+    # empty cone
+    pytest.param(lambda: reconstruct_conic(BandOracle(_CONE3), 1),
+                 "ambient_dim must be an integer of at least 2", id="reconstruct-dim"),
+    pytest.param(lambda: tomography.reconstruct_from_marginals(1, []),
+                 "ambient_dim must be an integer of at least 2", id="marginals-dim"),
+    # the quadrature's own message, and a TypeError from numpy
+    pytest.param(lambda: variation.first_variation_quadrature(_LINE, _FIELD2, nodes=1),
+                 "nodes must be an integer of at least 2", id="nodes-1"),
+    pytest.param(lambda: variation.first_variation_quadrature(_LINE, _FIELD2, nodes=2.5),
+                 "nodes must be an integer of at least 2", id="nodes-float"),
+    # accepted (axis -1 wrapped round), and a TypeError from numpy
+    pytest.param(lambda: variation.rotation_field([0.0, 0.0], 1.0, 0, -1, 2),
+                 "axis j must be an integer of at least 0", id="rotation-axis"),
+    pytest.param(lambda: variation.rotation_field([0.0, 0.0], 1.0, 0, 1, 2.0),
+                 "n must be an integer of at least 2", id="rotation-n"),
+    # loaded as R^2
+    pytest.param(lambda: document_from_dict({"ambient_dim": 2.9, "rays": _RAYS}),
+                 "malformed varifold document: ambient_dim must be an integer of at least 1",
+                 id="document-float"),
+    pytest.param(lambda: document_from_dict({"ambient_dim": "2", "rays": _RAYS}),
+                 "malformed varifold document: ambient_dim must be an integer of at least 1",
+                 id="document-string"),
+])
+def test_count_rule_covers_every_entry_point(call, message):
+    assert _rule_message(call) == message
+
+
+def test_count_rule_admits_numpy_integers_and_returns_ints():
+    # at the parent conic_atoms kept a numpy ambient_dim as given
+    assert DiscreteVarifold(np.int64(2)).ambient_dim == 2
+    assert type(conic_atoms(np.int32(2), []).ambient_dim) is int
+    assert circle_grid(np.int64(8)).size == 8
+    assert len(default_normals(np.int64(3), np.int64(0))) == 6
+
+
+@pytest.mark.parametrize("call, message", [
+    # "piece dimension does not match ambient_dim", "ambient dimensions differ"
+    pytest.param(lambda: DiscreteVarifold(3, (SegmentPiece([0, 0], [1, 0], 1.0),)),
+                 "piece is in R^2, not R^3", id="piece"),
+    pytest.param(lambda: DiscreteVarifold(2) + DiscreteVarifold(3), "summand is in R^3, not R^2",
+                 id="sum"),
+    # "density grid dimension does not match ambient_dim"
+    pytest.param(lambda: ConicVarifold(3, density=SampledDensity(circle_grid(8), np.ones(8))),
+                 "density grid is in R^2, not R^3", id="cone-density"),
+    pytest.param(lambda: conic_atoms(2, [], SampledDensity(sphere_grid(2, 4), np.ones(8))),
+                 "density grid is in R^3, not R^2", id="conic-atoms-density"),
+    # "arc masses are defined on the circle only"
+    pytest.param(lambda: circle_arc_mass(_CONE3, 0.0, 1.0), "cone is in R^3, not R^2", id="arc"),
+    # "subspace lives in a different ambient space" (three copies)
+    pytest.param(lambda: projection.mapping_projection(DiscreteVarifold(3), Subspace.span([1, 0])),
+                 "subspace is in R^2, not R^3", id="mapping"),
+    pytest.param(lambda: projection.weighted_projection(DiscreteVarifold(3),
+                                                        Subspace.span([1, 0])),
+                 "subspace is in R^2, not R^3", id="weighted"),
+    pytest.param(lambda: projection.weighted_projection_conic(_CONE3, Subspace.span([1, 0])),
+                 "subspace is in R^2, not R^3", id="conic"),
+    # "half-line multiplicities are defined in the plane only"
+    pytest.param(lambda: halfline_multiplicity(_CONE3, [1.0, 0.0]), "cone is in R^3, not R^2",
+                 id="halfline"),
+    # "ambient dimensions differ", then numpy's matmul error
+    pytest.param(lambda: blowup.weak_star_distance(_LINE, DiscreteVarifold(3),
+                                                   blowup.default_battery(2)),
+                 "v2 is in R^3, not R^2", id="weak-star-v2"),
+    pytest.param(lambda: blowup.weak_star_distance(_LINE, _LINE, blowup.default_battery(3)),
+                 "battery is in R^3, not R^2", id="weak-star-battery"),
+    # accepted: every dilation of the Y equals its cone, so nothing was paired
+    pytest.param(lambda: blowup.tangent_estimate(y_junction(), [0.0, 0.0], [0.5],
+                                                 blowup.default_battery(3)),
+                 "battery is in R^3, not R^2", id="tangent-battery"),
+    # accepted
+    pytest.param(lambda: blowup.TestBattery(2, 1.0, table=blowup.default_battery(3).table),
+                 "battery table is in R^3, not R^2", id="battery-table"),
+    # "field dimension does not match the varifold", then numpy broadcasting
+    pytest.param(lambda: variation.first_variation(DiscreteVarifold(3), _FIELD2),
+                 "field is in R^2, not R^3", id="first-variation"),
+    pytest.param(lambda: variation.first_variation_quadrature(
+        full_line([0.0, 0.0, 0.0], [1.0, 0.0, 0.0]), _FIELD2),
+                 "field is in R^2, not R^3", id="quadrature"),
+    # accepted, each failing later in numpy
+    pytest.param(lambda: variation.bump_field([0.0, 0.0], 1.0, [1.0, 0.0, 0.0]),
+                 "field vector is in R^3, not R^2", id="bump-vector"),
+    pytest.param(lambda: variation.linear_field([0.0, 0.0], 1.0, np.eye(3)),
+                 "field matrix is in R^3, not R^2", id="linear-matrix"),
+    pytest.param(lambda: variation.rotation_field([0.0, 0.0], 1.0, 0, 1, 3),
+                 "field matrix is in R^3, not R^2", id="rotation-n"),
+    # numpy's matmul error
+    pytest.param(lambda: blowup.density_bound_check(
+        conic_atoms(3, [(_POLE, 1.0)]), _POLE, Subspace(4, np.eye(4)[:2]), 1e-6, 1e-3),
+                 "plane is in R^4, not R^3", id="density-bound-plane"),
+    # "discrete and conic parts disagree on the dimension"
+    pytest.param(lambda: document_to_dict(DiscreteVarifold(2), _CONE3),
+                 "conic part is in R^3, not R^2", id="document"),
+])
+def test_same_dim_rule_covers_every_entry_point(call, message):
+    assert _rule_message(call) == message
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
+@pytest.mark.parametrize("call", [
+    # at the parent is_stationary said "tolerance must be positive and finite"
+    pytest.param(lambda tol: variation.is_stationary(_LINE, tol), id="is-stationary"),
+    pytest.param(lambda tol: variation.vertex_residuals(_LINE, tol), id="vertex-residuals"),
+])
+def test_tolerance_rule_covers_every_entry_point(call, tol):
+    assert _rule_message(lambda: call(tol)) == "tolerance must be nonnegative and finite"

@@ -22,6 +22,7 @@ from varifold_lab import (
     dense_lines_fixture,
     load_varifold,
     mass,
+    reconstruct_from_marginals,
     save_varifold,
     sphere_grid,
     tangent_estimate,
@@ -658,12 +659,13 @@ _BAD_INPUTS = {
 @pytest.mark.parametrize("argv, message", [
     (["reconstruct", "--from-measurements", "empty.csv", "--ambient-dim", "3"], "empty.csv: empty"),
     (["reconstruct", "--from-measurements", "one.csv", "--ambient-dim", "1"],
-     "--ambient-dim must be at least 2"),
-    (["reconstruct", "c1.json"], "reconstruct needs an ambient dimension"),
+     "--ambient-dim: ambient_dim must be an integer of at least 2\n"),
+    (["reconstruct", "c1.json"], "c1.json: ambient_dim must be an integer of at least 2\n"),
     # a subspace of R^3 for a varifold in R^2
-    (["project", "y.json", "--subspace", "p3.json"], "--subspace: ambient dimension 3"),
+    (["project", "y.json", "--subspace", "p3.json"], "--subspace: subspace is in R^3, not R^2\n"),
     (["reconstruct"], "reconstruct needs an input cone or --from-measurements"),
-    (["reconstruct", "--from-measurements", "one.csv"], "--from-measurements requires"),
+    (["reconstruct", "--from-measurements", "one.csv"],
+     "--ambient-dim: ambient_dim must be an integer of at least 2\n"),
     # an R^1 header for R^3
     (["reconstruct", "--from-measurements", "one.csv", "--ambient-dim", "3"],
      "expected CSV columns"),
@@ -776,6 +778,9 @@ def _library_message(call) -> str:
      lambda v: halfline_difference_table(*counterexample_pair(), 0)),
     (["reconstruct", "c.json", "--normals", "-1"], "--normals",
      lambda v: default_normals(3, -1)),
+    # at the parent "--ambient-dim must be at least 2", a rule of the CLI's own
+    (["reconstruct", "--from-measurements", "m.csv", "--ambient-dim", "1"], "--ambient-dim",
+     lambda v: reconstruct_from_marginals(1, [])),
 ])
 def test_flags_obey_the_library_rules_and_report_its_message(tmp_path, monkeypatch, capsys,
                                                               argv, flag, call):
@@ -787,6 +792,36 @@ def test_flags_obey_the_library_rules_and_report_its_message(tmp_path, monkeypat
     assert status == 2
     assert capsys.readouterr().err == f"SchemaError: {flag}: {_library_message(lambda: call(v))}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "y.json"]
+
+
+_RAYS = '"rays": [{"origin": [0.0, 0.0], "direction": [1.0, 0.0], "weight": 1.0}]'
+_BAD_DOCUMENTS = {
+    "float-dim.json": '{"ambient_dim": 2.9, %s}' % _RAYS,
+    "string-dim.json": '{"ambient_dim": "2", %s}' % _RAYS,
+    "bad.json": "{",
+}
+_DOCUMENT_DIM = "malformed varifold document: ambient_dim must be an integer of at least 1\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    # at the parent both loaded as R^2 and exited 0
+    pytest.param(["check-stationary", "float-dim.json"], _DOCUMENT_DIM, id="dim-2.9"),
+    pytest.param(["check-stationary", "string-dim.json"], _DOCUMENT_DIM, id="dim-string"),
+    # io._loads owns the message for varifolds and subspaces alike
+    pytest.param(["check-stationary", "bad.json"], "not valid JSON: ", id="varifold-json"),
+    pytest.param(["project", "y.json", "--subspace", "bad.json"], "not valid JSON: ",
+                 id="subspace-json"),
+])
+def test_bad_documents_exit_2(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    for name, text in _BAD_DOCUMENTS.items():
+        Path(name).write_text(text)
+    save_varifold("y.json", discrete=y_junction())
+    status, _ = run(argv)
+    out, err = capsys.readouterr()
+    assert status == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("SchemaError: " + message)
+    assert sorted(p.name for p in Path().iterdir()) == sorted([*_BAD_DOCUMENTS, "y.json"])
 
 
 def test_missing_input_is_io_error(tmp_path, monkeypatch):
@@ -1072,10 +1107,9 @@ def _written(tmp_path, text):
                  id="nothing"),
     pytest.param(lambda tmp: document_to_dict(DiscreteVarifold(2),
                                               conic_atoms(3, [([0.0, 0.0, 1.0], 1.0)])),
-                 ValueError, "discrete and conic parts disagree on the dimension",
-                 id="dimensions"),
+                 ValueError, r"^conic part is in R\^3, not R\^2$", id="dimensions"),
     pytest.param(lambda tmp: document_from_dict({}), SchemaError,
-                 "missing or invalid ambient_dim", id="ambient-dim"),
+                 "^malformed varifold document: 'ambient_dim'$", id="ambient-dim"),
     pytest.param(lambda tmp: load_varifold(_written(tmp, "[1, 2]")), SchemaError,
                  "document root must be an object", id="root"),
     pytest.param(lambda tmp: load_subspace(_written(tmp, "{")), SchemaError,

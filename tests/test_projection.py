@@ -296,7 +296,7 @@ def test_counterexample_pair_properties():
 @pytest.mark.parametrize("n_directions", [0, -1])
 def test_halfline_difference_table_needs_a_direction(n_directions):
     # at the parent 0 gave an empty table and -1 failed inside np.empty
-    with pytest.raises(ValueError, match="^n_directions must be at least 1$"):
+    with pytest.raises(ValueError, match="^n_directions must be an integer of at least 1$"):
         halfline_difference_table(*counterexample_pair(), n_directions)
     assert halfline_difference_table(*counterexample_pair(), 1).shape == (1, 4)
 
@@ -361,13 +361,13 @@ _CONE_3D = conic_atoms(3, [([0.0, 0.0, 1.0], 1.0)])
 
 @pytest.mark.parametrize("build, message", [
     pytest.param(lambda: mapping_projection(DiscreteVarifold(3), Subspace.span([1.0, 0.0])),
-                 "subspace lives in a different ambient space", id="mapping"),
+                 r"^subspace is in R\^2, not R\^3$", id="mapping"),
     pytest.param(lambda: weighted_projection(DiscreteVarifold(3), Subspace.span([1.0, 0.0])),
-                 "subspace lives in a different ambient space", id="weighted"),
+                 r"^subspace is in R\^2, not R\^3$", id="weighted"),
     pytest.param(lambda: halfline_multiplicity(_CONE_3D, [1.0, 0.0]),
-                 "half-line multiplicities are defined in the plane only", id="halfline"),
+                 r"^cone is in R\^3, not R\^2$", id="halfline"),
     pytest.param(lambda: weighted_projection_conic(_CONE_3D, Subspace.span([1.0, 0.0])),
-                 "subspace lives in a different ambient space", id="conic"),
+                 r"^subspace is in R\^2, not R\^3$", id="conic"),
 ])
 def test_projection_checks_name_what_is_wrong(build, message):
     with pytest.raises(ValueError, match=message):

@@ -464,7 +464,7 @@ def test_homogeneity_of_the_pipeline():
 
 def test_default_normals_needs_a_nonnegative_extra():
     # at the parent a negative extra was taken as 0
-    with pytest.raises(ValueError, match="^extra normals must be nonnegative$"):
+    with pytest.raises(ValueError, match="^extra normals must be an integer of at least 0$"):
         default_normals(3, -1)
     assert len(default_normals(3, 0)) == 6 and len(default_normals(3, 2)) == 8
 
@@ -1299,7 +1299,7 @@ _E3_PLANE = hyperplane_of([0.0, 0.0, 1.0])
     pytest.param(lambda: PlaneMeasure(_E3_PLANE, [[1.0, 0.0]], [1.0]),
                  "points must have shape (k, ambient_dim)", id="plane-points"),
     pytest.param(lambda: PlaneMeasure(_E3_PLANE, [[1.0, 0.0, 0.0]], [1.0, 2.0]),
-                 "masses must match points", id="plane-masses"),
+                 "atom masses must match atom points", id="plane-masses"),
     pytest.param(lambda: PlaneMeasure(_E3_PLANE, [[1.0, 0.0, 0.0]], [0.0]),
                  "atom masses must be positive", id="plane-mass-sign"),
     pytest.param(lambda: LineMeasure([1.0, 0.0], [0.0], [-1.0]),

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import time
 
 import numpy as np
@@ -69,6 +70,15 @@ def test_field_validation():
         f.validate(rng)
 
 
+@pytest.mark.parametrize("i, j", [(0, 0), (1, 1), (0, 2), (2, 1)])
+def test_rotation_field_needs_two_distinct_axes_in_range(i, j):
+    # at the parent (0, 0) and (1, 1) built A[i, i] = 1, which is no
+    # rotation, and an axis at n raised a raw IndexError
+    message = "rotation axes must be two distinct indices in range(n)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        rotation_field([0.0, 0.0], 1.0, i, j, 2)
+
+
 def test_field_validation_checks_the_divergence():
     # first_variation_quadrature integrates divergence_batch, so validate
     # checks it against evaluate
@@ -86,7 +96,10 @@ def test_field_validation_checks_the_divergence():
                  "field does not vanish outside its support ball", id="support"),
     pytest.param(lambda: first_variation(DiscreteVarifold(3),
                                          bump_field([0.0, 0.0], 1.0, [1.0, 0.0])),
-                 "field dimension does not match the varifold", id="dimension"),
+                 r"^field is in R\^2, not R\^3$", id="dimension"),
+    # at the parent a scalar "matrix" was accepted and failed in evaluate
+    pytest.param(lambda: linear_field([0.0, 0.0], 1.0, 5.0),
+                 "^a field takes a vector or a matrix$", id="field-arg"),
 ])
 def test_field_checks_name_what_is_wrong(build, message):
     with pytest.raises(ValueError, match=message):
@@ -478,10 +491,17 @@ def test_is_stationary():
 
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
 def test_is_stationary_rejects_bad_tolerance(tol):
-    with pytest.raises(ValueError, match="tolerance"):
+    with pytest.raises(ValueError, match="^tolerance must be nonnegative and finite$"):
         is_stationary(full_line([0.0, 0.0], [1.0, 0.0]), tol)
+
+
+def test_is_stationary_takes_a_zero_tolerance_as_vertex_residuals_does():
+    # at the parent is_stationary(v, 0.0) raised while vertex_residuals(v, 0.0) worked
+    line, seg = full_line([0.0, 0.0], [1.0, 0.0]), DiscreteVarifold(2, (segment([0, 0], [1, 0]),))
+    assert is_stationary(line, 0.0) == (True, 0.0) and vertex_residuals(line, 0.0) == []
+    assert is_stationary(seg, 0.0) == (False, 1.0) and len(vertex_residuals(seg, 0.0)) == 2
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1.0, -math.inf, math.inf])
@@ -496,7 +516,7 @@ def test_vertex_residuals_rejects_nan_or_negative_tolerance(tol):
 def test_first_variation_quadrature_needs_two_nodes(nodes):
     # at the parent, 0 and 1 divided by zero and -3 reached np.ones(-3)
     v, g = y_junction(), bump_field([0.0, 0.0], 1.0, [1.0, 0.0])
-    with pytest.raises(ValueError, match="^nodes must be at least 2$"):
+    with pytest.raises(ValueError, match="^nodes must be an integer of at least 2$"):
         first_variation_quadrature(v, g, nodes=nodes)
     assert first_variation_quadrature(v, g, nodes=2) == first_variation_quadrature(v, g, nodes=3)
 
